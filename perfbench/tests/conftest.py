@@ -1,0 +1,13 @@
+import os
+import sys
+from pathlib import Path
+
+BENCH_DIR = Path(__file__).resolve().parents[1]
+
+# the benchmark pins BLAS to one thread before numpy loads; so do its tests
+for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+
+for path in (BENCH_DIR.parent / "src", BENCH_DIR):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
