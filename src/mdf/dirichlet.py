@@ -38,6 +38,8 @@ from .kernels import (
     PANEL_NODES,
     PANEL_WIDTH,
     BoundaryCombination,
+    CauchyKernel,
+    CosineModulatedF0,
     F0Kernel,
     _panel_rule,
     check_admissible,
@@ -73,6 +75,23 @@ _CHUNK_ENTRIES = 1 << 22
 
 _CERT_CACHE = {}
 
+#: kernel classes whose certificate is fixed by these parameters
+_CERT_PARAMS = {F0Kernel: (), CauchyKernel: ("scale",), CosineModulatedF0: ("alpha",)}
+
+
+def _cert_key(f):
+    """Certificate-cache key: kernel class and parameters.
+
+    Tabulated (and any other) kernels wrap arbitrary callables, so each
+    instance is its own key and no two share a certificate.
+    """
+    if isinstance(f, BoundaryCombination):
+        return (BoundaryCombination, _cert_key(f.base))
+    params = _CERT_PARAMS.get(type(f))
+    if params is None:
+        return f
+    return (type(f),) + tuple(getattr(f, p) for p in params)
+
 
 def ensure_admissible(f):
     """Return the (cached) admissibility certificate of f or raise.
@@ -82,10 +101,11 @@ def ensure_admissible(f):
     NotAdmissible
         If any of positivity, boundary behaviour, or strip decay fails.
     """
-    cert = _CERT_CACHE.get(f.name)
+    key = _cert_key(f)
+    cert = _CERT_CACHE.get(key)
     if cert is None:
         cert = check_admissible(f)
-        _CERT_CACHE[f.name] = cert
+        _CERT_CACHE[key] = cert
     if not cert.granted:
         raise NotAdmissible(
             f"weight {f.name!r} is not admissible: positivity_ok="
@@ -184,9 +204,7 @@ def _structured_tail(sf, G0, kernel, radius):
     tail = kernel.tail_hat(superop_flow_factors(sf), radius)
     if tail is None:
         return SuperOperator.zero(sf.dim)
-    V = sf.superop_basis_change()
-    G_eig = V @ G0.mat @ V.conj().T
-    return SuperOperator(V.conj().T @ (G_eig * tail) @ V, sf.dim)
+    return sf.superop_multiplier(G0, tail)
 
 
 def _dirichlet_quadrature(sf, x, kernel):

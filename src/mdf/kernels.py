@@ -196,14 +196,9 @@ class CauchyKernel(KernelFunction):
     def tail_hat(self, kappa, radius):
         """int_{|t| > radius} f(t) e^{i kappa t} dt, exactly.
 
-        Partial fractions give f = (1/2 pi i)(1/(t - is) - 1/(t + is));
-        each one-sided piece rotates onto the E1 contour, so for k > 0
-
-            int_T^inf f e^{ikt} dt
-                = (1/2 pi i)(e^{-ks} E1(-ik(T-is)) - e^{ks} E1(-ik(T+is))),
-
-        the opposite tail is its conjugate (f real, even), and the
-        transform itself is even in kappa.
+        Partial fractions give f = (1/2 pi i)(1/(t - is) - 1/(t + is)),
+        the pole tail of :func:`_pole_tail` with poles (s, 1), (-s, -1);
+        at kappa = 0 the tail mass is (2/pi) arctan(s/T).
         """
         kappa = np.asarray(kappa, dtype=float)
         s, T = self.scale, float(radius)
@@ -211,17 +206,8 @@ class CauchyKernel(KernelFunction):
         out = np.empty(k.shape, dtype=float)
         zero = k < 1e-300
         out[zero] = (2.0 / np.pi) * np.arctan(s / T)
-        kp = k[~zero]
-        if kp.size:
-            if np.max(kp) * s > 700:
-                raise QuadratureNotConverged(
-                    "Cauchy tail factor e^{|kappa| s} overflows; use the closed form"
-                )
-            one_sided = (
-                np.exp(-kp * s) * exp1(-1j * kp * (T - 1j * s))
-                - np.exp(kp * s) * exp1(-1j * kp * (T + 1j * s))
-            ) / (2j * np.pi)
-            out[~zero] = 2 * np.real(one_sided)
+        if not zero.all():
+            out[~zero] = _pole_tail(k[~zero], T, [(s, 1.0), (-s, -1.0)])
         return out
 
 
@@ -360,19 +346,6 @@ class TabulatedKernel(KernelFunction):
         if self._strip_fn is None:
             raise NotAdmissible(f"kernel {self.name!r} has no strip extension")
         return np.asarray(self._strip_fn(t, s))
-
-
-def fourier_hat(f, kappa):
-    """Fourier transform of a kernel at (array of) kappa.
-
-    Closed form when the kernel carries one, quadrature otherwise.
-    """
-    return f.hat(kappa)
-
-
-def fourier_hat_quadrature(f, kappa):
-    """Quadrature route for the transform, regardless of closed forms."""
-    return f.hat_quadrature(kappa)
 
 
 # ---------------------------------------------------------------------------

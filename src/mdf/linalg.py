@@ -96,20 +96,6 @@ def min_eigenvalue(A):
     return float(np.linalg.eigvalsh(A)[0])
 
 
-def conj_swap_perm(n):
-    """Permutation matrix S with S @ vec(X) = vec(X.T).
-
-    Together with entrywise conjugation this realizes the modular
-    conjugation J X = X* at the vectorized level:
-    ``vec(JX) = S @ conj(vec(X))``.
-    """
-    S = np.zeros((n * n, n * n))
-    for j in range(n):
-        for k in range(n):
-            S[j * n + k, k * n + j] = 1.0
-    return S
-
-
 # ---------------------------------------------------------------------------
 # Seeded random matrix samplers (Ginibre convention: entries ~ CN(0, 1))
 # ---------------------------------------------------------------------------

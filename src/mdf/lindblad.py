@@ -285,7 +285,7 @@ def selfadjointness_residual(sf, spec, tol=1e-8):
     H = induced_operator(sf, spec)
     op_res = H.selfadjoint_defect()
     lhs, rhs = _criterion_sides(sf, spec)
-    crit_res = (lhs - rhs).norm()
+    crit_res = (lhs - rhs).hs_norm()
     return SelfAdjointnessReport(
         operator_residual=op_res,
         criterion_residual=crit_res,
@@ -301,7 +301,7 @@ def criterion_matches_adjoint_gap(sf, spec):
     """
     lhs, rhs = _criterion_sides(sf, spec)
     gap = induced_operator_shifted(sf, spec) - induced_adjoint_shifted(sf, spec)
-    return ((lhs - rhs) - gap).norm()
+    return ((lhs - rhs) - gap).hs_norm()
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +344,14 @@ def decomposition_residual(sf, xs):
     for p in parts[1:]:
         total = total + p
     spec = spec_from_couplings(sf, xs, Q="auto")
-    return (induced_operator(sf, spec) - total).norm()
+    return (induced_operator(sf, spec) - total).hs_norm()
 
 
 def selfadjoint_component_decomposition(sf, xs):
     """Split each coupling into Hermitian components; L halves over them.
 
     Returns (components, residual) where components lists the 2m
-    Hermitian matrices of the split and residual is the superoperator
+    Hermitian matrices of the split and residual is the Hilbert-Schmidt
     norm of L - (1/2) sum_k L_k, each L_k the generator of a single
     component with its own drift.  Requires balance.
     """
@@ -364,7 +364,7 @@ def selfadjoint_component_decomposition(sf, xs):
     half = SuperOperator.zero(sf.dim)
     for c in components:
         half = half + lindblad_superop(spec_from_couplings(sf, [c], Q="auto"))
-    residual = (full - 0.5 * half).norm()
+    residual = (full - 0.5 * half).hs_norm()
     return components, residual
 
 
@@ -539,6 +539,6 @@ def verify_tracial_case(xs):
         balance_residual=balance.condition_residual,
         identity_residual=ident.norm(),
         sym_selfadjoint_defect=sym.selfadjoint_defect(),
-        plain_vs_sym=(plain - sym).norm(),
-        sym_vs_dirichlet=(sym - dirich).norm(),
+        plain_vs_sym=(plain - sym).hs_norm(),
+        sym_vs_dirichlet=(sym - dirich).hs_norm(),
     )

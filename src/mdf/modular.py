@@ -13,7 +13,6 @@ import numpy as np
 from .errors import Overflow
 from .kernels import F0Kernel, PANEL_WIDTH, integrate_on_line
 from .linalg import check_square
-from .standard_form import SuperOperator
 
 OVERFLOW_EXPONENT = 700.0
 
@@ -23,8 +22,8 @@ T_MAP = "T"
 S_MAP = "S"
 
 
-def _guard_exponent(sf, im_z):
-    worst = abs(im_z) * float(np.max(np.abs(sf.kappa)))
+def _guard_exponent(grid, im_z):
+    worst = abs(im_z) * float(np.max(np.abs(grid)))
     if worst > OVERFLOW_EXPONENT:
         raise Overflow(
             f"modular exponent {worst:.1f} exceeds the double-precision guard "
@@ -50,8 +49,26 @@ def sigma(sf, A, z):
         If |Im z| * max|kappa| exceeds the exponent guard.
     """
     z = complex(z)
-    _guard_exponent(sf, z.imag)
+    _guard_exponent(sf.kappa, z.imag)
     return _multiply_entrywise(sf, A, np.exp(1j * z * sf.kappa))
+
+
+def _quarter_shift_factors(grid, which):
+    """Factor table of the quarter-shift maps on an exponent grid.
+
+    D_{1/4} carries e^{grid/4}, D_{-1/4} e^{-grid/4}; T and S are their
+    sum and difference.  Shared by the matrix and superoperator levels.
+    """
+    e = np.exp(grid / 4.0)
+    if which == D_PLUS_QUARTER:
+        return e
+    if which == D_MINUS_QUARTER:
+        return 1.0 / e
+    if which == T_MAP:
+        return e + 1.0 / e
+    if which == S_MAP:
+        return e - 1.0 / e
+    raise ValueError(f"unknown modular map {which!r}")
 
 
 def modular_map(sf, A, which):
@@ -60,19 +77,8 @@ def modular_map(sf, A, which):
     D_{1/4}(A) = sigma_{-i/4}(A) carries the entrywise factor e^{kappa/4},
     D_{-1/4} the factor e^{-kappa/4}; T and S combine them.
     """
-    _guard_exponent(sf, 0.25)
-    e = np.exp(sf.kappa / 4.0)
-    if which == D_PLUS_QUARTER:
-        factors = e
-    elif which == D_MINUS_QUARTER:
-        factors = 1.0 / e
-    elif which == T_MAP:
-        factors = e + 1.0 / e
-    elif which == S_MAP:
-        factors = e - 1.0 / e
-    else:
-        raise ValueError(f"unknown modular map {which!r}")
-    return _multiply_entrywise(sf, A, factors)
+    _guard_exponent(sf.kappa, 0.25)
+    return _multiply_entrywise(sf, A, _quarter_shift_factors(sf.kappa, which))
 
 
 def apply_I0(sf, A):
@@ -128,9 +134,9 @@ def boundary_combination_smear(sf, A, f):
     """
     if isinstance(f, F0Kernel):
         return check_square(A, sf.dim, "operator").copy()
-    _guard_exponent(sf, 0.25)
-    e = np.exp(sf.kappa / 4.0)
-    return _multiply_entrywise(sf, A, (e + 1.0 / e) * f.hat(sf.kappa))
+    _guard_exponent(sf.kappa, 0.25)
+    factors = _quarter_shift_factors(sf.kappa, T_MAP) * f.hat(sf.kappa)
+    return _multiply_entrywise(sf, A, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -154,43 +160,22 @@ def superop_smear(sf, K, f):
     Entrywise in the eigenbasis double-index coordinates this multiplies
     by the kernel transform at nu_a - nu_b.
     """
-    V = sf.superop_basis_change()
-    K_eig = V @ K.mat @ V.conj().T
-    K_eig = K_eig * f.hat(superop_flow_factors(sf))
-    return SuperOperator(V.conj().T @ K_eig @ V, sf.dim)
+    return sf.superop_multiplier(K, f.hat(superop_flow_factors(sf)))
 
 
 def superop_sigma(sf, K, z):
     """Flow conjugation of a superoperator at complex time z."""
     z = complex(z)
     freq = superop_flow_factors(sf)
-    if abs(z.imag) * float(np.max(np.abs(freq))) > OVERFLOW_EXPONENT:
-        raise Overflow("superoperator flow exponent exceeds the guard")
-    V = sf.superop_basis_change()
-    K_eig = V @ K.mat @ V.conj().T
-    K_eig = K_eig * np.exp(1j * z * freq)
-    return SuperOperator(V.conj().T @ K_eig @ V, sf.dim)
+    _guard_exponent(freq, z.imag)
+    return sf.superop_multiplier(K, np.exp(1j * z * freq))
 
 
 def superop_modular_map(sf, K, which):
     """Quarter-shift maps lifted to superoperators (same four as modular_map)."""
     freq = superop_flow_factors(sf)
-    if 0.25 * float(np.max(np.abs(freq))) > OVERFLOW_EXPONENT:
-        raise Overflow("superoperator flow exponent exceeds the guard")
-    e = np.exp(freq / 4.0)
-    if which == D_PLUS_QUARTER:
-        factors = e
-    elif which == D_MINUS_QUARTER:
-        factors = 1.0 / e
-    elif which == T_MAP:
-        factors = e + 1.0 / e
-    elif which == S_MAP:
-        factors = e - 1.0 / e
-    else:
-        raise ValueError(f"unknown modular map {which!r}")
-    V = sf.superop_basis_change()
-    K_eig = (V @ K.mat @ V.conj().T) * factors
-    return SuperOperator(V.conj().T @ K_eig @ V, sf.dim)
+    _guard_exponent(freq, 0.25)
+    return sf.superop_multiplier(K, _quarter_shift_factors(freq, which))
 
 
 def superop_smear_quadrature(sf, K, f):
@@ -202,7 +187,4 @@ def superop_smear_quadrature(sf, K, f):
     pointwise values where :func:`superop_smear` uses the closed-form
     transform.
     """
-    V = sf.superop_basis_change()
-    K_eig = V @ K.mat @ V.conj().T
-    K_eig = K_eig * f.hat_quadrature(superop_flow_factors(sf))
-    return SuperOperator(V.conj().T @ K_eig @ V, sf.dim)
+    return sf.superop_multiplier(K, f.hat_quadrature(superop_flow_factors(sf)))

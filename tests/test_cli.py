@@ -205,6 +205,14 @@ def test_run_exits_two_on_unfaithful_state(tmp_path, capsys):
     assert "singular.json" in capsys.readouterr().err
 
 
+def test_run_exits_two_on_non_hermitian_hamiltonian(tmp_path, capsys):
+    p = tmp_path / "skew.json"
+    h = matrix_to_json(np.array([[0.0, 1.0], [0.0, 1.0]]))
+    p.write_text(json.dumps(_minimal(state={"gibbs": {"hamiltonian": h, "beta": 1.0}})))
+    assert main(["run", str(p)]) == 2
+    assert "hamiltonian" in capsys.readouterr().err
+
+
 def test_suites_flag_filters_and_validates(tmp_path):
     p = tmp_path / "s.json"
     p.write_text(json.dumps(_minimal()))

@@ -32,7 +32,9 @@ from mdf import (
     verify_boundary_shift,
     verify_dirichlet,
 )
+from mdf import dirichlet
 from mdf.dirichlet import ENGINE_QUADRATURE
+from mdf.kernels import TabulatedKernel
 from mdf.linalg import dagger, ginibre, hs_inner, hs_norm, random_hermitian
 
 
@@ -239,6 +241,20 @@ def test_spec_rejects_signed_kernel_by_default(rng):
     # explicit escape hatch for controls
     DirichletSpec(x=ginibre(2, rng), kernel=CosineModulatedF0(alpha=6.0),
                   check_kernel=False)
+
+
+def test_admissibility_cache_does_not_share_certificates(monkeypatch, rng):
+    monkeypatch.setattr(dirichlet, "_CERT_CACHE", {})
+    f0, signed = F0Kernel(), CosineModulatedF0(alpha=6.0)
+    good = TabulatedKernel(f0.eval, f0.strip_eval, truncation_radius=5.0)
+    bad = TabulatedKernel(signed.eval, signed.strip_eval, truncation_radius=5.0)
+    DirichletSpec(x=ginibre(2, rng), kernel=good)
+    # same class and name as the certified kernel, but signed
+    with pytest.raises(NotAdmissible):
+        DirichletSpec(x=ginibre(2, rng), kernel=bad)
+    for scale in (0.5, 2.0, 0.5):
+        dirichlet.ensure_admissible(CauchyKernel(scale=scale))
+    assert len(dirichlet._CERT_CACHE) == 4
 
 
 def test_verification_report_is_clean(sf3, rng):

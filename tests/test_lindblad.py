@@ -20,6 +20,7 @@ from mdf import (
     general_f_embedding_residual,
     general_f_generator,
     induced_operator,
+    induced_operator_shifted,
     kms_symmetry_residual,
     lindblad_apply,
     lindblad_superop,
@@ -33,6 +34,7 @@ from mdf import (
     y_reconstruction_residual,
 )
 from mdf.linalg import dagger, ginibre, hs_inner, hs_norm, random_hermitian
+from mdf.lindblad import _criterion_sides
 
 
 def _e(i, j, n=2):
@@ -187,6 +189,21 @@ def test_perturbed_drift_breaks_selfadjointness(sf3, rng):
     bad_q = spec.Q + 0.1 * (random_hermitian(3, rng) - np.trace(random_hermitian(3, rng)) / 3 * np.eye(3))
     bad = LindbladSpec(ys=spec.ys, Q=bad_q)
     assert selfadjointness_residual(sf3, bad).operator_residual > 1e-4
+
+
+def test_hs_residuals_are_never_below_the_spectral_ones(sf3, rng):
+    # an unbalanced coupling keeps every residual away from rounding, so
+    # the comparison with the former spectral-norm residuals is meaningful
+    x = ginibre(3, rng)
+    spec = spec_from_couplings(sf3, [x], Q="auto")
+    H = induced_operator(sf3, spec)
+    sa = selfadjointness_residual(sf3, spec)
+    assert sa.operator_residual >= (H - H.adjoint()).norm() > 1e-3
+    lhs, rhs = _criterion_sides(sf3, spec)
+    assert sa.criterion_residual >= (lhs - rhs).norm() > 1e-3
+    perturbed = induced_operator_shifted(sf3, LindbladSpec(ys=spec.ys))
+    gap = H - perturbed
+    assert gap.hs_norm() >= gap.norm() > 1e-3
 
 
 def test_kms_symmetry_matches_selfadjointness(sf3, rng):

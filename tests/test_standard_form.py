@@ -75,6 +75,11 @@ def test_gibbs_state_matches_direct_formula(rng):
     np.testing.assert_allclose(sf.rho.entries, rho, atol=1e-12)
 
 
+def test_gibbs_state_rejects_non_hermitian_hamiltonian():
+    with pytest.raises(NotAState, match="hamiltonian"):
+        gibbs_state(np.array([[0.0, 1.0], [0.0, 1.0]]))
+
+
 # ---------------------------------------------------------------------------
 # the two actions
 # ---------------------------------------------------------------------------
@@ -223,3 +228,47 @@ def test_superop_composition_matches_matrix_product(rng):
 def test_vec_unvec_roundtrip(rng):
     X = ginibre(4, rng)
     np.testing.assert_allclose(unvec(vec(X), 4), X, atol=0)
+
+
+def _random_state(n, rng):
+    g = ginibre(n, rng)
+    rho = g @ dagger(g) + 0.1 * np.eye(n)
+    return build_standard_form(rho / np.trace(rho).real)
+
+
+def _transpose_perm(n):
+    """Dense S with S @ vec(X) = vec(X.T)."""
+    S = np.zeros((n * n, n * n))
+    for j in range(n):
+        for k in range(n):
+            S[j * n + k, k * n + j] = 1.0
+    return S
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_superop_multiplier_matches_dense_basis_change(n, rng):
+    sf = _random_state(n, rng)
+    K = SuperOperator(ginibre(n * n, rng), n)
+    F = ginibre(n * n, rng)
+    V = sf.superop_basis_change()
+    dense = dagger(V) @ ((V @ K.mat @ dagger(V)) * F) @ V
+    assert np.max(np.abs(sf.superop_multiplier(K, F).mat - dense)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_j_real_defect_is_hs_distance_to_jkj(n, rng):
+    K = SuperOperator(ginibre(n * n, rng), n)
+    S = _transpose_perm(n)
+    expected = hs_norm(K.mat - S @ K.mat.conj() @ S)
+    assert abs(K.j_real_defect() - expected) <= 1e-13 * max(expected, 1.0)
+
+
+def test_hs_residuals_are_never_below_the_spectral_ones(rng):
+    # the Hilbert-Schmidt norm bounds the operator norm, so every gate
+    # moved onto it is at least as strict as before
+    n = 4
+    K = SuperOperator(ginibre(n * n, rng), n)
+    S = _transpose_perm(n)
+    assert K.hs_norm() >= K.norm()
+    assert K.selfadjoint_defect() >= np.linalg.norm(K.mat - dagger(K.mat), 2)
+    assert K.j_real_defect() >= np.linalg.norm(K.mat - S @ K.mat.conj() @ S, 2)
