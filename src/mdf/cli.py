@@ -32,10 +32,11 @@ scenario + seed, so a corpus can be farmed out or diffed freely.
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -121,15 +122,18 @@ def matrix_to_json(A):
 
 
 def matrix_from_json(obj, path, n=None):
+    """Decode a MATRIX; SchemaError names the offending entry, e.g. ``m[0][1][0]``.
+
+    ``json.load`` parses ``NaN`` and ``Infinity``, so every number is also
+    checked to be finite.
+    """
     if not isinstance(obj, list) or not obj:
         raise SchemaError(f"{path}: expected a nonempty list of rows")
     rows = len(obj)
-    out = np.zeros((rows, rows), dtype=complex) if n is None else np.zeros((n, n), complex)
     if n is not None and rows != n:
         raise SchemaError(f"{path}: expected {n} rows, got {rows}")
-    if n is None:
-        n = rows
-        out = np.zeros((n, n), dtype=complex)
+    n = rows
+    out = np.zeros((n, n), dtype=complex)
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != n:
             raise SchemaError(f"{path}[{i}]: expected a row of {n} entries")
@@ -140,8 +144,19 @@ def matrix_from_json(obj, path, n=None):
                 or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
             ):
                 raise SchemaError(f"{path}[{i}][{j}]: expected an [re, im] number pair")
+            for c, v in enumerate(entry):
+                if not _finite(v):
+                    raise SchemaError(f"{path}[{i}][{j}][{c}]: expected a finite number")
             out[i, j] = complex(entry[0], entry[1])
     return out
+
+
+def _finite(v):
+    """Whether a JSON number is a finite double (huge integers are not)."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _plain(value):
@@ -351,20 +366,23 @@ def _suite_standard_form(sf, xs, kernel, tol, seed):
     worst_jordan = 0.0
     worst_proj = 0.0
     worst_member = 0.0
+    hs = []
     for _ in range(20):
         a = ginibre(sf.dim, rng)
         worst_embed = max(
             worst_embed, hs_norm(symmetric_unembed(sf, symmetric_embed(sf, a)) - a)
         )
         h = random_hermitian(sf.dim, rng)
+        hs.append(h)
         plus, minus = jordan_decompose(sf, h)
         worst_jordan = max(
             worst_jordan,
             hs_norm((plus - minus) - h),
             abs(complex(hs_inner(plus, minus))),
         )
-        p = project_order_interval(sf, h)
-        worst_proj = max(worst_proj, hs_norm(project_order_interval(sf, p) - p))
+    ps = project_order_interval(sf, np.stack(hs))
+    for p, pp in zip(ps, project_order_interval(sf, ps)):
+        worst_proj = max(worst_proj, hs_norm(pp - p))
         worst_member = max(
             worst_member, -min_eigenvalue(p), -min_eigenvalue(sf.xi0 - p)
         )
@@ -706,18 +724,7 @@ def run_scenario(path, out=None, seed=None, suites=None):
             unknown = [s for s in suites if s not in SUITES]
             if unknown:
                 raise SchemaError(f"--suites: unknown suite {unknown[0]!r}")
-            scenario = Scenario(
-                name=scenario.name,
-                dim=scenario.dim,
-                state=scenario.state,
-                coefficients=scenario.coefficients,
-                kernel_descriptor=scenario.kernel_descriptor,
-                suites=tuple(s for s in SUITES if s in suites),
-                tolerances=scenario.tolerances,
-                seed=scenario.seed,
-                negative_control=scenario.negative_control,
-                raw=scenario.raw,
-            )
+            scenario = replace(scenario, suites=tuple(s for s in SUITES if s in suites))
         report = run_scenario_object(scenario, seed=seed)
     except (SchemaError, NotAState, NotFaithful, NotAdmissible) as exc:
         print(f"error: {scenario_context(path)}: {exc}", file=sys.stderr)

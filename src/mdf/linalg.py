@@ -14,8 +14,8 @@ from .errors import DimMismatch
 
 
 def dagger(A):
-    """Conjugate transpose."""
-    return np.asarray(A).conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack (last two axes)."""
+    return np.asarray(A).conj().swapaxes(-1, -2)
 
 
 def hs_inner(X, Y):
@@ -85,10 +85,13 @@ def eigh_fixed(A):
 
 
 def psd_clip(A):
-    """Nearest positive semidefinite matrix to Hermitian A (spectral clip)."""
+    """Nearest positive semidefinite matrix to Hermitian A (spectral clip).
+
+    A stack (k, n, n) is clipped member by member with one batched ``eigh``.
+    """
     w, V = np.linalg.eigh(A)
     w = np.maximum(w, 0.0)
-    return (V * w) @ dagger(V)
+    return (V * w[..., None, :]) @ dagger(V)
 
 
 def min_eigenvalue(A):

@@ -226,9 +226,9 @@ def markovianity_report(sf, probe):
 
     # form-level criterion, time-independent: projecting onto the order
     # interval may never increase the energy
-    for i in range(probe.samples):
-        eta = random_hermitian(sf.dim, rng)
-        eta_i = project_order_interval(sf, eta)
+    etas = [random_hermitian(sf.dim, rng) for _ in range(probe.samples)]
+    etas = np.reshape(etas, (probe.samples, sf.dim, sf.dim))
+    for i, (eta, eta_i) in enumerate(zip(etas, project_order_interval(sf, etas))):
         e_full = float(np.real(hs_inner(eta, H.apply(eta))))
         e_proj = float(np.real(hs_inner(eta_i, H.apply(eta_i))))
         gap = e_proj - e_full

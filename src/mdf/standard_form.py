@@ -257,40 +257,61 @@ def project_order_interval(sf, eta):
     iterates differ by less than ``DYKSTRA_STEP_TOL`` in the norm
     induced by the trace inner product.
 
+    ``eta`` is one n x n matrix or a stack (k, n, n) of them; the result
+    has the same shape.  A stack is projected in one sweep: every
+    Dykstra iteration clips all members still iterating with one batched
+    eigendecomposition per half-step.  Each member keeps its own stop
+    rule: once its own step falls below ``DYKSTRA_STEP_TOL`` it is
+    frozen, on the iteration where a call on that member alone stops.
+
     Raises
     ------
     NotJReal
-        For a non-Hermitian input.
+        If any member is non-Hermitian.
     NoConvergence
-        If the iteration cap is reached while the step size is still
-        above ``DYKSTRA_FAIL_RESIDUAL``.
+        If the iteration cap is reached while some member's step size is
+        still above ``DYKSTRA_FAIL_RESIDUAL``.
     """
-    eta = check_square(eta, sf.dim, "vector")
-    if hermitian_defect(eta) > JREAL_TOL:
+    eta = np.asarray(eta, dtype=complex)
+    n = sf.dim
+    if eta.ndim not in (2, 3) or eta.shape[-2:] != (n, n):
+        raise DimMismatch(f"vector has shape {eta.shape}, expected ({n}, {n}) or (k, {n}, {n})")
+    shape = eta.shape
+    eta = eta.reshape(-1, n, n)
+    if np.any(np.linalg.norm(eta - dagger(eta), 2, axis=(-2, -1)) > JREAL_TOL):
         raise NotJReal("order-interval projection needs a J-real vector")
     eta = (eta + dagger(eta)) / 2.0
     xi0 = sf.xi0
 
+    out = np.empty_like(eta)
+    active = np.arange(len(eta))
+    step = np.full(len(eta), np.inf)
     x = eta
     p = np.zeros_like(eta)
     q = np.zeros_like(eta)
-    step = np.inf
     for _ in range(DYKSTRA_MAX_ITER):
+        if not active.size:
+            break
         y = psd_clip(x + p)
         p = x + p - y
         x_new = xi0 - psd_clip(xi0 - (y + q))
         q = y + q - x_new
-        step = hs_norm(x_new - x)
+        step = np.linalg.norm(x_new - x, axis=(-2, -1))
         x = x_new
-        if step < DYKSTRA_STEP_TOL:
-            break
+        done = step < DYKSTRA_STEP_TOL
+        if done.any():
+            out[active[done]] = x[done]
+            keep = ~done
+            active, x, p, q, step = active[keep], x[keep], p[keep], q[keep], step[keep]
     else:
-        if step > DYKSTRA_FAIL_RESIDUAL:
+        stalled = step[step > DYKSTRA_FAIL_RESIDUAL]
+        if stalled.size:
             raise NoConvergence(
-                f"Dykstra projection stalled with step {step:.3e} after "
+                f"Dykstra projection stalled with step {stalled[0]:.3e} after "
                 f"{DYKSTRA_MAX_ITER} iterations"
             )
-    return (x + dagger(x)) / 2.0
+        out[active] = x
+    return ((out + dagger(out)) / 2.0).reshape(shape)
 
 
 def symmetric_embed(sf, A):

@@ -49,6 +49,25 @@ def test_matrix_errors_carry_the_path():
         matrix_from_json([[[1, 0]]], "m", n=2)
 
 
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), -float("inf"), 10**400], ids=["nan", "inf", "-inf", "huge"]
+)
+def test_matrix_rejects_non_finite_entries(bad):
+    m = [[[1, 0], [0, 0]], [[0, bad], [1, 0]]]
+    with pytest.raises(SchemaError, match=r"m\[1\]\[0\]\[1\]: expected a finite number"):
+        matrix_from_json(m, "m")
+
+
+def test_run_exits_two_on_nan_coupling_entry(tmp_path, capsys):
+    coupling = matrix_to_json(np.diag([1.0, -1.0]))
+    coupling[0][1][0] = float("nan")
+    p = tmp_path / "nan.json"
+    p.write_text(json.dumps(_minimal(coefficients=[coupling])))
+    assert "NaN" in p.read_text()
+    assert main(["run", str(p)]) == 2
+    assert "coefficients[0][0][1][0]" in capsys.readouterr().err
+
+
 def test_parse_accepts_the_minimal_scenario():
     s = parse_scenario(_minimal())
     assert isinstance(s, Scenario)

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import mdf.standard_form
 from mdf import (
     DensityMatrix,
+    NoConvergence,
     NotAState,
     NotFaithful,
     NotJReal,
@@ -19,7 +21,17 @@ from mdf import (
     symmetric_unembed,
     tracial_state,
 )
-from mdf.linalg import dagger, ginibre, hs_inner, hs_norm, random_hermitian, random_psd, unvec, vec
+from mdf.linalg import (
+    dagger,
+    ginibre,
+    hs_inner,
+    hs_norm,
+    psd_clip,
+    random_hermitian,
+    random_psd,
+    unvec,
+    vec,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +165,44 @@ def test_projection_fixes_interval_elements(sf3, rng):
     w = np.linalg.eigvalsh(sf3.xi0 - eta)
     assert w[0] > 0  # strictly inside
     np.testing.assert_allclose(project_order_interval(sf3, eta), eta, atol=1e-8)
+
+
+def test_projection_of_a_stack_matches_member_calls(sf3, rng):
+    etas = np.stack([3.0 * random_hermitian(3, rng) for _ in range(6)])
+    etas[2] = sf3.xi0 / 2  # inside the interval: frozen after one sweep
+    stacked = project_order_interval(sf3, etas)
+    assert stacked.shape == etas.shape
+    for eta, p in zip(etas, stacked):
+        np.testing.assert_allclose(p, project_order_interval(sf3, eta), rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(
+        project_order_interval(sf3, etas[:1])[0], project_order_interval(sf3, etas[0])
+    )
+
+
+def test_projection_of_a_stack_rejects_one_non_hermitian_member(sf3, rng):
+    etas = np.stack([random_hermitian(3, rng) for _ in range(4)])
+    etas[3] = ginibre(3, rng)
+    with pytest.raises(NotJReal):
+        project_order_interval(sf3, etas)
+
+
+def test_projection_of_a_stack_raises_for_one_stalled_member(sf3, rng, monkeypatch):
+    monkeypatch.setattr(mdf.standard_form, "DYKSTRA_MAX_ITER", 2)
+    monkeypatch.setattr(mdf.standard_form, "DYKSTRA_FAIL_RESIDUAL", 1e-12)
+    inside = sf3.xi0 / 2
+    np.testing.assert_allclose(project_order_interval(sf3, inside), inside, atol=1e-14)
+    far = 10.0 * random_hermitian(3, rng)
+    with pytest.raises(NoConvergence):
+        project_order_interval(sf3, np.stack([inside, far, inside]))
+
+
+def test_psd_clip_and_dagger_act_on_each_member_of_a_stack(rng):
+    hs = np.stack([random_hermitian(4, rng) for _ in range(5)])
+    gs = np.stack([ginibre(4, rng) for _ in range(5)])
+    np.testing.assert_array_equal(dagger(gs), np.stack([dagger(g) for g in gs]))
+    np.testing.assert_allclose(
+        psd_clip(hs), np.stack([psd_clip(h) for h in hs]), rtol=0, atol=1e-14
+    )
 
 
 def test_projection_agrees_with_convex_solver(sf2, rng):
