@@ -37,15 +37,14 @@ import os
 import sys
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import __version__
 from .dirichlet import (
-    DirichletSpec,
     crosscheck_engines,
     dirichlet_operator,
-    form_eval,
     split_self_adjoint,
     verify_boundary_shift,
     verify_dirichlet,
@@ -57,7 +56,7 @@ from .errors import (
     NotAState,
     SchemaError,
 )
-from .kernels import CauchyKernel, check_admissible, kernel_from_descriptor
+from .kernels import CauchyKernel, F0Kernel, check_admissible, kernel_from_descriptor
 from .linalg import dagger, ginibre, hs_inner, hs_norm, min_eigenvalue, random_hermitian
 from .lindblad import (
     check_balance_condition,
@@ -202,17 +201,8 @@ def parse_scenario(obj):
     """Validate a scenario JSON object; SchemaError points at offending keys."""
     if not isinstance(obj, dict):
         raise SchemaError("scenario: expected a JSON object")
-    known = {
-        "name",
-        "dim",
-        "state",
-        "coefficients",
-        "kernel",
-        "suites",
-        "tolerances",
-        "seed",
-        "negative_control",
-    }
+    known = ("name", "dim", "state", "coefficients", "kernel", "suites", "tolerances", "seed",
+             "negative_control")
     for key in obj:
         if key not in known:
             raise SchemaError(f"{key}: unknown scenario key")
@@ -351,12 +341,91 @@ def resolve_coefficients(scenario):
     return out
 
 
+class ScenarioContext:
+    """The operators and residuals the suites of one scenario share, each built once.
+
+    ``parts``, the Dirichlet operators H_k of the couplings, is built up
+    front: a coupling whose operator overflows is a ``SchemaError``,
+    whatever the suites.  Every other member is built on first use.
+    Suites never mutate a member.
+    """
+
+    def __init__(self, scenario, seed):
+        self.sf = build_state(scenario)
+        self.xs = resolve_coefficients(scenario)
+        self.kernel = kernel_from_descriptor(scenario.kernel_descriptor)
+        self.tol = scenario.tolerances
+        self.seed = seed
+        self.negative_control = scenario.negative_control
+        check = not self.negative_control
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.parts = [
+                dirichlet_operator(self.sf, x, self.kernel, check_kernel=check) for x in self.xs
+            ]
+        for i, Hk in enumerate(self.parts):
+            if not np.isfinite(Hk.mat).all():
+                raise SchemaError(f"coefficients[{i}]: too large, its Dirichlet operator overflows")
+
+    @cached_property
+    def H(self):
+        return sum(self.parts[1:], self.parts[0])
+
+    @cached_property
+    def spec(self):
+        return spec_from_couplings(self.sf, self.xs, Q="auto")
+
+    @cached_property
+    def induced(self):
+        return induced_operator(self.sf, self.spec)
+
+    @cached_property
+    def induced_shifted(self):
+        return induced_operator_shifted(self.sf, self.spec)
+
+    @cached_property
+    def induced_adjoint(self):
+        return induced_adjoint_shifted(self.sf, self.spec)
+
+    @cached_property
+    def balance(self):
+        return check_balance_condition(self.sf, self.xs, seed=self.seed)
+
+    @cached_property
+    def assembly_gap(self):
+        return (self.induced - self.induced_shifted).hs_norm()
+
+    @cached_property
+    def criterion_gap(self):
+        return criterion_matches_adjoint_gap(
+            self.sf, self.spec, self.induced_shifted, self.induced_adjoint
+        )
+
+    @cached_property
+    def decomposition(self):
+        if type(self.kernel) is F0Kernel:  # pinned to f0
+            return decomposition_residual(self.induced, self.H)
+        f0_parts = [dirichlet_operator(self.sf, x, F0Kernel()) for x in self.xs]
+        return decomposition_residual(self.induced, sum(f0_parts[1:], f0_parts[0]))
+
+    @cached_property
+    def boundary_shift(self):
+        return max(verify_boundary_shift(self.sf, x, self.kernel) for x in self.xs)
+
+    @cached_property
+    def general_weight_embedding(self):
+        return max(
+            general_f_embedding_residual(self.sf, x, self.kernel, Hk, samples=20, seed=self.seed)
+            for x, Hk in zip(self.xs, self.parts)
+        )
+
+
 # ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
 
-def _suite_standard_form(sf, xs, kernel, tol, seed):
-    rng = np.random.default_rng(seed)
+def _suite_standard_form(ctx):
+    sf, tol = ctx.sf, ctx.tol
+    rng = np.random.default_rng(ctx.seed)
     res = {}
     res["state_min_eigenvalue"] = float(sf.eigenvalues[-1])
     res["xi0_normalization"] = abs(hs_norm(sf.xi0) - 1.0)
@@ -403,8 +472,9 @@ def _suite_standard_form(sf, xs, kernel, tol, seed):
     return {"passed": bool(passed), "residuals": res, "notes": []}
 
 
-def _suite_modular(sf, xs, kernel, tol, seed):
-    rng = np.random.default_rng(seed)
+def _suite_modular(ctx):
+    sf, tol = ctx.sf, ctx.tol
+    rng = np.random.default_rng(ctx.seed)
     res = {}
     worst_group = 0.0
     worst_star = 0.0
@@ -434,9 +504,9 @@ def _suite_modular(sf, xs, kernel, tol, seed):
     res["smear_inverts_T"] = worst_inverse
     res["flow_commutant_compatibility"] = worst_j
     worst_smear = 0.0
-    for x in xs:
-        exact = smear(sf, x, kernel)
-        quad = smear_quadrature(sf, x, kernel)
+    for x in ctx.xs:
+        exact = smear(sf, x, ctx.kernel)
+        quad = smear_quadrature(sf, x, ctx.kernel)
         worst_smear = max(worst_smear, hs_norm(exact - quad) / max(hs_norm(exact), 1e-300))
     res["smear_exact_vs_quadrature"] = worst_smear
     passed = (
@@ -449,54 +519,37 @@ def _suite_modular(sf, xs, kernel, tol, seed):
     return {"passed": bool(passed), "residuals": res, "notes": []}
 
 
-def _suite_dirichlet(sf, xs, kernel, tol, seed, negative_control=False):
+def _suite_dirichlet(ctx):
+    sf, xs, kernel, tol = ctx.sf, ctx.xs, ctx.kernel, ctx.tol
     notes = []
     res = {}
     violations = []
-    check_kernel = not negative_control
+    check_kernel = not ctx.negative_control
     reports = []
-    for i, x in enumerate(xs):
-        spec = DirichletSpec(x=x, kernel=kernel, check_kernel=check_kernel)
-        rep = verify_dirichlet(sf, spec, samples=SUITE_SAMPLES, seed=seed + i)
+    for i, Hk in enumerate(ctx.parts):
+        rep = verify_dirichlet(sf, Hk, samples=SUITE_SAMPLES, seed=ctx.seed + i)
         reports.append(rep)
-        for field in (
-            "h_xi0_residual",
-            "j_real_residual",
-            "conj_form_residual",
-            "selfadjoint_defect",
-            "cone_form_residual",
-        ):
+        for field in ("h_xi0_residual", "j_real_residual", "conj_form_residual",
+                      "selfadjoint_defect", "cone_form_residual", "psd_min_eig",
+                      "negativity_violations"):
             res[f"x{i}_{field}"] = getattr(rep, field)
-        res[f"x{i}_psd_min_eig"] = rep.psd_min_eig
-        res[f"x{i}_negativity_violations"] = rep.negativity_violations
         if rep.negativity_violations:
             violations.append(
                 {"coefficient": i, "kind": "form_negativity", "count": rep.negativity_violations}
             )
     worst_split = 0.0
-    worst_form = 0.0
-    rng = np.random.default_rng(seed)
-    for i, x in enumerate(xs):
-        H = dirichlet_operator(sf, x, kernel, check_kernel=check_kernel)
+    for x, Hk in zip(xs, ctx.parts):
         x1, x2 = split_self_adjoint(x)
         H1 = dirichlet_operator(sf, x1, kernel, check_kernel=check_kernel)
         H2 = dirichlet_operator(sf, x2, kernel, check_kernel=check_kernel)
-        worst_split = max(worst_split, (H - 0.5 * (H1 + H2)).hs_norm())
-        eta, xi = ginibre(sf.dim, rng), ginibre(sf.dim, rng)
-        e_direct = form_eval(
-            sf,
-            DirichletSpec(x=x, kernel=kernel, check_kernel=check_kernel),
-            eta,
-            xi,
-        )
-        worst_form = max(worst_form, abs(e_direct - complex(hs_inner(eta, H.apply(xi)))))
+        worst_split = max(worst_split, (Hk - 0.5 * (H1 + H2)).hs_norm())
     res["split_identity"] = worst_split
-    res["form_matches_operator"] = worst_form
     cross = None
     if sf.dim <= 4:
         try:
             cross = max(
-                crosscheck_engines(sf, x, kernel, check_kernel=check_kernel) for x in xs
+                crosscheck_engines(sf, Hk, x, kernel, check_kernel=check_kernel)
+                for x, Hk in zip(xs, ctx.parts)
             )
             res["engine_crosscheck"] = cross
         except EngineDisagreement as exc:
@@ -505,8 +558,7 @@ def _suite_dirichlet(sf, xs, kernel, tol, seed, negative_control=False):
     else:
         notes.append("engine cross-check skipped (dim > 4: quadrature engine is priced out)")
     if isinstance(kernel, CauchyKernel):
-        shift = max(verify_boundary_shift(sf, x, kernel) for x in xs)
-        res["boundary_shift_identity"] = shift
+        res["boundary_shift_identity"] = ctx.boundary_shift
     structure_ok = all(
         rep.h_xi0_residual < tol["integral"]
         and rep.j_real_residual < tol["integral"]
@@ -521,11 +573,10 @@ def _suite_dirichlet(sf, xs, kernel, tol, seed, negative_control=False):
     )
     shared_ok = (
         worst_split < tol["integral"]
-        and worst_form < tol["integral"]
         and (cross is None or cross < tol["cross_engine"])
         and res.get("boundary_shift_identity", 0.0) < tol["integral"]
     )
-    if negative_control:
+    if ctx.negative_control:
         # the signed weight must keep the structure and is allowed (not
         # required, at this suite's level) to break Markovianity
         passed = structure_ok and shared_ok
@@ -535,27 +586,26 @@ def _suite_dirichlet(sf, xs, kernel, tol, seed, negative_control=False):
     return {"passed": bool(passed), "residuals": res, "notes": notes, "violations": violations}
 
 
-def _suite_lindblad(sf, xs, kernel, tol, seed):
+def _suite_lindblad(ctx):
+    sf, xs, tol = ctx.sf, ctx.xs, ctx.tol
     notes = []
     res = {}
-    balance = check_balance_condition(sf, xs, seed=seed)
+    balance = ctx.balance
     res["balance_condition"] = balance.condition_residual
     res["balance_lemma"] = balance.lemma_residual
     res["balance_equivalent"] = balance.equivalent
-    spec = spec_from_couplings(sf, xs, Q="auto")
-    sa = selfadjointness_residual(sf, spec)
+    sa = selfadjointness_residual(sf, ctx.spec, ctx.induced)
     res["selfadjointness_operator"] = sa.operator_residual
     res["selfadjointness_criterion"] = sa.criterion_residual
     res["selfadjointness_consistent"] = sa.consistent
-    res["criterion_matches_adjoint_gap"] = criterion_matches_adjoint_gap(sf, spec)
-    H = induced_operator(sf, spec)
-    res["assembly_conjugation_vs_shifted"] = (H - induced_operator_shifted(sf, spec)).hs_norm()
-    res["kms_symmetry"] = kms_symmetry_residual(sf, spec, samples=25, seed=seed)
+    res["criterion_matches_adjoint_gap"] = ctx.criterion_gap
+    res["assembly_conjugation_vs_shifted"] = ctx.assembly_gap
+    res["kms_symmetry"] = kms_symmetry_residual(sf, ctx.spec, samples=25, seed=ctx.seed)
     res["kms_consistent"] = (res["kms_symmetry"] < tol["integral"]) == (
         sa.operator_residual < tol["integral"]
     )
     if balance.balanced:
-        res["dirichlet_decomposition"] = decomposition_residual(sf, xs)
+        res["dirichlet_decomposition"] = ctx.decomposition
         _, comp_res = selfadjoint_component_decomposition(sf, xs)
         res["component_decomposition"] = comp_res
         res["y_reconstruction"] = y_reconstruction_residual(sf, xs)
@@ -571,12 +621,9 @@ def _suite_lindblad(sf, xs, kernel, tol, seed):
             f"(condition residual {balance.condition_residual:.3e})"
         )
         balanced_ok = True
-    if isinstance(kernel, CauchyKernel):
-        worst = max(
-            general_f_embedding_residual(sf, x, kernel, samples=20, seed=seed) for x in xs
-        )
-        res["general_weight_embedding"] = worst
-        balanced_ok = balanced_ok and worst < tol["decomposition"]
+    if isinstance(ctx.kernel, CauchyKernel):
+        res["general_weight_embedding"] = ctx.general_weight_embedding
+        balanced_ok = balanced_ok and ctx.general_weight_embedding < tol["decomposition"]
     passed = (
         res["balance_equivalent"]
         and res["selfadjointness_consistent"]
@@ -588,41 +635,30 @@ def _suite_lindblad(sf, xs, kernel, tol, seed):
     return {"passed": bool(passed), "residuals": res, "notes": notes}
 
 
-def _suite_semigroup(sf, xs, kernel, tol, seed, negative_control=False):
+def _suite_semigroup(ctx):
     notes = []
     res = {}
-    violations = []
-    check_kernel = not negative_control
-    H = None
-    for x in xs:
-        Hk = dirichlet_operator(sf, x, kernel, check_kernel=check_kernel)
-        H = Hk if H is None else H + Hk
-    probe = SemigroupProbe(H=H, times=PROBE_TIMES, samples=SUITE_SAMPLES, seed=seed)
-    rep = markovianity_report(sf, probe)
-    res["interval_violations"] = rep.interval_violations
-    res["extreme_violations"] = rep.extreme_violations
-    res["positivity_violations"] = rep.positivity_violations
-    res["form_violations"] = rep.form_violations
-    res["worst_interval_margin"] = rep.worst_interval_margin
-    res["worst_positivity_margin"] = rep.worst_positivity_margin
-    res["worst_form_gap"] = rep.worst_form_gap
+    H = ctx.H
+    probe = SemigroupProbe(H=H, times=PROBE_TIMES, samples=SUITE_SAMPLES, seed=ctx.seed)
+    rep = markovianity_report(ctx.sf, probe)
+    for field in ("interval_violations", "extreme_violations", "positivity_violations",
+                  "form_violations", "worst_interval_margin", "worst_positivity_margin",
+                  "worst_form_gap"):
+        res[field] = getattr(rep, field)
     res["xi0_invariance"] = rep.xi0_invariance_max
     res["j_real"] = rep.j_real_max
-    for w in rep.witnesses:
-        violations.append({"kind": w[0], "t": w[1], "sample": w[2], "margin": w[3]})
-    gap, kernel_dim = spectral_gap(H)
-    res["spectral_gap"] = gap
-    res["kernel_dimension"] = kernel_dim
+    violations = [{"kind": w[0], "t": w[1], "sample": w[2], "margin": w[3]} for w in rep.witnesses]
+    res["spectral_gap"], res["kernel_dimension"] = spectral_gap(H)
     # semigroup law and symmetry at one time pair
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ctx.seed)
     Ts, Tt, Tst = (semigroup_operator(H, t) for t in (0.3, 0.9, 1.2))
     res["semigroup_law"] = (Tst - Ts @ Tt).hs_norm()
-    a, b = ginibre(sf.dim, rng), ginibre(sf.dim, rng)
+    a, b = ginibre(ctx.sf.dim, rng), ginibre(ctx.sf.dim, rng)
     res["semigroup_symmetry"] = abs(
         complex(hs_inner(Ts.apply(a), b)) - complex(hs_inner(a, Ts.apply(b)))
     )
     law_ok = res["semigroup_law"] < 1e-9 and res["semigroup_symmetry"] < 1e-9
-    if negative_control:
+    if ctx.negative_control:
         passed = law_ok and not rep.markovian
         if rep.markovian:
             notes.append("negative control FAILED to produce any violation")
@@ -633,30 +669,25 @@ def _suite_semigroup(sf, xs, kernel, tol, seed, negative_control=False):
     return {"passed": bool(passed), "residuals": res, "notes": notes, "violations": violations}
 
 
-def _suite_proof_regression(sf, xs, kernel, tol, seed):
-    """The identity chain behind the theorems, as pure regressions."""
+def _suite_proof_regression(ctx):
+    """The identity chain behind the theorems, as pure regressions.
+
+    Only ``adjoint_assembly_vs_dagger`` is new; the rest is shared with lindblad and dirichlet.
+    """
     notes = []
     res = {}
-    spec = spec_from_couplings(sf, xs, Q="auto")
-    H = induced_operator(sf, spec)
-    res["conjugation_vs_shifted"] = (H - induced_operator_shifted(sf, spec)).hs_norm()
-    res["adjoint_assembly_vs_dagger"] = (
-        induced_adjoint_shifted(sf, spec) - induced_operator_shifted(sf, spec).adjoint()
-    ).hs_norm()
-    res["criterion_matches_adjoint_gap"] = criterion_matches_adjoint_gap(sf, spec)
-    balance = check_balance_condition(sf, xs, seed=seed)
-    if balance.balanced:
-        res["dirichlet_decomposition"] = decomposition_residual(sf, xs)
+    res["conjugation_vs_shifted"] = ctx.assembly_gap
+    adjoint_gap = ctx.induced_adjoint - ctx.induced_shifted.adjoint()
+    res["adjoint_assembly_vs_dagger"] = adjoint_gap.hs_norm()
+    res["criterion_matches_adjoint_gap"] = ctx.criterion_gap
+    if ctx.balance.balanced:
+        res["dirichlet_decomposition"] = ctx.decomposition
     else:
         notes.append("decomposition regression skipped (family unbalanced)")
-    if isinstance(kernel, CauchyKernel):
-        res["boundary_shift_identity"] = max(
-            verify_boundary_shift(sf, x, kernel) for x in xs
-        )
-        res["general_weight_embedding"] = max(
-            general_f_embedding_residual(sf, x, kernel, samples=20, seed=seed)
-            for x in xs
-        )
+    if isinstance(ctx.kernel, CauchyKernel):
+        res["boundary_shift_identity"] = ctx.boundary_shift
+        res["general_weight_embedding"] = ctx.general_weight_embedding
+    tol = ctx.tol
     passed = (
         res["conjugation_vs_shifted"] < tol["algebraic"]
         and res["adjoint_assembly_vs_dagger"] < tol["algebraic"]
@@ -685,17 +716,9 @@ _SUITE_RUNNERS = {
 def run_scenario_object(scenario, seed=None):
     """Execute a parsed scenario; returns the report dict."""
     actual_seed = scenario.seed if seed is None else int(seed)
-    sf = build_state(scenario)
-    xs = resolve_coefficients(scenario)
-    kernel = kernel_from_descriptor(scenario.kernel_descriptor)
     started = time.perf_counter()
-    suites = {}
-    for name in scenario.suites:
-        runner = _SUITE_RUNNERS[name]
-        kwargs = {}
-        if name in ("dirichlet", "semigroup"):
-            kwargs["negative_control"] = scenario.negative_control
-        suites[name] = runner(sf, xs, kernel, scenario.tolerances, actual_seed, **kwargs)
+    ctx = ScenarioContext(scenario, actual_seed)
+    suites = {name: _SUITE_RUNNERS[name](ctx) for name in scenario.suites}
     report = {
         "scenario": scenario.raw,
         "version": __version__,
@@ -727,16 +750,12 @@ def run_scenario(path, out=None, seed=None, suites=None):
             scenario = replace(scenario, suites=tuple(s for s in SUITES if s in suites))
         report = run_scenario_object(scenario, seed=seed)
     except (SchemaError, NotAState, NotFaithful, NotAdmissible) as exc:
-        print(f"error: {scenario_context(path)}: {exc}", file=sys.stderr)
+        print(f"error: {os.path.basename(str(path))}: {exc}", file=sys.stderr)
         return None, 2
     out_path = out or default_report_path(path)
     write_report(report, out_path)
     print_summary(report, out_path)
     return report, 0 if report["passed"] else 1
-
-
-def scenario_context(path):
-    return os.path.basename(str(path))
 
 
 def default_report_path(path):
@@ -797,12 +816,8 @@ def generate_scenario(seed, dim, kind):
     }
 
 
-def corpus_dir():
-    return os.path.join(os.path.dirname(__file__), "corpus")
-
-
 def corpus_paths():
-    d = corpus_dir()
+    d = os.path.join(os.path.dirname(__file__), "corpus")
     return sorted(
         os.path.join(d, f) for f in os.listdir(d) if f.endswith(".json")
     )

@@ -280,8 +280,8 @@ def form_eval(sf, spec, eta, xi, kernel=None, engine=ENGINE_EXACT, check_kernel=
     return complex(total)
 
 
-def crosscheck_engines(sf, x, kernel=None, rtol=ENGINE_AGREEMENT_RTOL, check_kernel=True):
-    """Relative spectral-norm gap between the two engine builds.
+def crosscheck_engines(sf, He, x, kernel=None, rtol=ENGINE_AGREEMENT_RTOL, check_kernel=True):
+    """Relative spectral-norm gap between the exact build ``He`` of x and a quadrature build.
 
     Raises
     ------
@@ -289,7 +289,6 @@ def crosscheck_engines(sf, x, kernel=None, rtol=ENGINE_AGREEMENT_RTOL, check_ker
         If the gap exceeds ``rtol`` — the signal that one of the two
         independent assembly routes is wrong.
     """
-    He = dirichlet_operator(sf, x, kernel, ENGINE_EXACT, check_kernel)
     Hq = dirichlet_operator(sf, x, kernel, ENGINE_QUADRATURE, check_kernel)
     rel = (He - Hq).norm() / max(He.norm(), 1e-300)
     if rel > rtol:
@@ -337,7 +336,6 @@ class DirichletReport:
     E(J xi, J xi) = conj(E(xi, xi)) over general samples.
     """
 
-    engine: str
     h_xi0_residual: float
     j_real_residual: float
     conj_form_residual: float
@@ -360,11 +358,9 @@ class DirichletReport:
         )
 
 
-def verify_dirichlet(sf, spec, samples=100, seed=0):
-    """Measure the defining properties of the operator built from spec."""
+def verify_dirichlet(sf, H, samples=100, seed=0):
+    """Measure the defining properties of a built Dirichlet operator H."""
     rng = np.random.default_rng(seed)
-    spec = _resolve_spec(spec, None, ENGINE_EXACT, True)
-    H = dirichlet_operator(sf, spec)
     h_xi0 = hs_norm(H.apply(sf.xi0))
     herm = (H.mat + dagger(H.mat)) / 2.0
     psd_min_eig = float(np.linalg.eigvalsh(herm)[0])
@@ -386,7 +382,6 @@ def verify_dirichlet(sf, spec, samples=100, seed=0):
         e_jg = complex(hs_inner(dagger(g), H.apply(dagger(g))))
         conj_max = max(conj_max, abs(e_jg - np.conj(e_g)))
     return DirichletReport(
-        engine=spec.engine,
         h_xi0_residual=h_xi0,
         j_real_residual=H.j_real_defect(),
         conj_form_residual=conj_max,

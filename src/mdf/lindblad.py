@@ -280,9 +280,8 @@ def _criterion_sides(sf, spec):
     return lhs, rhs
 
 
-def selfadjointness_residual(sf, spec, tol=1e-8):
-    """Self-adjointness of H measured two independent ways."""
-    H = induced_operator(sf, spec)
+def selfadjointness_residual(sf, spec, H, tol=1e-8):
+    """Self-adjointness of the induced operator H of spec, measured two independent ways."""
     op_res = H.selfadjoint_defect()
     lhs, rhs = _criterion_sides(sf, spec)
     crit_res = (lhs - rhs).hs_norm()
@@ -293,15 +292,14 @@ def selfadjointness_residual(sf, spec, tol=1e-8):
     )
 
 
-def criterion_matches_adjoint_gap(sf, spec):
+def criterion_matches_adjoint_gap(sf, spec, H, H_adj):
     """Exact-identity residual: (criterion LHS - RHS) == H - H*.
 
-    Both sides are assembled from flow-shifted coefficients, so this
-    should vanish to rounding regardless of balance or drift choice.
+    H and H_adj are the flow-shifted assemblies of spec and its adjoint,
+    so this should vanish to rounding regardless of balance or drift.
     """
     lhs, rhs = _criterion_sides(sf, spec)
-    gap = induced_operator_shifted(sf, spec) - induced_adjoint_shifted(sf, spec)
-    return ((lhs - rhs) - gap).hs_norm()
+    return ((lhs - rhs) - (H - H_adj)).hs_norm()
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +314,6 @@ def _require_balanced(sf, xs):
             f"{report.condition_residual:.3e}); the decomposition "
             "identities assume balance"
         )
-    return report
 
 
 def decompose_H(sf, xs, f=None):
@@ -327,24 +324,18 @@ def decompose_H(sf, xs, f=None):
     returned piecewise so tests can also inspect the parts).
     """
     _require_balanced(sf, xs)
-    if f is None:
-        f = F0Kernel()
-    return [dirichlet_operator(sf, x, f) for x in xs]
+    return [dirichlet_operator(sf, x, f) for x in xs]  # f=None is f0
 
 
-def decomposition_residual(sf, xs):
+def decomposition_residual(H, total):
     """|| induced H  -  sum_k H_k || for a balanced family.
 
-    Pinned to the distinguished weight: only there does the plain
-    generator shape correspond to the Dirichlet sum (the boundary
-    combination degenerates to a delta).
+    H is the induced operator of the ``auto``-drift spec, ``total`` the
+    sum of :func:`decompose_H`.  Pinned to the distinguished weight: only
+    there does the plain generator shape correspond to the Dirichlet sum
+    (the boundary combination degenerates to a delta).
     """
-    parts = decompose_H(sf, xs)
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    spec = spec_from_couplings(sf, xs, Q="auto")
-    return (induced_operator(sf, spec) - total).hs_norm()
+    return (H - total).hs_norm()
 
 
 def selfadjoint_component_decomposition(sf, xs):
@@ -380,10 +371,10 @@ def y_reconstruction_residual(sf, xs):
     rhs = np.zeros((n, n), dtype=complex)
     for x in xs:
         y = sigma(sf, x, -0.25j)
-        lhs += 2.0 * (dagger(y) @ y)
-        a = sigma(sf, x, -0.25j)
         b = sigma(sf, dagger(x), -0.25j)
-        rhs += dagger(a) @ a + dagger(b) @ b
+        w = dagger(y) @ y
+        lhs += 2.0 * w
+        rhs += w + dagger(b) @ b
     return float(np.linalg.norm(lhs - rhs, 2))
 
 
@@ -461,11 +452,10 @@ def general_f_generator(sf, x, f, _left_coefficient_both_adjoint=False):
     return op
 
 
-def general_f_embedding_residual(sf, x, f, samples=50, seed=0, **kwargs):
-    """Worst sampled residual of  i0(L(A)) = H i0(A)  for the general-weight pair."""
+def general_f_embedding_residual(sf, x, f, H, samples=50, seed=0, **kwargs):
+    """Worst sampled residual of  i0(L(A)) = H i0(A),  H the Dirichlet operator of (x, f)."""
     rng = np.random.default_rng(seed)
     L = general_f_generator(sf, x, f, **kwargs)
-    H = dirichlet_operator(sf, x, f, check_kernel=not isinstance(f, F0Kernel))
     r = sf.rho_power(0.25)
     worst = 0.0
     for _ in range(samples):

@@ -141,7 +141,8 @@ def test_engine_equivalence():
         sf = _state(n, seed=20 * n)
         rng = np.random.default_rng(2000 + n)
         for x in _couplings(n, count, rng):
-            worst = max(worst, crosscheck_engines(sf, x, F0Kernel()))
+            He = dirichlet_operator(sf, x, F0Kernel())
+            worst = max(worst, crosscheck_engines(sf, He, x, F0Kernel()))
     elapsed = time.perf_counter() - started
     assert worst < 1e-7
     print(f"\n[PASS] engine equivalence: worst relative gap {worst:.3e} "
@@ -160,9 +161,9 @@ def test_detailed_balance_and_decomposition():
         families = [[random_hermitian(n, rng)], [g, dagger(g)]]
         for xs in families:
             spec = spec_from_couplings(sf, xs, Q="auto")
-            worst_sa = max(worst_sa, selfadjointness_residual(sf, spec).operator_residual)
-
             H = induced_operator(sf, spec)
+            worst_sa = max(worst_sa, selfadjointness_residual(sf, spec, H).operator_residual)
+
             parts = decompose_H(sf, xs)
             total = parts[0]
             for p in parts[1:]:
@@ -185,7 +186,8 @@ def test_detailed_balance_and_decomposition():
             p = 0.1 * p / hs_norm(p)
             bad = LindbladSpec(ys=spec.ys, Q=spec.Q + p)
             worst_control = min(
-                worst_control, selfadjointness_residual(sf, bad).operator_residual
+                worst_control,
+                selfadjointness_residual(sf, bad, induced_operator(sf, bad)).operator_residual,
             )
     assert worst_sa < 1e-8
     assert worst_dec < 1e-7
@@ -242,7 +244,8 @@ def test_general_weight_embedding():
         sf = _state(n, seed=50 * n)
         rng = np.random.default_rng(5000 + n)
         x = random_hermitian(n, rng)
-        worst = max(worst, general_f_embedding_residual(sf, x, f, samples=50, seed=n))
+        H = dirichlet_operator(sf, x, f)
+        worst = max(worst, general_f_embedding_residual(sf, x, f, H, samples=50, seed=n))
     assert worst < 1e-7
     print(f"\n[PASS] general-weight embedding: worst residual {worst:.3e} "
           f"on 50 samples per state (Cauchy scale 1, Hermitian couplings)")

@@ -1,14 +1,20 @@
 """Scenario files, the verification runner, and its exit codes."""
 
+import hashlib
+import inspect
+import itertools
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mdf import SchemaError
+from mdf import SchemaError, cli, lindblad
 from mdf.cli import (
+    SUITES,
     Scenario,
+    ScenarioContext,
     corpus_paths,
     generate_scenario,
     main,
@@ -232,6 +238,20 @@ def test_run_exits_two_on_non_hermitian_hamiltonian(tmp_path, capsys):
     assert "hamiltonian" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("magnitude", [1e154, 1e200])
+def test_run_exits_two_on_a_coupling_whose_operator_overflows(tmp_path, capsys, magnitude):
+    coupling = matrix_to_json(np.zeros((2, 2)))
+    coupling[0][1] = [magnitude, 0.0]
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(_minimal(coefficients=[coupling])))
+    out = str(tmp_path / "r.json")
+    subsets = [c for k in range(1, len(SUITES) + 1) for c in itertools.combinations(SUITES, k)]
+    for subset in subsets:
+        assert main(["run", str(p), "--suites", ",".join(subset), "--out", out]) == 2, subset
+        assert "coefficients[0]" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_suites_flag_filters_and_validates(tmp_path):
     p = tmp_path / "s.json"
     p.write_text(json.dumps(_minimal()))
@@ -296,3 +316,107 @@ def test_corpus_runs_green(tmp_path):
     assert semi["interval_violations"] > 0
     assert semi["positivity_violations"] > 0
     assert control["suites"]["semigroup"]["violations"]
+
+
+# ---------------------------------------------------------------------------
+# the shared per-scenario context
+# ---------------------------------------------------------------------------
+
+def _corpus_scenario(name):
+    with open(os.path.join(os.path.dirname(corpus_paths()[0]), f"{name}.json")) as fh:
+        return replace(parse_scenario(json.load(fh)), suites=SUITES)
+
+
+def _digest(a):
+    return hashlib.sha1(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+#: library functions that build an operator or a residual the context shares
+_SHARED = (
+    "dirichlet_operator",
+    "spec_from_couplings",
+    "induced_operator",
+    "induced_operator_shifted",
+    "induced_adjoint_shifted",
+    "check_balance_condition",
+    "criterion_matches_adjoint_gap",
+    "decomposition_residual",
+    "verify_boundary_shift",
+    "general_f_embedding_residual",
+)
+
+
+def test_full_run_builds_each_shared_operator_once(monkeypatch):
+    scenario = _corpus_scenario("balanced_pair_cauchy")
+    calls = []
+    active = [None]
+
+    def counted(module, name, fn):
+        signature = inspect.signature(fn)
+
+        def wrapper(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs).arguments
+            key = None
+            if name == "dirichlet_operator":
+                kernel = bound.get("kernel")
+                key = (_digest(bound["spec"]), type(kernel).__name__, bound.get("engine"))
+            calls.append((name, active[0], key, module.__name__))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (cli, lindblad):
+        for name in _SHARED:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(module, name, getattr(module, name)))
+    for suite, runner in list(cli._SUITE_RUNNERS.items()):
+        def traced(ctx, suite=suite, runner=runner):
+            active[0] = suite
+            try:
+                return runner(ctx)
+            finally:
+                active[0] = None
+
+        monkeypatch.setitem(cli._SUITE_RUNNERS, suite, traced)
+
+    report = run_scenario_object(scenario)
+    assert report["passed"]
+    xs = resolve_coefficients(scenario)
+    assert len(xs) == 2 and np.array_equal(xs[1], dagger(xs[0]))
+    builds = [key for name, _, key, _ in calls if name == "dirichlet_operator"]
+    for x in xs:
+        # the scenario kernel for H_k, f0 for the decomposition; the split
+        # check builds only the self-adjoint parts
+        assert builds.count((_digest(x), "CauchyKernel", None)) == 1
+        assert builds.count((_digest(x), "F0Kernel", None)) == 1
+    for name in ("induced_operator", "induced_operator_shifted", "induced_adjoint_shifted"):
+        assert [c for c in calls if c[0] == name] == [(name, "lindblad", None, "mdf.cli")]
+    # the component decomposition checks balance and builds its own specs inside mdf.lindblad
+    for name in ("spec_from_couplings", "check_balance_condition"):
+        assert sum(c[0] == name and c[3] == "mdf.cli" for c in calls) == 1
+    for name in ("verify_boundary_shift", "general_f_embedding_residual"):
+        assert sum(c[0] == name for c in calls) == len(xs)
+    assert [c for c in calls if c[1] == "proof_regression"] == []
+
+
+@pytest.mark.parametrize(
+    "name", ["gibbs_two_level", "balanced_pair_cauchy", "unbalanced_single", "nonmarkovian_control"]
+)
+def test_shared_residuals_do_not_depend_on_the_suites_run(name):
+    scenario = _corpus_scenario(name)
+    full = run_scenario_object(scenario)["suites"]
+    for suite in ("lindblad", "proof_regression"):
+        alone = run_scenario_object(replace(scenario, suites=(suite,)))["suites"][suite]
+        assert alone["residuals"] == full[suite]["residuals"]
+        assert alone["notes"] == full[suite]["notes"]
+    assert "form_matches_operator" not in full["dirichlet"]["residuals"]
+
+
+def test_suites_leave_the_shared_operators_untouched():
+    ctx = ScenarioContext(_corpus_scenario("balanced_pair_cauchy"), seed=3)
+    members = ctx.parts + [ctx.H, ctx.induced, ctx.induced_shifted, ctx.induced_adjoint]
+    before = [m.mat.copy() for m in members]
+    for suite in SUITES:
+        assert cli._SUITE_RUNNERS[suite](ctx)["passed"], suite
+    for m, b in zip(members, before):
+        assert np.array_equal(m.mat, b)

@@ -196,14 +196,14 @@ def test_interval_contraction_on_embedded_positives(sf3, rng):
 
 @pytest.mark.parametrize("make_kernel", [F0Kernel, lambda: CauchyKernel(scale=1.0)])
 def test_engines_agree(sf2, rng, make_kernel):
-    x = ginibre(2, rng)
-    rel = crosscheck_engines(sf2, x, make_kernel())
+    x, f = ginibre(2, rng), make_kernel()
+    rel = crosscheck_engines(sf2, dirichlet_operator(sf2, x, f), x, f)
     assert rel < 1e-9
 
 
 def test_engines_agree_on_degenerate_spectrum(sf4, rng):
-    x = ginibre(4, rng)
-    rel = crosscheck_engines(sf4, x, CauchyKernel(scale=1.0))
+    x, f = ginibre(4, rng), CauchyKernel(scale=1.0)
+    rel = crosscheck_engines(sf4, dirichlet_operator(sf4, x, f), x, f)
     assert rel < 1e-8
 
 
@@ -259,7 +259,7 @@ def test_admissibility_cache_does_not_share_certificates(monkeypatch, rng):
 
 def test_verification_report_is_clean(sf3, rng):
     x = random_hermitian(3, rng)
-    rep = verify_dirichlet(sf3, DirichletSpec(x=x), samples=50, seed=4)
+    rep = verify_dirichlet(sf3, dirichlet_operator(sf3, DirichletSpec(x=x)), samples=50, seed=4)
     assert rep.ok()
     assert rep.negativity_violations == 0
     assert rep.psd_min_eig > -1e-11
@@ -270,6 +270,6 @@ def test_verification_flags_signed_kernel(rng):
     sf = build_standard_form(np.diag([0.9, 0.1]))
     x = random_hermitian(2, np.random.default_rng(0))
     spec = DirichletSpec(x=x, kernel=CosineModulatedF0(alpha=6.0), check_kernel=False)
-    rep = verify_dirichlet(sf, spec, samples=50, seed=4)
+    rep = verify_dirichlet(sf, dirichlet_operator(sf, spec), samples=50, seed=4)
     assert not rep.ok()
     assert rep.psd_min_eig < -1e-3

@@ -19,6 +19,7 @@ from mdf import (
     dirichlet_operator,
     general_f_embedding_residual,
     general_f_generator,
+    induced_adjoint_shifted,
     induced_operator,
     induced_operator_shifted,
     kms_symmetry_residual,
@@ -164,12 +165,12 @@ def test_skew_root_of_central_element_is_balanced(sf2):
 def test_induced_operator_selfadjoint_iff_balanced(sf3, rng):
     g = ginibre(3, rng)
     balanced = spec_from_couplings(sf3, [g, dagger(g)], Q="auto")
-    rep = selfadjointness_residual(sf3, balanced)
+    rep = selfadjointness_residual(sf3, balanced, induced_operator(sf3, balanced))
     assert rep.operator_residual < 1e-10
     assert rep.consistent
 
     lone = spec_from_couplings(sf3, [g], Q="auto")
-    rep2 = selfadjointness_residual(sf3, lone)
+    rep2 = selfadjointness_residual(sf3, lone, induced_operator(sf3, lone))
     assert rep2.operator_residual > 1e-3
     assert rep2.consistent  # criterion and operator agree on the verdict
 
@@ -179,16 +180,19 @@ def test_criterion_tracks_adjoint_gap_exactly(sf3, rng):
     # balanced or not
     for xs in ([random_hermitian(3, rng)], [ginibre(3, rng)]):
         spec = spec_from_couplings(sf3, xs, Q="auto")
-        assert criterion_matches_adjoint_gap(sf3, spec) < 1e-12
+        H, H_adj = induced_operator_shifted(sf3, spec), induced_adjoint_shifted(sf3, spec)
+        assert criterion_matches_adjoint_gap(sf3, spec, H, H_adj) < 1e-12
 
 
 def test_perturbed_drift_breaks_selfadjointness(sf3, rng):
     x = random_hermitian(3, rng)
     spec = spec_from_couplings(sf3, [x], Q="auto")
-    assert selfadjointness_residual(sf3, spec).operator_residual < 1e-10
+    H = induced_operator(sf3, spec)
+    assert selfadjointness_residual(sf3, spec, H).operator_residual < 1e-10
     bad_q = spec.Q + 0.1 * (random_hermitian(3, rng) - np.trace(random_hermitian(3, rng)) / 3 * np.eye(3))
     bad = LindbladSpec(ys=spec.ys, Q=bad_q)
-    assert selfadjointness_residual(sf3, bad).operator_residual > 1e-4
+    bad_H = induced_operator(sf3, bad)
+    assert selfadjointness_residual(sf3, bad, bad_H).operator_residual > 1e-4
 
 
 def test_hs_residuals_are_never_below_the_spectral_ones(sf3, rng):
@@ -197,7 +201,7 @@ def test_hs_residuals_are_never_below_the_spectral_ones(sf3, rng):
     x = ginibre(3, rng)
     spec = spec_from_couplings(sf3, [x], Q="auto")
     H = induced_operator(sf3, spec)
-    sa = selfadjointness_residual(sf3, spec)
+    sa = selfadjointness_residual(sf3, spec, H)
     assert sa.operator_residual >= (H - H.adjoint()).norm() > 1e-3
     lhs, rhs = _criterion_sides(sf3, spec)
     assert sa.criterion_residual >= (lhs - rhs).norm() > 1e-3
@@ -221,13 +225,13 @@ def test_kms_symmetry_matches_selfadjointness(sf3, rng):
 def test_balanced_generator_decomposes_into_dirichlet_operators(sf3, rng):
     g = ginibre(3, rng)
     xs = [g, dagger(g)]
-    assert decomposition_residual(sf3, xs) < 1e-10
     parts = decompose_H(sf3, xs)
     total = parts[0]
     for p in parts[1:]:
         total = total + p
-    spec = spec_from_couplings(sf3, xs, Q="auto")
-    assert (total - induced_operator(sf3, spec)).norm() < 1e-10
+    H = induced_operator(sf3, spec_from_couplings(sf3, xs, Q="auto"))
+    assert decomposition_residual(H, total) < 1e-10
+    assert (total - H).norm() < 1e-10
 
 
 def test_decomposition_refuses_unbalanced_family(sf3, rng):
@@ -289,7 +293,8 @@ def test_general_weight_generator_reduces_to_plain_at_f0(sf3, rng):
 def test_general_weight_embedding(sf3, rng):
     f = CauchyKernel(scale=1.0)
     for x in (random_hermitian(3, rng), ginibre(3, rng)):
-        assert general_f_embedding_residual(sf3, x, f, samples=20, seed=2) < 1e-10
+        H = dirichlet_operator(sf3, x, f)
+        assert general_f_embedding_residual(sf3, x, f, H, samples=20, seed=2) < 1e-10
 
 
 def test_wrong_left_coefficient_variant_is_caught_by_embedding(sf3, rng):
@@ -299,15 +304,17 @@ def test_wrong_left_coefficient_variant_is_caught_by_embedding(sf3, rng):
     cross-symbol form is the correct one."""
     f = CauchyKernel(scale=1.0)
     x = ginibre(3, rng)
-    good = general_f_embedding_residual(sf3, x, f, samples=20, seed=3)
+    H = dirichlet_operator(sf3, x, f)
+    good = general_f_embedding_residual(sf3, x, f, H, samples=20, seed=3)
     bad = general_f_embedding_residual(
-        sf3, x, f, samples=20, seed=3, _left_coefficient_both_adjoint=True
+        sf3, x, f, H, samples=20, seed=3, _left_coefficient_both_adjoint=True
     )
     assert good < 1e-10
     assert bad > 1e-2
     h = random_hermitian(3, rng)
     bad_h = general_f_embedding_residual(
-        sf3, h, f, samples=20, seed=3, _left_coefficient_both_adjoint=True
+        sf3, h, f, dirichlet_operator(sf3, h, f), samples=20, seed=3,
+        _left_coefficient_both_adjoint=True,
     )
     assert bad_h < 1e-10  # invisible on Hermitian couplings
 
