@@ -54,6 +54,7 @@ from .errors import (
     NotAdmissible,
     NotFaithful,
     NotAState,
+    QuadratureNotConverged,
     SchemaError,
 )
 from .kernels import CauchyKernel, F0Kernel, check_admissible, kernel_from_descriptor
@@ -62,6 +63,7 @@ from .lindblad import (
     check_balance_condition,
     criterion_matches_adjoint_gap,
     decomposition_residual,
+    drift_criterion,
     general_f_embedding_residual,
     induced_adjoint_shifted,
     induced_operator,
@@ -391,13 +393,17 @@ class ScenarioContext:
         return check_balance_condition(self.sf, self.xs, seed=self.seed)
 
     @cached_property
+    def criterion(self):
+        return drift_criterion(self.sf, self.spec)
+
+    @cached_property
     def assembly_gap(self):
         return (self.induced - self.induced_shifted).hs_norm()
 
     @cached_property
     def criterion_gap(self):
         return criterion_matches_adjoint_gap(
-            self.sf, self.spec, self.induced_shifted, self.induced_adjoint
+            self.criterion, self.induced_shifted, self.induced_adjoint
         )
 
     @cached_property
@@ -409,7 +415,11 @@ class ScenarioContext:
 
     @cached_property
     def boundary_shift(self):
-        return max(verify_boundary_shift(self.sf, x, self.kernel) for x in self.xs)
+        """Worst boundary-shift residual, or the QuadratureNotConverged its oracle raised."""
+        try:
+            return max(verify_boundary_shift(self.sf, x, self.kernel) for x in self.xs)
+        except QuadratureNotConverged as exc:
+            return exc
 
     @cached_property
     def general_weight_embedding(self):
@@ -422,6 +432,16 @@ class ScenarioContext:
 # ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
+
+def _record_boundary_shift(ctx, res, violations):
+    """Record the boundary-shift residual; an unconverged quadrature is inf and a violation."""
+    shift = ctx.boundary_shift
+    if isinstance(shift, QuadratureNotConverged):
+        res["boundary_shift_identity"] = float("inf")
+        violations.append({"kind": "quadrature_not_converged", "detail": str(shift)})
+    else:
+        res["boundary_shift_identity"] = shift
+
 
 def _suite_standard_form(ctx):
     sf, tol = ctx.sf, ctx.tol
@@ -558,10 +578,11 @@ def _suite_dirichlet(ctx):
     else:
         notes.append("engine cross-check skipped (dim > 4: quadrature engine is priced out)")
     if isinstance(kernel, CauchyKernel):
-        res["boundary_shift_identity"] = ctx.boundary_shift
+        _record_boundary_shift(ctx, res, violations)
     structure_ok = all(
         rep.h_xi0_residual < tol["integral"]
         and rep.j_real_residual < tol["integral"]
+        and rep.conj_form_residual < tol["integral"]
         and rep.selfadjoint_defect < tol["integral"]
         for rep in reports
     )
@@ -594,7 +615,7 @@ def _suite_lindblad(ctx):
     res["balance_condition"] = balance.condition_residual
     res["balance_lemma"] = balance.lemma_residual
     res["balance_equivalent"] = balance.equivalent
-    sa = selfadjointness_residual(sf, ctx.spec, ctx.induced)
+    sa = selfadjointness_residual(ctx.criterion, ctx.induced)
     res["selfadjointness_operator"] = sa.operator_residual
     res["selfadjointness_criterion"] = sa.criterion_residual
     res["selfadjointness_consistent"] = sa.consistent
@@ -606,7 +627,7 @@ def _suite_lindblad(ctx):
     )
     if balance.balanced:
         res["dirichlet_decomposition"] = ctx.decomposition
-        _, comp_res = selfadjoint_component_decomposition(sf, xs)
+        _, comp_res = selfadjoint_component_decomposition(sf, xs, ctx.spec, balance)
         res["component_decomposition"] = comp_res
         res["y_reconstruction"] = y_reconstruction_residual(sf, xs)
         balanced_ok = (
@@ -676,6 +697,7 @@ def _suite_proof_regression(ctx):
     """
     notes = []
     res = {}
+    violations = []
     res["conjugation_vs_shifted"] = ctx.assembly_gap
     adjoint_gap = ctx.induced_adjoint - ctx.induced_shifted.adjoint()
     res["adjoint_assembly_vs_dagger"] = adjoint_gap.hs_norm()
@@ -685,7 +707,7 @@ def _suite_proof_regression(ctx):
     else:
         notes.append("decomposition regression skipped (family unbalanced)")
     if isinstance(ctx.kernel, CauchyKernel):
-        res["boundary_shift_identity"] = ctx.boundary_shift
+        _record_boundary_shift(ctx, res, violations)
         res["general_weight_embedding"] = ctx.general_weight_embedding
     tol = ctx.tol
     passed = (
@@ -696,7 +718,7 @@ def _suite_proof_regression(ctx):
         and res.get("boundary_shift_identity", 0.0) < tol["integral"]
         and res.get("general_weight_embedding", 0.0) < tol["decomposition"]
     )
-    return {"passed": bool(passed), "residuals": res, "notes": notes}
+    return {"passed": bool(passed), "residuals": res, "notes": notes, "violations": violations}
 
 
 _SUITE_RUNNERS = {

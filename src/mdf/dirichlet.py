@@ -20,10 +20,13 @@ Two independent engines build H:
     the full supported dimension range.
 
 ``quadrature``
-    Assembles the derivations literally at every node of a fixed panel
-    rule and accumulates f(t) d(t)* d(t), adding the weight's analytic
-    tail beyond the truncation radius.  Serves as the oracle route for
-    cross-checking the spectral engine and is priced for small dims.
+    Builds the flow orbits of the coupling literally at every node of a
+    fixed panel rule and accumulates f(t) d(t)* d(t), adding the
+    weight's analytic tail beyond the truncation radius.  d(t)* d(t) is
+    expanded into left, right and sandwich multiplications, so the m
+    nodes cost O(m n^4) and no n^2 x n^2 derivation is formed.  Serves
+    as the oracle route for cross-checking the spectral engine and is
+    priced for small dims.
 
 The two must agree to ``ENGINE_AGREEMENT_RTOL`` in relative spectral
 norm; :func:`crosscheck_engines` raises ``EngineDisagreement`` otherwise.
@@ -35,6 +38,7 @@ import numpy as np
 
 from .errors import EngineDisagreement, NotAdmissible
 from .kernels import (
+    _CHUNK_ENTRIES,
     PANEL_NODES,
     PANEL_WIDTH,
     BoundaryCombination,
@@ -69,9 +73,6 @@ ENGINES = (ENGINE_EXACT, ENGINE_QUADRATURE)
 
 #: engines past this relative gap are treated as a build failure
 ENGINE_AGREEMENT_RTOL = 1e-6
-
-#: batched quadrature nodes are sized so a chunk holds ~4M superop entries
-_CHUNK_ENTRIES = 1 << 22
 
 _CERT_CACHE = {}
 
@@ -181,17 +182,23 @@ def split_self_adjoint(x):
     return x1, x2
 
 
-def _flow_shifted_orbit(sf, x, ts, shift):
-    """Batched sigma_{t + i*shift}(x) over a vector of real times.
+def _node_phases(sf, ts):
+    """Flow phases e^{i t kappa} at each node, one flattened row per node: shape (m, n^2)."""
+    return np.exp(1j * np.multiply.outer(np.asarray(ts, dtype=float), sf.nu))
 
-    Returns an array of shape (len(ts), n, n); the imaginary offset is
-    applied once to the eigenbasis coefficients, the real times as pure
-    phases.
+
+def _flow_orbit(sf, y, phases, shift):
+    """Batched sigma_{t + i*shift}(y) over the nodes whose ``phases`` are given.
+
+    Returns an array of shape (m, n, n) in the working basis; the
+    imaginary offset is applied once to the eigenbasis coefficients, the
+    real times are the phases, and the back-transform of every node is
+    one product with U (x) conj(U).
     """
-    x_eig = sf.to_eigenbasis(x) * np.exp(-float(shift) * sf.kappa)
-    phases = np.exp(1j * np.multiply.outer(np.asarray(ts, dtype=float), sf.kappa))
+    n = sf.dim
     U = sf.eigenvectors
-    return U @ (phases * x_eig[None, :, :]) @ dagger(U)
+    coeff = (sf.to_eigenbasis(y) * np.exp(-float(shift) * sf.kappa)).reshape(-1)
+    return ((phases * coeff) @ np.kron(U, U.conj()).T).reshape(-1, n, n)
 
 
 def _structured_tail(sf, G0, kernel, radius):
@@ -208,25 +215,39 @@ def _structured_tail(sf, G0, kernel, radius):
 
 
 def _dirichlet_quadrature(sf, x, kernel):
+    """Panel-rule sum of f(t) d(t)* d(t) over the literal flow orbits, plus the tail.
+
+    With A = sigma_{t-i/4}(y) and B = sigma_{t+i/4}(y), the derivation is
+    d = L(A) - R(B) (left and right multiplication), so
+
+        d* d = L(A* A) + R(B B*) - S(A*, B) - S(A*, B)*,   S(a, b): X -> a X b.
+
+    The weighted sums of A* A and B B* are n x n; the sandwich sum is one
+    (n^2 x m)(m x n^2) product over the m nodes, O(m n^4) where the dense
+    d(t) would cost O(m n^6).
+    """
     n = sf.dim
-    N = n * n
     radius = kernel.truncation_radius or 16.0
     ts, ws = _panel_rule(float(radius), PANEL_WIDTH, PANEL_NODES)
     fw = ws * kernel.eval(ts)
-    eye = np.eye(n)
-    H = np.zeros((N, N), dtype=complex)
-    chunk = max(1, _CHUNK_ENTRIES // (N * N))
+    left = np.zeros((n, n), dtype=complex)
+    right = np.zeros((n, n), dtype=complex)
+    cross = np.zeros((n * n, n * n), dtype=complex)
+    chunk = max(1, _CHUNK_ENTRIES // (8 * n * n))  # up to eight (m, n, n) stacks live at once
     for lo in range(0, ts.size, chunk):
-        tc = ts[lo : lo + chunk]
-        wc = fw[lo : lo + chunk]
-        m = tc.size
+        phases = _node_phases(sf, ts[lo : lo + chunk])
+        wc = fw[lo : lo + chunk, None, None]
         for y in (x, dagger(x)):
-            A = _flow_shifted_orbit(sf, y, tc, -0.25)
-            B = _flow_shifted_orbit(sf, y, tc, +0.25)
-            D = np.einsum("kip,jq->kijpq", A, eye).reshape(m, N, N)
-            D -= np.einsum("ip,kqj->kijpq", eye, B).reshape(m, N, N)
-            H += np.einsum("k,kab,kac->bc", wc, D.conj(), D, optimize=True)
-    core = SuperOperator(H, n)
+            A = _flow_orbit(sf, y, phases, -0.25)
+            B = _flow_orbit(sf, y, phases, +0.25)
+            wAc = wc * A.conj()
+            left += np.tensordot(wAc, A, axes=([0, 1], [0, 1]))
+            right += np.tensordot(wc * B, B.conj(), axes=([0, 2], [0, 2]))
+            cross += wAc.reshape(-1, n * n).T @ B.reshape(-1, n * n)
+    # cross[(p, i), (q, j)] = sum w conj(A[p, i]) B[q, j] = S(A*, B)[(i, j), (p, q)]
+    cross = cross.reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(n * n, n * n)
+    core = SuperOperator.left_mult(left) + SuperOperator.right_mult(right)
+    core = core - SuperOperator(cross + dagger(cross), n)
     return core + _structured_tail(sf, coupling_quadratic(sf, x), kernel, radius)
 
 
@@ -268,10 +289,11 @@ def form_eval(sf, spec, eta, xi, kernel=None, engine=ENGINE_EXACT, check_kernel=
     radius = spec.kernel.truncation_radius or 16.0
     ts, ws = _panel_rule(float(radius), PANEL_WIDTH, PANEL_NODES)
     fw = ws * spec.kernel.eval(ts)
+    phases = _node_phases(sf, ts)
     total = 0j
     for y in (x, dagger(x)):
-        A = _flow_shifted_orbit(sf, y, ts, -0.25)
-        B = _flow_shifted_orbit(sf, y, ts, +0.25)
+        A = _flow_orbit(sf, y, phases, -0.25)
+        B = _flow_orbit(sf, y, phases, +0.25)
         d_eta = A @ eta - eta @ B
         d_xi = A @ xi - xi @ B
         total += np.einsum("k,kij,kij->", fw, d_eta.conj(), d_xi)

@@ -264,7 +264,13 @@ class SelfAdjointnessReport:
     consistent: bool
 
 
-def _criterion_sides(sf, spec):
+def drift_criterion(sf, spec):
+    """The drift criterion as one operator: its Q side minus its coupling side.
+
+    The left side i[T(Q), .] carries every Q-dependence of H - H*, the
+    right side every coupling-dependence; H is self-adjoint exactly
+    when the difference vanishes.
+    """
     tq = modular_map(sf, spec.Q, T_MAP)
     lhs = 1j * (SuperOperator.left_mult(tq) - SuperOperator.right_mult(tq))
     w = sum(dagger(y) @ y for y in spec.ys)
@@ -277,14 +283,16 @@ def _criterion_sides(sf, spec):
         rhs = rhs - 2.0 * SuperOperator.sandwich(
             sigma(sf, y, 0.25j), sigma(sf, dagger(y), -0.25j)
         )
-    return lhs, rhs
+    return lhs - rhs
 
 
-def selfadjointness_residual(sf, spec, H, tol=1e-8):
-    """Self-adjointness of the induced operator H of spec, measured two independent ways."""
+def selfadjointness_residual(criterion, H, tol=1e-8):
+    """Self-adjointness of an induced operator H, measured two independent ways.
+
+    ``criterion`` is :func:`drift_criterion` of the spec that induced H.
+    """
     op_res = H.selfadjoint_defect()
-    lhs, rhs = _criterion_sides(sf, spec)
-    crit_res = (lhs - rhs).hs_norm()
+    crit_res = criterion.hs_norm()
     return SelfAdjointnessReport(
         operator_residual=op_res,
         criterion_residual=crit_res,
@@ -292,22 +300,21 @@ def selfadjointness_residual(sf, spec, H, tol=1e-8):
     )
 
 
-def criterion_matches_adjoint_gap(sf, spec, H, H_adj):
-    """Exact-identity residual: (criterion LHS - RHS) == H - H*.
+def criterion_matches_adjoint_gap(criterion, H, H_adj):
+    """Exact-identity residual: :func:`drift_criterion` == H - H*.
 
-    H and H_adj are the flow-shifted assemblies of spec and its adjoint,
-    so this should vanish to rounding regardless of balance or drift.
+    H and H_adj are the flow-shifted assemblies of the criterion's spec
+    and of its adjoint, so this should vanish to rounding regardless of
+    balance or drift.
     """
-    lhs, rhs = _criterion_sides(sf, spec)
-    return ((lhs - rhs) - (H - H_adj)).hs_norm()
+    return (criterion - (H - H_adj)).hs_norm()
 
 
 # ---------------------------------------------------------------------------
 # Decompositions
 # ---------------------------------------------------------------------------
 
-def _require_balanced(sf, xs):
-    report = check_balance_condition(sf, xs)
+def _require_balanced(report):
     if not report.balanced:
         raise BalanceViolated(
             f"coupling family is unbalanced (residual "
@@ -323,7 +330,7 @@ def decompose_H(sf, xs, f=None):
     operator of the drift-completed spec is the caller's (the sum is
     returned piecewise so tests can also inspect the parts).
     """
-    _require_balanced(sf, xs)
+    _require_balanced(check_balance_condition(sf, xs))
     return [dirichlet_operator(sf, x, f) for x in xs]  # f=None is f0
 
 
@@ -338,20 +345,22 @@ def decomposition_residual(H, total):
     return (H - total).hs_norm()
 
 
-def selfadjoint_component_decomposition(sf, xs):
+def selfadjoint_component_decomposition(sf, xs, spec, balance):
     """Split each coupling into Hermitian components; L halves over them.
 
-    Returns (components, residual) where components lists the 2m
-    Hermitian matrices of the split and residual is the Hilbert-Schmidt
-    norm of L - (1/2) sum_k L_k, each L_k the generator of a single
-    component with its own drift.  Requires balance.
+    ``spec`` is the ``auto``-drift spec of xs and ``balance`` its
+    :class:`BalanceReport`.  Returns (components, residual) where
+    components lists the 2m Hermitian matrices of the split and residual
+    is the Hilbert-Schmidt norm of L - (1/2) sum_k L_k, each L_k the
+    generator of a single component with its own drift.  Requires
+    balance.
     """
-    _require_balanced(sf, xs)
+    _require_balanced(balance)
     components = []
     for x in xs:
         x1, x2 = split_self_adjoint(x)
         components.extend([x2, x1])
-    full = lindblad_superop(spec_from_couplings(sf, xs, Q="auto"))
+    full = lindblad_superop(spec)
     half = SuperOperator.zero(sf.dim)
     for c in components:
         half = half + lindblad_superop(spec_from_couplings(sf, [c], Q="auto"))

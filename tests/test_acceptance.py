@@ -22,6 +22,7 @@ from mdf import (
     crosscheck_engines,
     decompose_H,
     dirichlet_operator,
+    drift_criterion,
     general_f_embedding_residual,
     induced_operator,
     induced_operator_shifted,
@@ -162,7 +163,9 @@ def test_detailed_balance_and_decomposition():
         for xs in families:
             spec = spec_from_couplings(sf, xs, Q="auto")
             H = induced_operator(sf, spec)
-            worst_sa = max(worst_sa, selfadjointness_residual(sf, spec, H).operator_residual)
+            worst_sa = max(
+                worst_sa, selfadjointness_residual(drift_criterion(sf, spec), H).operator_residual
+            )
 
             parts = decompose_H(sf, xs)
             total = parts[0]
@@ -187,7 +190,9 @@ def test_detailed_balance_and_decomposition():
             bad = LindbladSpec(ys=spec.ys, Q=spec.Q + p)
             worst_control = min(
                 worst_control,
-                selfadjointness_residual(sf, bad, induced_operator(sf, bad)).operator_residual,
+                selfadjointness_residual(
+                    drift_criterion(sf, bad), induced_operator(sf, bad)
+                ).operator_residual,
             )
     assert worst_sa < 1e-8
     assert worst_dec < 1e-7

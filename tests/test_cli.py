@@ -252,6 +252,39 @@ def test_run_exits_two_on_a_coupling_whose_operator_overflows(tmp_path, capsys, 
     assert not os.path.exists(out)
 
 
+def test_dirichlet_suite_gates_the_conjugation_form_residual(tmp_path):
+    # E(J xi, J xi) = conj(E(xi, xi)) loses every digit at a 1e150 coupling
+    coupling = matrix_to_json(np.zeros((2, 2)))
+    coupling[0][1] = [1e150, 0.0]
+    p = tmp_path / "large.json"
+    p.write_text(json.dumps(_minimal(coefficients=[coupling])))
+    out = tmp_path / "r.json"
+    assert main(["run", str(p), "--suites", "dirichlet", "--out", str(out)]) == 1
+    res = json.loads(out.read_text())["suites"]["dirichlet"]["residuals"]
+    assert res["x0_conj_form_residual"] > 1e-8
+    assert res["x0_h_xi0_residual"] < 1e-8 and res["x0_selfadjoint_defect"] < 1e-8
+
+
+def test_unconverged_boundary_quadrature_is_recorded(tmp_path):
+    # Cauchy poles 1e-7 outside the strip: the boundary weight's quadrature cannot converge
+    with open(os.path.join(os.path.dirname(corpus_paths()[0]), "balanced_pair_cauchy.json")) as fh:
+        obj = json.load(fh)
+    obj["kernel"] = {"cauchy": {"scale": 0.2500001}}
+    p = tmp_path / "edge.json"
+    p.write_text(json.dumps(obj))
+    out = tmp_path / "r.json"
+    assert main(["run", str(p), "--out", str(out)]) == 1
+    suites = json.loads(out.read_text())["suites"]
+    for name in ("dirichlet", "proof_regression"):
+        assert not suites[name]["passed"]
+        assert suites[name]["residuals"]["boundary_shift_identity"] == float("inf")
+        kinds = [v["kind"] for v in suites[name]["violations"]]
+        assert kinds == ["quadrature_not_converged"]
+        assert "panel refinement" in suites[name]["violations"][0]["detail"]
+    assert all(suites[name]["passed"] for name in ("standard_form", "modular", "lindblad",
+                                                    "semigroup"))
+
+
 def test_suites_flag_filters_and_validates(tmp_path):
     p = tmp_path / "s.json"
     p.write_text(json.dumps(_minimal()))
@@ -420,3 +453,27 @@ def test_suites_leave_the_shared_operators_untouched():
         assert cli._SUITE_RUNNERS[suite](ctx)["passed"], suite
     for m, b in zip(members, before):
         assert np.array_equal(m.mat, b)
+
+
+def test_criterion_and_balance_are_built_once(monkeypatch):
+    scenario = _corpus_scenario("balanced_pair_cauchy")
+    xs = resolve_coefficients(scenario)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(sf, arg, *args, **kwargs):
+            if name != "spec_from_couplings" or len(arg) == len(xs):
+                calls.append(name)
+            return fn(sf, arg, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("drift_criterion", "check_balance_condition", "spec_from_couplings"):
+        wrapper = counted(name, getattr(lindblad, name))
+        for module in (cli, lindblad):
+            monkeypatch.setattr(module, name, wrapper)
+    report = run_scenario_object(scenario)
+    assert report["passed"]
+    assert "component_decomposition" in report["suites"]["lindblad"]["residuals"]
+    # the full family's spec, its balance report and its drift criterion, once each
+    assert sorted(calls) == ["check_balance_condition", "drift_criterion", "spec_from_couplings"]

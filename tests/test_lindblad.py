@@ -17,6 +17,7 @@ from mdf import (
     decompose_H,
     decomposition_residual,
     dirichlet_operator,
+    drift_criterion,
     general_f_embedding_residual,
     general_f_generator,
     induced_adjoint_shifted,
@@ -35,7 +36,6 @@ from mdf import (
     y_reconstruction_residual,
 )
 from mdf.linalg import dagger, ginibre, hs_inner, hs_norm, random_hermitian
-from mdf.lindblad import _criterion_sides
 
 
 def _e(i, j, n=2):
@@ -165,12 +165,12 @@ def test_skew_root_of_central_element_is_balanced(sf2):
 def test_induced_operator_selfadjoint_iff_balanced(sf3, rng):
     g = ginibre(3, rng)
     balanced = spec_from_couplings(sf3, [g, dagger(g)], Q="auto")
-    rep = selfadjointness_residual(sf3, balanced, induced_operator(sf3, balanced))
+    rep = selfadjointness_residual(drift_criterion(sf3, balanced), induced_operator(sf3, balanced))
     assert rep.operator_residual < 1e-10
     assert rep.consistent
 
     lone = spec_from_couplings(sf3, [g], Q="auto")
-    rep2 = selfadjointness_residual(sf3, lone, induced_operator(sf3, lone))
+    rep2 = selfadjointness_residual(drift_criterion(sf3, lone), induced_operator(sf3, lone))
     assert rep2.operator_residual > 1e-3
     assert rep2.consistent  # criterion and operator agree on the verdict
 
@@ -181,18 +181,18 @@ def test_criterion_tracks_adjoint_gap_exactly(sf3, rng):
     for xs in ([random_hermitian(3, rng)], [ginibre(3, rng)]):
         spec = spec_from_couplings(sf3, xs, Q="auto")
         H, H_adj = induced_operator_shifted(sf3, spec), induced_adjoint_shifted(sf3, spec)
-        assert criterion_matches_adjoint_gap(sf3, spec, H, H_adj) < 1e-12
+        assert criterion_matches_adjoint_gap(drift_criterion(sf3, spec), H, H_adj) < 1e-12
 
 
 def test_perturbed_drift_breaks_selfadjointness(sf3, rng):
     x = random_hermitian(3, rng)
     spec = spec_from_couplings(sf3, [x], Q="auto")
     H = induced_operator(sf3, spec)
-    assert selfadjointness_residual(sf3, spec, H).operator_residual < 1e-10
+    assert selfadjointness_residual(drift_criterion(sf3, spec), H).operator_residual < 1e-10
     bad_q = spec.Q + 0.1 * (random_hermitian(3, rng) - np.trace(random_hermitian(3, rng)) / 3 * np.eye(3))
     bad = LindbladSpec(ys=spec.ys, Q=bad_q)
     bad_H = induced_operator(sf3, bad)
-    assert selfadjointness_residual(sf3, bad, bad_H).operator_residual > 1e-4
+    assert selfadjointness_residual(drift_criterion(sf3, bad), bad_H).operator_residual > 1e-4
 
 
 def test_hs_residuals_are_never_below_the_spectral_ones(sf3, rng):
@@ -201,10 +201,10 @@ def test_hs_residuals_are_never_below_the_spectral_ones(sf3, rng):
     x = ginibre(3, rng)
     spec = spec_from_couplings(sf3, [x], Q="auto")
     H = induced_operator(sf3, spec)
-    sa = selfadjointness_residual(sf3, spec, H)
+    criterion = drift_criterion(sf3, spec)
+    sa = selfadjointness_residual(criterion, H)
     assert sa.operator_residual >= (H - H.adjoint()).norm() > 1e-3
-    lhs, rhs = _criterion_sides(sf3, spec)
-    assert sa.criterion_residual >= (lhs - rhs).norm() > 1e-3
+    assert sa.criterion_residual >= criterion.norm() > 1e-3
     perturbed = induced_operator_shifted(sf3, LindbladSpec(ys=spec.ys))
     gap = H - perturbed
     assert gap.hs_norm() >= gap.norm() > 1e-3
@@ -242,7 +242,9 @@ def test_decomposition_refuses_unbalanced_family(sf3, rng):
 def test_component_decomposition(sf3, rng):
     g = ginibre(3, rng)
     xs = [g, dagger(g)]
-    components, residual = selfadjoint_component_decomposition(sf3, xs)
+    components, residual = selfadjoint_component_decomposition(
+        sf3, xs, spec_from_couplings(sf3, xs, Q="auto"), check_balance_condition(sf3, xs)
+    )
     assert len(components) == 4
     assert residual < 1e-10
     for c in components:

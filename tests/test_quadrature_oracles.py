@@ -1,0 +1,148 @@
+"""The two t-quadrature oracles against their literal per-node forms.
+
+The quadrature engine of :func:`dirichlet_operator` expands d(t)* d(t)
+instead of forming d(t) at every node, and ``hat_quadrature`` integrates
+each distinct |kappa| once.  The references below are the literal
+routes: the dense n^2 x n^2 derivation D(t) = L(A) - R(B) at every
+node, and one transform call per grid entry.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from mdf import (
+    BoundaryCombination,
+    CauchyKernel,
+    CosineModulatedF0,
+    F0Kernel,
+    QuadratureNotConverged,
+    SuperOperator,
+    TabulatedKernel,
+    build_standard_form,
+    dirichlet_operator,
+    tracial_state,
+)
+from mdf import dirichlet, kernels
+from mdf.dirichlet import ENGINE_QUADRATURE, _structured_tail, coupling_quadratic
+from mdf.kernels import PANEL_NODES, PANEL_WIDTH, _panel_rule
+from mdf.linalg import dagger, ginibre, hs_norm
+
+
+def _dense_orbit(sf, y, ts, shift):
+    """sigma_{t + i*shift}(y) at each time, one n x n matrix product pair per node."""
+    y_eig = sf.to_eigenbasis(y) * np.exp(-float(shift) * sf.kappa)
+    phases = np.exp(1j * np.multiply.outer(ts, sf.kappa))
+    U = sf.eigenvectors
+    return U @ (phases * y_eig[None, :, :]) @ dagger(U)
+
+
+def dense_quadrature_reference(sf, x, kernel):
+    """The quadrature engine with the dense derivation D(t) formed at every node."""
+    n = sf.dim
+    N = n * n
+    radius = kernel.truncation_radius or 16.0
+    ts, ws = _panel_rule(float(radius), PANEL_WIDTH, PANEL_NODES)
+    fw = ws * kernel.eval(ts)
+    eye = np.eye(n)
+    H = np.zeros((N, N), dtype=complex)
+    chunk = max(1, (1 << 22) // (N * N))
+    for lo in range(0, ts.size, chunk):
+        tc, wc = ts[lo : lo + chunk], fw[lo : lo + chunk]
+        m = tc.size
+        for y in (x, dagger(x)):
+            A = _dense_orbit(sf, y, tc, -0.25)
+            B = _dense_orbit(sf, y, tc, +0.25)
+            D = np.einsum("kip,jq->kijpq", A, eye).reshape(m, N, N)
+            D -= np.einsum("ip,kqj->kijpq", eye, B).reshape(m, N, N)
+            H += np.einsum("k,kab,kac->bc", wc, D.conj(), D, optimize=True)
+    tail = _structured_tail(sf, coupling_quadratic(sf, x), kernel, radius)
+    return SuperOperator(H, n) + tail
+
+
+def _state(n, seed):
+    if n == 1:
+        return tracial_state(1)
+    rng = np.random.default_rng(seed)
+    g = ginibre(n, rng)
+    rho = g @ dagger(g) + 0.2 * np.eye(n)
+    return build_standard_form(rho / np.trace(rho).real)
+
+
+_f0 = F0Kernel()
+KERNELS = {
+    "f0": _f0,
+    "cauchy_1": CauchyKernel(scale=1.0),
+    "cauchy_0.3": CauchyKernel(scale=0.3),
+    "signed": CosineModulatedF0(alpha=6.0),
+    "tabulated": TabulatedKernel(_f0.eval, _f0.strip_eval, name="tab_f0", truncation_radius=5.0),
+}
+
+
+def _rel_gap(H, ref, x):
+    # at n = 1 the operator vanishes, so the scale falls back to |x|^2
+    return (H - ref).hs_norm() / max(ref.hs_norm(), hs_norm(x) ** 2)
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_quadrature_engine_matches_the_dense_reference(n, name):
+    sf = _state(n, seed=10 + n)
+    x = ginibre(n, np.random.default_rng(20 + n))
+    kernel = KERNELS[name]
+    H = dirichlet_operator(sf, x, kernel, ENGINE_QUADRATURE, check_kernel=False)
+    assert _rel_gap(H, dense_quadrature_reference(sf, x, kernel), x) <= 1e-13
+
+
+def test_quadrature_engine_does_not_depend_on_the_node_chunks(monkeypatch, sf3, rng):
+    x, kernel = ginibre(3, rng), CauchyKernel(scale=1.0)
+    whole = dirichlet_operator(sf3, x, kernel, ENGINE_QUADRATURE)
+    monkeypatch.setattr(dirichlet, "_CHUNK_ENTRIES", 8 * 9 * 1000)  # 1000 nodes per chunk
+    chunked = dirichlet_operator(sf3, x, kernel, ENGINE_QUADRATURE)
+    assert _rel_gap(chunked, whole, x) <= 1e-13
+
+
+def test_quadrature_engine_memory_stays_bounded():
+    # 16,384 Cauchy nodes at n = 8: the node chunks keep the live orbit
+    # stacks near 64 MiB in all (the dense route peaked at 259 MiB)
+    sf = _state(8, seed=18)
+    x = ginibre(8, np.random.default_rng(28))
+    tracemalloc.start()
+    try:
+        dirichlet_operator(sf, x, CauchyKernel(scale=1.0), ENGINE_QUADRATURE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+
+
+_GRID = np.array([[0.0, 1.5, -1.5, 0.0], [2.25, -0.0, 1.5, -2.25], [7.0, -7.0, 0.4, 1.5]])
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [F0Kernel(), CauchyKernel(scale=1.0), BoundaryCombination(CauchyKernel(scale=0.3)),
+     KERNELS["tabulated"]],
+    ids=["f0", "cauchy", "boundary", "tabulated"],
+)
+def test_hat_quadrature_matches_per_entry_calls(kernel):
+    grid = kernel.hat_quadrature(_GRID)
+    assert grid.shape == _GRID.shape
+    single = np.array([kernel.hat_quadrature(np.array([k]))[0] for k in _GRID.reshape(-1)])
+    np.testing.assert_allclose(grid.reshape(-1), single, rtol=0, atol=1e-14)
+    assert kernel.hat_quadrature(1.5) == pytest.approx(grid[0, 1], abs=1e-14)
+
+
+def test_hat_quadrature_does_not_depend_on_the_column_chunks(monkeypatch):
+    kernel = CauchyKernel(scale=1.0)
+    whole = kernel.hat_quadrature(_GRID)
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 1)  # one |kappa| per chunk
+    np.testing.assert_allclose(kernel.hat_quadrature(_GRID), whole, rtol=0, atol=1e-14)
+
+
+def test_failed_refinement_still_raises():
+    # boundary poles 1e-7 from the real axis: halving the panels moves the transform
+    w = BoundaryCombination(CauchyKernel(scale=0.2500001))
+    with pytest.raises(QuadratureNotConverged, match="panel refinement"):
+        w.hat_quadrature(np.array([0.0, 1.0, -1.0]))
