@@ -18,7 +18,8 @@ Scenario schema (JSON object):
                                 "count": int, "seed": int}}
     kernel        "f0" | {"cauchy": {"scale": s}} | {"signed_f0": {"alpha": a}}
     suites        optional subset of SUITES (default: all)
-    tolerances    optional {name: positive number} overrides
+    tolerances    optional {key: positive number} overrides of the gate bounds,
+                  key: algebraic | integral | cross_engine | decomposition | psd
     seed          optional int (sampling seed; --seed wins)
     negative_control  optional bool: the scenario is expected to break
                       Markovianity, and the semigroup suite passes only
@@ -33,6 +34,7 @@ scenario + seed, so a corpus can be farmed out or diffed freely.
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -75,7 +77,13 @@ from .lindblad import (
     y_reconstruction_residual,
 )
 from .modular import apply_I0, modular_map, sigma, smear, smear_quadrature, superop_sigma, T_MAP
-from .semigroup import SemigroupProbe, markovianity_report, semigroup_operator, spectral_gap
+from .semigroup import (
+    INTERVAL_TOL,
+    SemigroupProbe,
+    markovianity_report,
+    semigroup_operator,
+    spectral_gap,
+)
 from .standard_form import (
     SuperOperator,
     build_standard_form,
@@ -103,9 +111,7 @@ DEFAULT_TOLERANCES = {
     "integral": 1e-8,
     "cross_engine": 1e-7,
     "decomposition": 1e-7,
-    "interval": 1e-8,
     "psd": 1e-9,
-    "negativity": 1e-9,
 }
 
 PROBE_TIMES = (0.1, 1.0, 10.0)
@@ -433,24 +439,68 @@ class ScenarioContext:
 # Suites
 # ---------------------------------------------------------------------------
 
-def _record_boundary_shift(ctx, res, violations):
-    """Record the boundary-shift residual; an unconverged quadrature is inf and a violation."""
+_OPS = {"<": operator.lt, ">": operator.gt, "==": operator.eq}
+
+
+def _holds(value, op, bound):
+    return bool(_OPS[op](value, bound))
+
+
+class _Gates:
+    """One suite's residuals and the gates that decide it.
+
+    ``gate`` records a checked residual with its bound, a tolerance key
+    or a fixed number; ``info`` records a residual no gate reads.  The
+    suite passes when every gate holds.  Under a negative control the
+    Markovianity gates (``markov=True``) are informational, except in
+    the suite that judges the control: it needs at least one to fail.
+    """
+
+    def __init__(self, ctx, judges_control=False):
+        self.tol = ctx.tol
+        self.markov_info = ctx.negative_control and not judges_control
+        self.expect_violation = ctx.negative_control and judges_control
+        self.residuals, self.gates, self.markov = {}, {}, []
+
+    def info(self, key, value):
+        self.residuals[key] = value
+
+    def gate(self, key, value, op, bound, markov=False):
+        if markov and self.markov_info:
+            return self.info(key, value)
+        self.residuals[key] = value
+        self.gates[key] = (op, self.tol[bound] if isinstance(bound, str) else bound)
+        if markov:
+            self.markov.append(key)
+
+    def report(self, notes, violations=None):
+        holds = {k: _holds(self.residuals[k], *gate) for k, gate in self.gates.items()}
+        structural = all(ok for k, ok in holds.items() if k not in self.markov)
+        markovian = all(holds[k] for k in self.markov)
+        passed = structural and markovian != self.expect_violation
+        out = {"passed": passed, "residuals": self.residuals, "gates": self.gates, "notes": notes}
+        if violations is not None:
+            out["violations"] = violations
+        return out
+
+
+def _record_boundary_shift(ctx, rec, violations):
+    """Gate the boundary-shift residual; an unconverged quadrature is inf and a violation."""
     shift = ctx.boundary_shift
     if isinstance(shift, QuadratureNotConverged):
-        res["boundary_shift_identity"] = float("inf")
         violations.append({"kind": "quadrature_not_converged", "detail": str(shift)})
-    else:
-        res["boundary_shift_identity"] = shift
+        shift = float("inf")
+    rec.gate("boundary_shift_identity", shift, "<", "integral")
 
 
 def _suite_standard_form(ctx):
-    sf, tol = ctx.sf, ctx.tol
+    sf = ctx.sf
     rng = np.random.default_rng(ctx.seed)
-    res = {}
-    res["state_min_eigenvalue"] = float(sf.eigenvalues[-1])
-    res["xi0_normalization"] = abs(hs_norm(sf.xi0) - 1.0)
-    res["j_fixes_xi0"] = hs_norm(dagger(sf.xi0) - sf.xi0)
-    res["flow_fixes_xi0"] = hs_norm(sigma(sf, sf.xi0, -1.0j) - sf.xi0)
+    rec = _Gates(ctx)
+    rec.gate("state_min_eigenvalue", float(sf.eigenvalues[-1]), ">", 0.0)
+    rec.gate("xi0_normalization", abs(hs_norm(sf.xi0) - 1.0), "<", "algebraic")
+    rec.gate("j_fixes_xi0", hs_norm(dagger(sf.xi0) - sf.xi0), "<", "algebraic")
+    rec.gate("flow_fixes_xi0", hs_norm(sigma(sf, sf.xi0, -1.0j) - sf.xi0), "<", "algebraic")
     worst_embed = 0.0
     worst_jordan = 0.0
     worst_proj = 0.0
@@ -475,27 +525,17 @@ def _suite_standard_form(ctx):
         worst_member = max(
             worst_member, -min_eigenvalue(p), -min_eigenvalue(sf.xi0 - p)
         )
-    res["embedding_roundtrip"] = worst_embed
-    res["jordan_split"] = worst_jordan
-    res["interval_projection_idempotent"] = worst_proj
-    res["interval_projection_membership"] = worst_member
-    passed = (
-        res["state_min_eigenvalue"] > 0
-        and res["xi0_normalization"] < tol["algebraic"]
-        and res["j_fixes_xi0"] < tol["algebraic"]
-        and res["flow_fixes_xi0"] < tol["algebraic"]
-        and res["embedding_roundtrip"] < tol["integral"]
-        and res["jordan_split"] < tol["algebraic"]
-        and res["interval_projection_idempotent"] < tol["integral"]
-        and res["interval_projection_membership"] < tol["integral"]
-    )
-    return {"passed": bool(passed), "residuals": res, "notes": []}
+    rec.gate("embedding_roundtrip", worst_embed, "<", "integral")
+    rec.gate("jordan_split", worst_jordan, "<", "algebraic")
+    rec.gate("interval_projection_idempotent", worst_proj, "<", "integral")
+    rec.gate("interval_projection_membership", worst_member, "<", "integral")
+    return rec.report([])
 
 
 def _suite_modular(ctx):
-    sf, tol = ctx.sf, ctx.tol
+    sf = ctx.sf
     rng = np.random.default_rng(ctx.seed)
-    res = {}
+    rec = _Gates(ctx)
     worst_group = 0.0
     worst_star = 0.0
     worst_inverse = 0.0
@@ -519,40 +559,33 @@ def _suite_modular(ctx):
         lhs_op = superop_sigma(sf, K, z_t)
         rhs_op = SuperOperator.commutant_j(sigma(sf, a, np.conj(z_t)))
         worst_j = max(worst_j, (lhs_op - rhs_op).hs_norm() / hs_norm(a))
-    res["flow_group_law"] = worst_group
-    res["flow_star_compatibility"] = worst_star
-    res["smear_inverts_T"] = worst_inverse
-    res["flow_commutant_compatibility"] = worst_j
+    rec.gate("flow_group_law", worst_group, "<", "algebraic")
+    rec.gate("flow_star_compatibility", worst_star, "<", "algebraic")
+    rec.gate("smear_inverts_T", worst_inverse, "<", "algebraic")
+    rec.gate("flow_commutant_compatibility", worst_j, "<", "algebraic")
     worst_smear = 0.0
     for x in ctx.xs:
         exact = smear(sf, x, ctx.kernel)
         quad = smear_quadrature(sf, x, ctx.kernel)
         worst_smear = max(worst_smear, hs_norm(exact - quad) / max(hs_norm(exact), 1e-300))
-    res["smear_exact_vs_quadrature"] = worst_smear
-    passed = (
-        worst_group < tol["algebraic"]
-        and worst_star < tol["algebraic"]
-        and worst_inverse < tol["algebraic"]
-        and worst_j < tol["algebraic"]
-        and worst_smear < tol["integral"]
-    )
-    return {"passed": bool(passed), "residuals": res, "notes": []}
+    rec.gate("smear_exact_vs_quadrature", worst_smear, "<", "integral")
+    return rec.report([])
 
 
 def _suite_dirichlet(ctx):
-    sf, xs, kernel, tol = ctx.sf, ctx.xs, ctx.kernel, ctx.tol
+    sf, xs, kernel = ctx.sf, ctx.xs, ctx.kernel
     notes = []
-    res = {}
     violations = []
+    rec = _Gates(ctx)
     check_kernel = not ctx.negative_control
-    reports = []
     for i, Hk in enumerate(ctx.parts):
         rep = verify_dirichlet(sf, Hk, samples=SUITE_SAMPLES, seed=ctx.seed + i)
-        reports.append(rep)
         for field in ("h_xi0_residual", "j_real_residual", "conj_form_residual",
-                      "selfadjoint_defect", "cone_form_residual", "psd_min_eig",
-                      "negativity_violations"):
-            res[f"x{i}_{field}"] = getattr(rep, field)
+                      "selfadjoint_defect"):
+            rec.gate(f"x{i}_{field}", getattr(rep, field), "<", "integral")
+        rec.gate(f"x{i}_cone_form_residual", rep.cone_form_residual, "<", "integral", markov=True)
+        rec.gate(f"x{i}_psd_min_eig", rep.psd_min_eig, ">", -ctx.tol["psd"], markov=True)
+        rec.gate(f"x{i}_negativity_violations", rep.negativity_violations, "==", 0, markov=True)
         if rep.negativity_violations:
             violations.append(
                 {"coefficient": i, "kind": "form_negativity", "count": rep.negativity_violations}
@@ -563,131 +596,92 @@ def _suite_dirichlet(ctx):
         H1 = dirichlet_operator(sf, x1, kernel, check_kernel=check_kernel)
         H2 = dirichlet_operator(sf, x2, kernel, check_kernel=check_kernel)
         worst_split = max(worst_split, (Hk - 0.5 * (H1 + H2)).hs_norm())
-    res["split_identity"] = worst_split
-    cross = None
+    rec.gate("split_identity", worst_split, "<", "integral")
     if sf.dim <= 4:
         try:
             cross = max(
                 crosscheck_engines(sf, Hk, x, kernel, check_kernel=check_kernel)
                 for x, Hk in zip(xs, ctx.parts)
             )
-            res["engine_crosscheck"] = cross
         except EngineDisagreement as exc:
-            res["engine_crosscheck"] = float("inf")
+            cross = float("inf")
             violations.append({"kind": "engine_disagreement", "detail": str(exc)})
+        rec.gate("engine_crosscheck", cross, "<", "cross_engine")
     else:
         notes.append("engine cross-check skipped (dim > 4: quadrature engine is priced out)")
     if isinstance(kernel, CauchyKernel):
-        _record_boundary_shift(ctx, res, violations)
-    structure_ok = all(
-        rep.h_xi0_residual < tol["integral"]
-        and rep.j_real_residual < tol["integral"]
-        and rep.conj_form_residual < tol["integral"]
-        and rep.selfadjoint_defect < tol["integral"]
-        for rep in reports
-    )
-    markov_ok = all(
-        rep.negativity_violations == 0
-        and rep.psd_min_eig > -tol["psd"]
-        and rep.cone_form_residual < tol["integral"]
-        for rep in reports
-    )
-    shared_ok = (
-        worst_split < tol["integral"]
-        and (cross is None or cross < tol["cross_engine"])
-        and res.get("boundary_shift_identity", 0.0) < tol["integral"]
-    )
+        _record_boundary_shift(ctx, rec, violations)
     if ctx.negative_control:
         # the signed weight must keep the structure and is allowed (not
         # required, at this suite's level) to break Markovianity
-        passed = structure_ok and shared_ok
         notes.append("negative control: Markovianity fields are informational here")
-    else:
-        passed = structure_ok and markov_ok and shared_ok
-    return {"passed": bool(passed), "residuals": res, "notes": notes, "violations": violations}
+    return rec.report(notes, violations)
 
 
 def _suite_lindblad(ctx):
-    sf, xs, tol = ctx.sf, ctx.xs, ctx.tol
+    sf, xs = ctx.sf, ctx.xs
     notes = []
-    res = {}
+    rec = _Gates(ctx)
     balance = ctx.balance
-    res["balance_condition"] = balance.condition_residual
-    res["balance_lemma"] = balance.lemma_residual
-    res["balance_equivalent"] = balance.equivalent
+    rec.info("balance_condition", balance.condition_residual)
+    rec.info("balance_lemma", balance.lemma_residual)
+    rec.gate("balance_equivalent", balance.equivalent, "==", True)
     sa = selfadjointness_residual(ctx.criterion, ctx.induced)
-    res["selfadjointness_operator"] = sa.operator_residual
-    res["selfadjointness_criterion"] = sa.criterion_residual
-    res["selfadjointness_consistent"] = sa.consistent
-    res["criterion_matches_adjoint_gap"] = ctx.criterion_gap
-    res["assembly_conjugation_vs_shifted"] = ctx.assembly_gap
-    res["kms_symmetry"] = kms_symmetry_residual(sf, ctx.spec, samples=25, seed=ctx.seed)
-    res["kms_consistent"] = (res["kms_symmetry"] < tol["integral"]) == (
-        sa.operator_residual < tol["integral"]
-    )
+    rec.info("selfadjointness_criterion", sa.criterion_residual)
+    rec.gate("selfadjointness_consistent", sa.consistent, "==", True)
+    rec.gate("criterion_matches_adjoint_gap", ctx.criterion_gap, "<", "algebraic")
+    rec.gate("assembly_conjugation_vs_shifted", ctx.assembly_gap, "<", "algebraic")
+    kms = kms_symmetry_residual(sf, ctx.spec, samples=25, seed=ctx.seed)
+    rec.info("kms_symmetry", kms)
+    integral = ctx.tol["integral"]
+    rec.gate("kms_consistent", (kms < integral) == (sa.operator_residual < integral), "==", True)
     if balance.balanced:
-        res["dirichlet_decomposition"] = ctx.decomposition
+        rec.gate("selfadjointness_operator", sa.operator_residual, "<", "integral")
+        rec.gate("dirichlet_decomposition", ctx.decomposition, "<", "decomposition")
         _, comp_res = selfadjoint_component_decomposition(sf, xs, ctx.spec, balance)
-        res["component_decomposition"] = comp_res
-        res["y_reconstruction"] = y_reconstruction_residual(sf, xs)
-        balanced_ok = (
-            res["dirichlet_decomposition"] < tol["decomposition"]
-            and res["component_decomposition"] < tol["decomposition"]
-            and res["y_reconstruction"] < tol["integral"]
-            and sa.operator_residual < tol["integral"]
-        )
+        rec.gate("component_decomposition", comp_res, "<", "decomposition")
+        rec.gate("y_reconstruction", y_reconstruction_residual(sf, xs), "<", "integral")
     else:
+        rec.info("selfadjointness_operator", sa.operator_residual)
         notes.append(
             "decomposition identities skipped: BalanceViolated "
             f"(condition residual {balance.condition_residual:.3e})"
         )
-        balanced_ok = True
     if isinstance(ctx.kernel, CauchyKernel):
-        res["general_weight_embedding"] = ctx.general_weight_embedding
-        balanced_ok = balanced_ok and ctx.general_weight_embedding < tol["decomposition"]
-    passed = (
-        res["balance_equivalent"]
-        and res["selfadjointness_consistent"]
-        and res["kms_consistent"]
-        and res["criterion_matches_adjoint_gap"] < tol["algebraic"]
-        and res["assembly_conjugation_vs_shifted"] < tol["algebraic"]
-        and balanced_ok
-    )
-    return {"passed": bool(passed), "residuals": res, "notes": notes}
+        rec.gate("general_weight_embedding", ctx.general_weight_embedding, "<", "decomposition")
+    return rec.report(notes)
 
 
 def _suite_semigroup(ctx):
     notes = []
-    res = {}
+    rec = _Gates(ctx, judges_control=True)
     H = ctx.H
     probe = SemigroupProbe(H=H, times=PROBE_TIMES, samples=SUITE_SAMPLES, seed=ctx.seed)
     rep = markovianity_report(ctx.sf, probe)
     for field in ("interval_violations", "extreme_violations", "positivity_violations",
-                  "form_violations", "worst_interval_margin", "worst_positivity_margin",
-                  "worst_form_gap"):
-        res[field] = getattr(rep, field)
-    res["xi0_invariance"] = rep.xi0_invariance_max
-    res["j_real"] = rep.j_real_max
+                  "form_violations"):
+        rec.gate(field, getattr(rep, field), "==", 0, markov=True)
+    for field in ("worst_interval_margin", "worst_positivity_margin", "worst_form_gap"):
+        rec.info(field, getattr(rep, field))
+    rec.gate("xi0_invariance", rep.xi0_invariance_max, "<", INTERVAL_TOL, markov=True)
+    rec.gate("j_real", rep.j_real_max, "<", INTERVAL_TOL, markov=True)
     violations = [{"kind": w[0], "t": w[1], "sample": w[2], "margin": w[3]} for w in rep.witnesses]
-    res["spectral_gap"], res["kernel_dimension"] = spectral_gap(H)
+    gap, kernel_dim = spectral_gap(H)
+    rec.info("spectral_gap", gap)
+    rec.info("kernel_dimension", kernel_dim)
     # semigroup law and symmetry at one time pair
     rng = np.random.default_rng(ctx.seed)
     Ts, Tt, Tst = (semigroup_operator(H, t) for t in (0.3, 0.9, 1.2))
-    res["semigroup_law"] = (Tst - Ts @ Tt).hs_norm()
+    rec.gate("semigroup_law", (Tst - Ts @ Tt).hs_norm(), "<", 1e-9)
     a, b = ginibre(ctx.sf.dim, rng), ginibre(ctx.sf.dim, rng)
-    res["semigroup_symmetry"] = abs(
-        complex(hs_inner(Ts.apply(a), b)) - complex(hs_inner(a, Ts.apply(b)))
-    )
-    law_ok = res["semigroup_law"] < 1e-9 and res["semigroup_symmetry"] < 1e-9
+    symmetry = abs(complex(hs_inner(Ts.apply(a), b)) - complex(hs_inner(a, Ts.apply(b))))
+    rec.gate("semigroup_symmetry", symmetry, "<", 1e-9)
     if ctx.negative_control:
-        passed = law_ok and not rep.markovian
         if rep.markovian:
             notes.append("negative control FAILED to produce any violation")
         else:
             notes.append("negative control produced violations as designed")
-    else:
-        passed = law_ok and rep.markovian
-    return {"passed": bool(passed), "residuals": res, "notes": notes, "violations": violations}
+    return rec.report(notes, violations)
 
 
 def _suite_proof_regression(ctx):
@@ -696,29 +690,20 @@ def _suite_proof_regression(ctx):
     Only ``adjoint_assembly_vs_dagger`` is new; the rest is shared with lindblad and dirichlet.
     """
     notes = []
-    res = {}
     violations = []
-    res["conjugation_vs_shifted"] = ctx.assembly_gap
+    rec = _Gates(ctx)
+    rec.gate("conjugation_vs_shifted", ctx.assembly_gap, "<", "algebraic")
     adjoint_gap = ctx.induced_adjoint - ctx.induced_shifted.adjoint()
-    res["adjoint_assembly_vs_dagger"] = adjoint_gap.hs_norm()
-    res["criterion_matches_adjoint_gap"] = ctx.criterion_gap
+    rec.gate("adjoint_assembly_vs_dagger", adjoint_gap.hs_norm(), "<", "algebraic")
+    rec.gate("criterion_matches_adjoint_gap", ctx.criterion_gap, "<", "algebraic")
     if ctx.balance.balanced:
-        res["dirichlet_decomposition"] = ctx.decomposition
+        rec.gate("dirichlet_decomposition", ctx.decomposition, "<", "decomposition")
     else:
         notes.append("decomposition regression skipped (family unbalanced)")
     if isinstance(ctx.kernel, CauchyKernel):
-        _record_boundary_shift(ctx, res, violations)
-        res["general_weight_embedding"] = ctx.general_weight_embedding
-    tol = ctx.tol
-    passed = (
-        res["conjugation_vs_shifted"] < tol["algebraic"]
-        and res["adjoint_assembly_vs_dagger"] < tol["algebraic"]
-        and res["criterion_matches_adjoint_gap"] < tol["algebraic"]
-        and res.get("dirichlet_decomposition", 0.0) < tol["decomposition"]
-        and res.get("boundary_shift_identity", 0.0) < tol["integral"]
-        and res.get("general_weight_embedding", 0.0) < tol["decomposition"]
-    )
-    return {"passed": bool(passed), "residuals": res, "notes": notes, "violations": violations}
+        _record_boundary_shift(ctx, rec, violations)
+        rec.gate("general_weight_embedding", ctx.general_weight_embedding, "<", "decomposition")
+    return rec.report(notes, violations)
 
 
 _SUITE_RUNNERS = {
@@ -800,18 +785,28 @@ def print_summary(report, out_path):
     print(f"{name}: {verdict} ({report['wall_clock_s']:.2f}s) -> {out_path}")
     for suite, data in report["suites"].items():
         mark = "ok " if data["passed"] else "FAIL"
-        worst = ""
-        numeric = {
-            k: v
-            for k, v in data["residuals"].items()
-            if isinstance(v, float) and np.isfinite(v)
-        }
-        if numeric:
-            key = max(numeric, key=lambda k: abs(numeric[k]))
-            worst = f"  worst {key} = {numeric[key]:.3e}"
-        print(f"  [{mark}] {suite}{worst}")
+        print(f"  [{mark}] {suite}{_tightest_gate(data)}")
         for note in data.get("notes", []):
             print(f"        note: {note}")
+
+
+def _tightest_gate(data):
+    """The first failing gate, else the ``<`` gate with the largest value/bound ratio."""
+    res, gates = data["residuals"], data["gates"]
+    failing = [k for k, gate in gates.items() if not _holds(res[k], *gate)]
+    below = [k for k, (op, _) in gates.items() if op == "<"]
+    if failing:
+        word, key = "failing", failing[0]
+    elif below:
+        word, key = "tightest", max(below, key=lambda k: res[k] / gates[k][1])
+    else:
+        return ""
+    op, bound = gates[key]
+    return f"  {word} {key} = {_number(res[key])} ({op} {_number(bound)})"
+
+
+def _number(v):
+    return f"{v:.3e}" if isinstance(v, float) else str(v)
 
 
 # ---------------------------------------------------------------------------

@@ -201,17 +201,40 @@ def _flow_orbit(sf, y, phases, shift):
     return ((phases * coeff) @ np.kron(U, U.conj()).T).reshape(-1, n, n)
 
 
-def _structured_tail(sf, G0, kernel, radius):
+def _radius(kernel):
+    """Truncation radius of the panel rule; the structured tail covers the rest."""
+    return float(kernel.truncation_radius or 16.0)
+
+
+def _orbit_chunks(sf, x, kernel):
+    """The panel rule of ``kernel`` over the literal flow orbits, in node chunks.
+
+    Yields (fw, A, B) for y = x and y = x* over each chunk of nodes t:
+    the weights f(t) w, A = sigma_{t-i/4}(y) and B = sigma_{t+i/4}(y).
+    A chunk is sized so that up to eight (m, n, n) stacks live at once
+    hold ``_CHUNK_ENTRIES`` entries in all.
+    """
+    n = sf.dim
+    ts, ws = _panel_rule(_radius(kernel), PANEL_WIDTH, PANEL_NODES)
+    fw = ws * kernel.eval(ts)
+    chunk = max(1, _CHUNK_ENTRIES // (8 * n * n))
+    for lo in range(0, ts.size, chunk):
+        phases, wc = _node_phases(sf, ts[lo : lo + chunk]), fw[lo : lo + chunk]
+        for y in (x, dagger(x)):
+            yield wc, _flow_orbit(sf, y, phases, -0.25), _flow_orbit(sf, y, phases, +0.25)
+
+
+def _structured_tail(sf, x, kernel):
     """Tail of the weighted quadratic beyond the truncation radius.
 
     Past the truncation radius the integrand is the exact flow orbit of
-    G0, so the tail is the entrywise analytic tail transform; weights
+    the coupling quadratic G0 of x, so the tail is the entrywise analytic tail transform; weights
     without one (fast-decaying, radius chosen for ~1e-13 mass) get zero.
     """
-    tail = kernel.tail_hat(superop_flow_factors(sf), radius)
+    tail = kernel.tail_hat(superop_flow_factors(sf), _radius(kernel))
     if tail is None:
         return SuperOperator.zero(sf.dim)
-    return sf.superop_multiplier(G0, tail)
+    return sf.superop_multiplier(coupling_quadratic(sf, x), tail)
 
 
 def _dirichlet_quadrature(sf, x, kernel):
@@ -227,28 +250,20 @@ def _dirichlet_quadrature(sf, x, kernel):
     d(t) would cost O(m n^6).
     """
     n = sf.dim
-    radius = kernel.truncation_radius or 16.0
-    ts, ws = _panel_rule(float(radius), PANEL_WIDTH, PANEL_NODES)
-    fw = ws * kernel.eval(ts)
     left = np.zeros((n, n), dtype=complex)
     right = np.zeros((n, n), dtype=complex)
     cross = np.zeros((n * n, n * n), dtype=complex)
-    chunk = max(1, _CHUNK_ENTRIES // (8 * n * n))  # up to eight (m, n, n) stacks live at once
-    for lo in range(0, ts.size, chunk):
-        phases = _node_phases(sf, ts[lo : lo + chunk])
-        wc = fw[lo : lo + chunk, None, None]
-        for y in (x, dagger(x)):
-            A = _flow_orbit(sf, y, phases, -0.25)
-            B = _flow_orbit(sf, y, phases, +0.25)
-            wAc = wc * A.conj()
-            left += np.tensordot(wAc, A, axes=([0, 1], [0, 1]))
-            right += np.tensordot(wc * B, B.conj(), axes=([0, 2], [0, 2]))
-            cross += wAc.reshape(-1, n * n).T @ B.reshape(-1, n * n)
+    for fw, A, B in _orbit_chunks(sf, x, kernel):
+        wc = fw[:, None, None]
+        wAc = wc * A.conj()
+        left += np.tensordot(wAc, A, axes=([0, 1], [0, 1]))
+        right += np.tensordot(wc * B, B.conj(), axes=([0, 2], [0, 2]))
+        cross += wAc.reshape(-1, n * n).T @ B.reshape(-1, n * n)
     # cross[(p, i), (q, j)] = sum w conj(A[p, i]) B[q, j] = S(A*, B)[(i, j), (p, q)]
     cross = cross.reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(n * n, n * n)
     core = SuperOperator.left_mult(left) + SuperOperator.right_mult(right)
     core = core - SuperOperator(cross + dagger(cross), n)
-    return core + _structured_tail(sf, coupling_quadratic(sf, x), kernel, radius)
+    return core + _structured_tail(sf, x, kernel)
 
 
 def dirichlet_operator(sf, spec, kernel=None, engine=ENGINE_EXACT, check_kernel=True):
@@ -286,19 +301,12 @@ def form_eval(sf, spec, eta, xi, kernel=None, engine=ENGINE_EXACT, check_kernel=
         H = dirichlet_operator(sf, spec)
         return complex(hs_inner(eta, H.apply(xi)))
     x = check_square(spec.x, sf.dim, "coupling")
-    radius = spec.kernel.truncation_radius or 16.0
-    ts, ws = _panel_rule(float(radius), PANEL_WIDTH, PANEL_NODES)
-    fw = ws * spec.kernel.eval(ts)
-    phases = _node_phases(sf, ts)
     total = 0j
-    for y in (x, dagger(x)):
-        A = _flow_orbit(sf, y, phases, -0.25)
-        B = _flow_orbit(sf, y, phases, +0.25)
+    for fw, A, B in _orbit_chunks(sf, x, spec.kernel):
         d_eta = A @ eta - eta @ B
         d_xi = A @ xi - xi @ B
         total += np.einsum("k,kij,kij->", fw, d_eta.conj(), d_xi)
-    tail_op = _structured_tail(sf, coupling_quadratic(sf, x), spec.kernel, radius)
-    total += hs_inner(eta, tail_op.apply(xi))
+    total += hs_inner(eta, _structured_tail(sf, x, spec.kernel).apply(xi))
     return complex(total)
 
 
@@ -367,17 +375,6 @@ class DirichletReport:
     jordan_negativity_max: float
     cone_form_residual: float
     samples: int
-
-    def ok(self, tol=1e-8, psd_tol=1e-9):
-        return (
-            self.h_xi0_residual < tol
-            and self.j_real_residual < tol
-            and self.conj_form_residual < tol
-            and self.selfadjoint_defect < tol
-            and self.psd_min_eig > -psd_tol
-            and self.negativity_violations == 0
-            and self.cone_form_residual < tol
-        )
 
 
 def verify_dirichlet(sf, H, samples=100, seed=0):

@@ -1,16 +1,20 @@
 """Scenario files, the verification runner, and its exit codes."""
 
+import contextlib
 import hashlib
 import inspect
+import io
 import itertools
 import json
 import os
+import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from mdf import SchemaError, cli, lindblad
+from mdf import EngineDisagreement, SchemaError, cli, lindblad
 from mdf.cli import (
     SUITES,
     Scenario,
@@ -100,11 +104,18 @@ def test_parse_accepts_the_minimal_scenario():
         ({"tolerances": {"algebraic": -1}}, "tolerances.algebraic"),
         ({"tolerances": {"bogus": 1e-8}}, "tolerances.bogus"),
         ({"unexpected": 1}, "unexpected"),
+        ({"tolerances": {"interval": 1e-8}}, "tolerances.interval"),
+        ({"tolerances": {"negativity": 1e-9}}, "tolerances.negativity"),
     ],
 )
-def test_parse_rejections_point_at_the_key(patch, key):
-    with pytest.raises(SchemaError, match=key.replace(".", r"\.").replace("[", r"\[")):
+def test_parse_rejections_point_at_the_key(patch, key, tmp_path, capsys):
+    pattern = key.replace(".", r"\.").replace("[", r"\[")
+    with pytest.raises(SchemaError, match=pattern):
         parse_scenario(_minimal(**patch))
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(_minimal(**patch)))
+    assert main(["run", str(p)]) == 2
+    assert re.search(pattern, capsys.readouterr().err)
 
 
 def test_signed_kernel_requires_the_control_flag():
@@ -424,7 +435,8 @@ def test_full_run_builds_each_shared_operator_once(monkeypatch):
         assert builds.count((_digest(x), "F0Kernel", None)) == 1
     for name in ("induced_operator", "induced_operator_shifted", "induced_adjoint_shifted"):
         assert [c for c in calls if c[0] == name] == [(name, "lindblad", None, "mdf.cli")]
-    # the component decomposition checks balance and builds its own specs inside mdf.lindblad
+    # the component decomposition takes the context's balance report and builds its
+    # per-component specs inside mdf.lindblad
     for name in ("spec_from_couplings", "check_balance_condition"):
         assert sum(c[0] == name and c[3] == "mdf.cli" for c in calls) == 1
     for name in ("verify_boundary_shift", "general_f_embedding_residual"):
@@ -477,3 +489,139 @@ def test_criterion_and_balance_are_built_once(monkeypatch):
     assert "component_decomposition" in report["suites"]["lindblad"]["residuals"]
     # the full family's spec, its balance report and its drift criterion, once each
     assert sorted(calls) == ["check_balance_condition", "drift_criterion", "spec_from_couplings"]
+
+
+# ---------------------------------------------------------------------------
+# gates: each residual recorded with its bound, one verdict rule
+# ---------------------------------------------------------------------------
+
+def _recorder(negative_control=False, judges_control=False, **tol):
+    ctx = SimpleNamespace(tol={**cli.DEFAULT_TOLERANCES, **tol}, negative_control=negative_control)
+    return cli._Gates(ctx, judges_control=judges_control)
+
+
+@pytest.mark.parametrize(
+    "op, bound, holding, failing",
+    [
+        ("<", 1e-8, [0.0, 9.99e-9], [1e-8, 1.01e-8, float("inf"), float("nan")]),
+        (">", 0.0, [1e-300, 0.3], [0.0, -1e-300, float("nan")]),
+        (">", -1e-9, [-0.99e-9, 0.0], [-1e-9, -1.01e-9]),
+        ("==", 0, [0], [1, 15]),
+        ("==", True, [True], [False]),
+    ],
+)
+def test_each_gate_holds_below_its_bound_and_fails_at_it(op, bound, holding, failing):
+    for value in holding + failing:
+        rec = _recorder()
+        rec.gate("r", value, op, bound)
+        report = rec.report([])
+        assert report["passed"] is (value in holding), value
+        assert report["gates"] == {"r": (op, bound)}
+        assert report["residuals"] == {"r": value}
+
+
+def test_info_records_without_gating():
+    rec = _recorder()
+    rec.info("r", float("inf"))
+    rec.gate("s", 0.0, "<", "algebraic")
+    report = rec.report(["a note"], violations=[])
+    assert report == {"passed": True, "residuals": {"r": float("inf"), "s": 0.0},
+                      "gates": {"s": ("<", 1e-10)}, "notes": ["a note"], "violations": []}
+    assert "violations" not in rec.report([])
+
+
+def test_tolerance_key_bound_follows_the_scenario_override():
+    rec = _recorder(integral=3e-4)
+    rec.gate("r", 2e-4, "<", "integral")
+    assert rec.report([])["gates"] == {"r": ("<", 3e-4)} and rec.report([])["passed"]
+    s = parse_scenario(_minimal(suites=["standard_form"], tolerances={"algebraic": 2.5e-3}))
+    suite = run_scenario_object(s)["suites"]["standard_form"]
+    assert suite["gates"]["j_fixes_xi0"] == ["<", 2.5e-3]
+    assert suite["gates"]["embedding_roundtrip"] == ["<", cli.DEFAULT_TOLERANCES["integral"]]
+    assert suite["gates"]["state_min_eigenvalue"] == [">", 0.0]
+
+
+@pytest.mark.parametrize("markov_holds", [True, False])
+@pytest.mark.parametrize("structure_holds", [True, False])
+@pytest.mark.parametrize("mode", ["normal", "dirichlet_control", "semigroup_control"])
+def test_negative_control_verdicts(mode, structure_holds, markov_holds):
+    rec = _recorder(negative_control=mode != "normal", judges_control=mode == "semigroup_control")
+    rec.gate("structure", 0.0 if structure_holds else 1.0, "<", "integral")
+    rec.gate("violations", 0 if markov_holds else 3, "==", 0, markov=True)
+    report = rec.report([])
+    assert report["residuals"] == {"structure": report["residuals"]["structure"],
+                                   "violations": 0 if markov_holds else 3}
+    if mode == "normal":
+        expected = structure_holds and markov_holds
+    elif mode == "dirichlet_control":  # Markovianity is informational
+        expected = structure_holds
+        assert "violations" not in report["gates"]
+    else:  # the control must show at least one violation
+        expected = structure_holds and not markov_holds
+    assert report["passed"] is expected
+
+
+#: residuals that no gate reads, per suite
+_INFORMATIONAL = {
+    "lindblad": {"balance_condition", "balance_lemma", "selfadjointness_criterion",
+                 "kms_symmetry"},
+    "semigroup": {"worst_interval_margin", "worst_positivity_margin", "worst_form_gap",
+                  "spectral_gap", "kernel_dimension"},
+}
+
+
+def _informational(suite, data, scenario):
+    info = set(_INFORMATIONAL.get(suite, ()))
+    if suite == "dirichlet" and scenario.get("negative_control"):
+        info |= {"cone_form_residual", "psd_min_eig", "negativity_violations"}
+    if suite == "lindblad" and any("BalanceViolated" in n for n in data["notes"]):
+        info.add("selfadjointness_operator")
+    return info
+
+
+def test_every_corpus_residual_is_gated_or_listed_as_informational(tmp_path):
+    main(["corpus", "--out-dir", str(tmp_path)])
+    reports = [json.loads(p.read_text()) for p in sorted(tmp_path.glob("*.report.json"))]
+    assert len(reports) == 6
+    for report in reports:
+        for suite, data in report["suites"].items():
+            res, gates = data["residuals"], data["gates"]
+            assert set(gates) <= set(res), suite
+            ungated = {re.sub(r"^x\d+_", "", k) for k in res if k not in gates}
+            assert ungated == _informational(suite, data, report["scenario"]), (
+                report["scenario"]["name"], suite)
+            for key, (op, bound) in gates.items():
+                assert op in ("<", ">", "=="), key
+
+
+def test_engine_disagreement_fails_the_dirichlet_suite(monkeypatch):
+    def disagree(*args, **kwargs):
+        raise EngineDisagreement("exact and quadrature engines differ")
+
+    monkeypatch.setattr(cli, "crosscheck_engines", disagree)
+    suite = run_scenario_object(parse_scenario(_minimal(suites=["dirichlet"])))["suites"]["dirichlet"]
+    assert suite["residuals"]["engine_crosscheck"] == float("inf")
+    assert [v["kind"] for v in suite["violations"]] == ["engine_disagreement"]
+    assert not suite["passed"]
+
+
+def _summary(suites):
+    report = {"scenario": {"name": "s"}, "passed": False, "wall_clock_s": 0.0, "suites": suites}
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli.print_summary(report, "out.json")
+    return buf.getvalue().splitlines()[1:]
+
+
+def test_summary_names_a_failing_gate_else_the_tightest():
+    residuals = {"state_min_eigenvalue": 0.3, "a": 5e-11, "b": 4e-9, "count": 0}
+    gates = {"state_min_eigenvalue": [">", 0.0], "a": ["<", 1e-10], "b": ["<", 1e-8],
+             "count": ["==", 0]}
+    ok = {"passed": True, "residuals": residuals, "gates": gates, "notes": ["n"]}
+    failing = {"passed": False, "residuals": {**residuals, "count": 2}, "gates": gates,
+               "notes": []}
+    assert _summary({"x": ok, "y": failing}) == [
+        "  [ok ] x  tightest a = 5.000e-11 (< 1.000e-10)",
+        "        note: n",
+        "  [FAIL] y  failing count = 2 (== 0)",
+    ]

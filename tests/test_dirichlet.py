@@ -260,7 +260,9 @@ def test_admissibility_cache_does_not_share_certificates(monkeypatch, rng):
 def test_verification_report_is_clean(sf3, rng):
     x = random_hermitian(3, rng)
     rep = verify_dirichlet(sf3, dirichlet_operator(sf3, DirichletSpec(x=x)), samples=50, seed=4)
-    assert rep.ok()
+    for field in ("h_xi0_residual", "j_real_residual", "conj_form_residual",
+                  "selfadjoint_defect", "cone_form_residual"):
+        assert getattr(rep, field) < 1e-8, field
     assert rep.negativity_violations == 0
     assert rep.psd_min_eig > -1e-11
 
@@ -271,5 +273,9 @@ def test_verification_flags_signed_kernel(rng):
     x = random_hermitian(2, np.random.default_rng(0))
     spec = DirichletSpec(x=x, kernel=CosineModulatedF0(alpha=6.0), check_kernel=False)
     rep = verify_dirichlet(sf, dirichlet_operator(sf, spec), samples=50, seed=4)
-    assert not rep.ok()
+    # the Markovianity fields fail their bars; the structure still holds
+    assert rep.negativity_violations > 0
     assert rep.psd_min_eig < -1e-3
+    for field in ("h_xi0_residual", "j_real_residual", "conj_form_residual",
+                  "selfadjoint_defect", "cone_form_residual"):
+        assert getattr(rep, field) < 1e-8, field

@@ -25,9 +25,9 @@ from mdf import (
     tracial_state,
 )
 from mdf import dirichlet, kernels
-from mdf.dirichlet import ENGINE_QUADRATURE, _structured_tail, coupling_quadratic
+from mdf.dirichlet import ENGINE_QUADRATURE, _structured_tail, form_eval
 from mdf.kernels import PANEL_NODES, PANEL_WIDTH, _panel_rule
-from mdf.linalg import dagger, ginibre, hs_norm
+from mdf.linalg import dagger, ginibre, hs_inner, hs_norm
 
 
 def _dense_orbit(sf, y, ts, shift):
@@ -57,7 +57,7 @@ def dense_quadrature_reference(sf, x, kernel):
             D = np.einsum("kip,jq->kijpq", A, eye).reshape(m, N, N)
             D -= np.einsum("ip,kqj->kijpq", eye, B).reshape(m, N, N)
             H += np.einsum("k,kab,kac->bc", wc, D.conj(), D, optimize=True)
-    tail = _structured_tail(sf, coupling_quadratic(sf, x), kernel, radius)
+    tail = _structured_tail(sf, x, kernel)
     return SuperOperator(H, n) + tail
 
 
@@ -115,6 +115,32 @@ def test_quadrature_engine_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 100 * 2**20
+
+
+def test_quadrature_form_value_memory_stays_bounded():
+    # one Cauchy form value at n = 8 shares the engine's node chunks (unchunked: 112 MiB)
+    sf = _state(8, seed=18)
+    x, eta, xi = (ginibre(8, np.random.default_rng(s)) for s in (28, 38, 48))
+    tracemalloc.start()
+    try:
+        form_eval(sf, x, eta, xi, CauchyKernel(scale=1.0), ENGINE_QUADRATURE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+
+
+@pytest.mark.parametrize("name", ["f0", "cauchy_1", "signed"])
+def test_quadrature_form_value_matches_the_engine_in_any_chunks(monkeypatch, name):
+    sf = _state(3, seed=13)
+    x, eta, xi = (ginibre(3, np.random.default_rng(s)) for s in (23, 33, 43))
+    kernel = KERNELS[name]
+    value = form_eval(sf, x, eta, xi, kernel, ENGINE_QUADRATURE, check_kernel=False)
+    H = dirichlet_operator(sf, x, kernel, ENGINE_QUADRATURE, check_kernel=False)
+    assert value == pytest.approx(complex(hs_inner(eta, H.apply(xi))), rel=1e-13)
+    monkeypatch.setattr(dirichlet, "_CHUNK_ENTRIES", 8 * 9 * 1000)  # 1000 nodes per chunk
+    chunked = form_eval(sf, x, eta, xi, kernel, ENGINE_QUADRATURE, check_kernel=False)
+    assert chunked == pytest.approx(value, rel=1e-13)
 
 
 _GRID = np.array([[0.0, 1.5, -1.5, 0.0], [2.25, -0.0, 1.5, -2.25], [7.0, -7.0, 0.4, 1.5]])
