@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import exp1
 
 from .errors import NotAdmissible, QuadratureNotConverged
 
@@ -258,7 +257,11 @@ def _pole_tail(kappa, radius, poles):
     For kappa > 0 each one-sided term rotates onto the exponential
     integral:  int_T^inf e^{i k t}/(t - i b) dt = e^{-k b} E1(-i k (T - i b));
     the left tail is the complex conjugate and the total is even in kappa.
+
+    scipy is imported here, its one use: ``import mdf`` does not load it.
     """
+    from scipy.special import exp1
+
     kappa = np.asarray(kappa, dtype=float)
     T = float(radius)
     k = np.abs(kappa)

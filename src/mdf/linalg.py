@@ -19,8 +19,12 @@ def dagger(A):
 
 
 def hs_inner(X, Y):
-    """Trace inner product Tr(X* Y), conjugate linear in X."""
-    return complex(np.trace(dagger(X) @ Y))
+    """Trace inner product Tr(X* Y), conjugate linear in X.
+
+    Stacks (k, n, n) give one value per member (broadcasting like ``@``).
+    """
+    v = np.trace(dagger(X) @ Y, axis1=-2, axis2=-1)
+    return complex(v) if np.ndim(v) == 0 else v
 
 
 def hs_norm(X):
@@ -48,6 +52,14 @@ def check_square(A, n=None, what="matrix"):
         raise DimMismatch(f"{what} has shape {A.shape}, expected square")
     if n is not None and A.shape[0] != n:
         raise DimMismatch(f"{what} has dimension {A.shape[0]}, expected {n}")
+    return A
+
+
+def check_square_or_stack(A, n, what="matrix"):
+    """Return A as a complex n x n matrix or (k, n, n) stack, checking the shape."""
+    A = np.asarray(A, dtype=complex)
+    if A.ndim not in (2, 3) or A.shape[-2:] != (n, n):
+        raise DimMismatch(f"{what} has shape {A.shape}, expected ({n}, {n}) or (k, {n}, {n})")
     return A
 
 
@@ -95,8 +107,9 @@ def psd_clip(A):
 
 
 def min_eigenvalue(A):
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return float(np.linalg.eigvalsh(A)[0])
+    """Smallest eigenvalue of a Hermitian matrix, or of each member of a stack (k, n, n)."""
+    w = np.linalg.eigvalsh(A)[..., 0]
+    return float(w) if w.ndim == 0 else w
 
 
 # ---------------------------------------------------------------------------
@@ -122,5 +135,14 @@ def random_psd(n, rng):
 
 def haar_unitary(n, rng):
     """Haar-distributed unitary via QR of a Ginibre matrix."""
-    Q, R = np.linalg.qr(ginibre(n, rng))
-    return Q * (np.diag(R) / np.abs(np.diag(R)))
+    return unitary_from_ginibre(ginibre(n, rng))
+
+
+def unitary_from_ginibre(G):
+    """The Haar unitary of a Ginibre matrix, or of each member of a stack (k, n, n).
+
+    Q of the QR decomposition with each column's phase fixed by R's diagonal.
+    """
+    Q, R = np.linalg.qr(G)
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (d / np.abs(d))[..., None, :]

@@ -20,12 +20,13 @@ from .kernels import CosineModulatedF0
 from .linalg import (
     check_square,
     dagger,
-    haar_unitary,
+    ginibre,
     hs_inner,
     hs_norm,
     min_eigenvalue,
     random_hermitian,
     random_psd,
+    unitary_from_ginibre,
     unvec,
     vec,
 )
@@ -118,23 +119,37 @@ class SemigroupProbe:
         _require_selfadjoint(self.H)
 
 
+def _interval_draw(n, rng):
+    """The draws of one interval element: a Ginibre matrix and a spectrum in [0, 1]."""
+    return ginibre(n, rng), rng.uniform(0.0, 1.0, size=n)
+
+
+def _extreme_draw(n, rng):
+    """The draws of one extreme point: a Ginibre matrix and a rank 1 <= k <= n."""
+    return ginibre(n, rng), int(rng.integers(1, n + 1))
+
+
+def _interval_elements(sf, G, spectrum):
+    """rho^{1/4} W diag(spectrum) W* rho^{1/4} for W the Haar unitary of G; stacks too."""
+    W = unitary_from_ginibre(G)
+    r = sf.rho_power(0.25)
+    return r @ ((W * spectrum[..., None, :]) @ dagger(W)) @ r
+
+
+def _extreme_elements(sf, G, rank):
+    """The embedded projection onto the first ``rank`` columns of G's Haar unitary; stacks too."""
+    keep = np.arange(sf.dim) < np.asarray(rank)[..., None]
+    return _interval_elements(sf, G, keep.astype(float))
+
+
 def random_interval_element(sf, rng):
     """A random element of [0, xi0]: the embedding of a contraction 0 <= M <= I."""
-    n = sf.dim
-    W = haar_unitary(n, rng)
-    M = (W * rng.uniform(0.0, 1.0, size=n)) @ dagger(W)
-    r = sf.rho_power(0.25)
-    return r @ M @ r
+    return _interval_elements(sf, *_interval_draw(sf.dim, rng))
 
 
 def extreme_interval_element(sf, rng):
     """An extreme point of [0, xi0]: the embedding of a projection."""
-    n = sf.dim
-    W = haar_unitary(n, rng)
-    k = int(rng.integers(1, n + 1))
-    P = W[:, :k] @ dagger(W[:, :k])
-    r = sf.rho_power(0.25)
-    return r @ P @ r
+    return _extreme_elements(sf, *_extreme_draw(sf.dim, rng))
 
 
 @dataclass(frozen=True)
@@ -174,19 +189,52 @@ class MarkovianityReport:
         )
 
 
+#: the sampled membership checks, in the order each sample runs them
+_PROBE_KINDS = ("interval", "extreme", "positivity")
+
+
+def _probe_draws(sf, rng, count):
+    """``count`` (interval, extreme, positivity) samples, drawn one triple at a time.
+
+    Returns the interval elements, the extreme points and the positive
+    matrices as three stacks (count, n, n); each kind's unitaries come
+    from one batched QR.
+    """
+    n = sf.dim
+    draws = [
+        (*_interval_draw(n, rng), *_extreme_draw(n, rng), random_psd(n, rng))
+        for _ in range(count)
+    ]
+    shapes = ((count, n, n), (count, n), (count, n, n), (count,), (count, n, n))
+    G_i, spectra, G_e, ranks, psd = (
+        np.reshape([d[j] for d in draws], shape) for j, shape in enumerate(shapes)
+    )
+    return _interval_elements(sf, G_i, spectra), _extreme_elements(sf, G_e, ranks), psd
+
+
 def markovianity_report(sf, probe):
-    """Sampled sub-Markovianity of e^{-tH} plus the form-level criterion."""
+    """Sampled sub-Markovianity of e^{-tH} plus the form-level criterion.
+
+    At each probe time, ``probe.samples`` triples (an interval element,
+    an extreme point, a positive matrix) are drawn one triple at a time
+    from the seeded stream and then checked as stacks: T_t maps each
+    stack in one product, and one batched eigenvalue call gives every
+    margin, min(T eta, xi0 - T eta) for the interval kinds and T p for
+    positivity.  A margin below -``INTERVAL_TOL`` counts a violation.
+    After all times the form criterion draws ``probe.samples``
+    Hermitian eta, projects them onto [0, xi0] in one stacked call, and
+    compares E[eta_I] with E[eta].  Witnesses keep the first ten
+    violations in sampling order: by time, by sample, then interval,
+    extreme, positivity; form violations come last.
+    """
     H = probe.H
     rng = np.random.default_rng(probe.seed)
     xi0 = sf.xi0
+    N = probe.samples
     witnesses = []
-    interval_violations = 0
-    extreme_violations = 0
-    positivity_violations = 0
-    form_violations = 0
+    counts = np.zeros(len(_PROBE_KINDS), dtype=int)
     worst_interval = np.inf
     worst_positivity = np.inf
-    worst_form = -np.inf
     xi0_max = 0.0
     j_real_max = 0.0
 
@@ -198,56 +246,37 @@ def markovianity_report(sf, probe):
         Tt = semigroup_operator(H, t)
         xi0_max = max(xi0_max, hs_norm(Tt.apply(xi0) - xi0))
         j_real_max = max(j_real_max, Tt.j_real_defect())
-        for i in range(probe.samples):
-            eta = random_interval_element(sf, rng)
-            out = Tt.apply(eta)
-            low = min_eigenvalue(out)
-            high = min_eigenvalue(xi0 - out)
-            margin = min(low, high)
-            worst_interval = min(worst_interval, margin)
-            if margin < -INTERVAL_TOL:
-                interval_violations += 1
-                note("interval", t, i, margin)
-
-            ex = extreme_interval_element(sf, rng)
-            out = Tt.apply(ex)
-            margin = min(min_eigenvalue(out), min_eigenvalue(xi0 - out))
-            worst_interval = min(worst_interval, margin)
-            if margin < -INTERVAL_TOL:
-                extreme_violations += 1
-                note("extreme", t, i, margin)
-
-            psd = random_psd(sf.dim, rng)
-            margin = min_eigenvalue(Tt.apply(psd))
-            worst_positivity = min(worst_positivity, margin)
-            if margin < -INTERVAL_TOL:
-                positivity_violations += 1
-                note("positivity", t, i, margin)
+        out_i, out_e, out_p = (Tt.apply(x) for x in _probe_draws(sf, rng, N))
+        low = min_eigenvalue(np.concatenate([out_i, xi0 - out_i, out_e, xi0 - out_e, out_p]))
+        low = low.reshape(5, N)
+        margins = np.stack([np.minimum(low[0], low[1]), np.minimum(low[2], low[3]), low[4]], 1)
+        worst_interval = min(worst_interval, margins[:, :2].min(initial=np.inf))
+        worst_positivity = min(worst_positivity, margins[:, 2].min(initial=np.inf))
+        bad = margins < -INTERVAL_TOL
+        counts += bad.sum(axis=0)
+        for i, kind in np.argwhere(bad)[: 10 - len(witnesses)]:
+            note(_PROBE_KINDS[kind], t, i, margins[i, kind])
 
     # form-level criterion, time-independent: projecting onto the order
     # interval may never increase the energy
-    etas = [random_hermitian(sf.dim, rng) for _ in range(probe.samples)]
-    etas = np.reshape(etas, (probe.samples, sf.dim, sf.dim))
-    for i, (eta, eta_i) in enumerate(zip(etas, project_order_interval(sf, etas))):
-        e_full = float(np.real(hs_inner(eta, H.apply(eta))))
-        e_proj = float(np.real(hs_inner(eta_i, H.apply(eta_i))))
-        gap = e_proj - e_full
-        worst_form = max(worst_form, gap)
-        if gap > INTERVAL_TOL:
-            form_violations += 1
-            note("form", 0.0, i, gap)
+    etas = np.reshape([random_hermitian(sf.dim, rng) for _ in range(N)], (N, sf.dim, sf.dim))
+    etas_i = project_order_interval(sf, etas)
+    gaps = np.real(hs_inner(etas_i, H.apply(etas_i))) - np.real(hs_inner(etas, H.apply(etas)))
+    form_bad = np.flatnonzero(gaps > INTERVAL_TOL)
+    for i in form_bad:
+        note("form", 0.0, i, gaps[i])
 
     return MarkovianityReport(
         times=probe.times,
-        samples=probe.samples,
+        samples=N,
         seed=probe.seed,
-        interval_violations=interval_violations,
-        extreme_violations=extreme_violations,
-        positivity_violations=positivity_violations,
-        form_violations=form_violations,
+        interval_violations=int(counts[0]),
+        extreme_violations=int(counts[1]),
+        positivity_violations=int(counts[2]),
+        form_violations=int(form_bad.size),
         worst_interval_margin=float(worst_interval),
         worst_positivity_margin=float(worst_positivity),
-        worst_form_gap=float(worst_form),
+        worst_form_gap=float(gaps.max(initial=-np.inf)),
         xi0_invariance_max=float(xi0_max),
         j_real_max=float(j_real_max),
         witnesses=tuple(witnesses),

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DimMismatch, NoConvergence, NotAState, NotFaithful, NotJReal
 from .linalg import (
     check_square,
+    check_square_or_stack,
     dagger,
     eigh_fixed,
     hermitian_defect,
@@ -219,33 +220,46 @@ def right_j_act(sf, A, X):
     return X @ dagger(A)
 
 
+def _j_real_stack(sf, xi, what):
+    """(symmetrized stack (k, n, n), input shape) of one vector or a stack of them.
+
+    Raises ``NotJReal`` if any member is farther than ``JREAL_TOL`` from Hermitian.
+    """
+    xi = check_square_or_stack(xi, sf.dim, "vector")
+    shape = xi.shape
+    xi = xi.reshape(-1, sf.dim, sf.dim)
+    if np.any(np.linalg.norm(xi - dagger(xi), 2, axis=(-2, -1)) > JREAL_TOL):
+        raise NotJReal(f"{what} needs a J-real vector")
+    return (xi + dagger(xi)) / 2.0, shape
+
+
 def jordan_decompose(sf, xi):
     """Split a J-real vector into orthogonal positive parts.
 
     Parameters
     ----------
     xi : array_like
-        Hermitian matrix within ``JREAL_TOL`` (symmetrized before use).
+        Hermitian matrix within ``JREAL_TOL`` (symmetrized before use),
+        or a stack (k, n, n) of them, split with one batched ``eigh``.
 
     Returns
     -------
     (xi_plus, xi_minus)
-        Positive semidefinite matrices with xi = xi_plus - xi_minus and
-        <xi_plus, xi_minus> = 0 (spectral splitting).
+        Positive semidefinite matrices (stacks for a stack) with
+        xi = xi_plus - xi_minus and <xi_plus, xi_minus> = 0 (spectral
+        splitting).
 
     Raises
     ------
     NotJReal
-        If xi is farther than ``JREAL_TOL`` from Hermitian.
+        If xi, or any member of the stack, is farther than ``JREAL_TOL``
+        from Hermitian.
     """
-    xi = check_square(xi, sf.dim, "vector")
-    if hermitian_defect(xi) > JREAL_TOL:
-        raise NotJReal("vector is not J-real (Hermitian) within tolerance")
-    xi = (xi + dagger(xi)) / 2.0
+    xi, shape = _j_real_stack(sf, xi, "Jordan decomposition")
     w, V = np.linalg.eigh(xi)
-    plus = (V * np.maximum(w, 0.0)) @ dagger(V)
-    minus = (V * np.maximum(-w, 0.0)) @ dagger(V)
-    return plus, minus
+    plus = (V * np.maximum(w, 0.0)[..., None, :]) @ dagger(V)
+    minus = (V * np.maximum(-w, 0.0)[..., None, :]) @ dagger(V)
+    return plus.reshape(shape), minus.reshape(shape)
 
 
 def project_order_interval(sf, eta):
@@ -272,15 +286,7 @@ def project_order_interval(sf, eta):
         If the iteration cap is reached while some member's step size is
         still above ``DYKSTRA_FAIL_RESIDUAL``.
     """
-    eta = np.asarray(eta, dtype=complex)
-    n = sf.dim
-    if eta.ndim not in (2, 3) or eta.shape[-2:] != (n, n):
-        raise DimMismatch(f"vector has shape {eta.shape}, expected ({n}, {n}) or (k, {n}, {n})")
-    shape = eta.shape
-    eta = eta.reshape(-1, n, n)
-    if np.any(np.linalg.norm(eta - dagger(eta), 2, axis=(-2, -1)) > JREAL_TOL):
-        raise NotJReal("order-interval projection needs a J-real vector")
-    eta = (eta + dagger(eta)) / 2.0
+    eta, shape = _j_real_stack(sf, eta, "order-interval projection")
     xi0 = sf.xi0
 
     out = np.empty_like(eta)
@@ -315,15 +321,18 @@ def project_order_interval(sf, eta):
 
 
 def symmetric_embed(sf, A):
-    """Symmetric embedding of the algebra: A -> rho^{1/4} A rho^{1/4}."""
-    A = check_square(A, sf.dim, "operator")
+    """Symmetric embedding of the algebra: A -> rho^{1/4} A rho^{1/4}.
+
+    A stack (k, n, n) is embedded member by member.
+    """
+    A = check_square_or_stack(A, sf.dim, "operator")
     r = sf.rho_power(0.25)
     return r @ A @ r
 
 
 def symmetric_unembed(sf, X):
-    """Inverse of :func:`symmetric_embed` (rho faithful makes it exact)."""
-    X = check_square(X, sf.dim, "vector")
+    """Inverse of :func:`symmetric_embed` (rho faithful makes it exact); stacks too."""
+    X = check_square_or_stack(X, sf.dim, "vector")
     r = sf.rho_power(-0.25)
     return r @ X @ r
 
@@ -400,7 +409,11 @@ class SuperOperator:
 
     # -- algebra -----------------------------------------------------------
     def apply(self, X):
-        X = check_square(X, self.dim, "vector")
+        """K X for one n x n matrix; a stack (k, n, n) is mapped in one product."""
+        X = check_square_or_stack(X, self.dim, "vector")
+        if X.ndim == 3:
+            n2 = self.dim * self.dim
+            return (X.reshape(len(X), n2) @ self.mat.T).reshape(X.shape)
         return unvec(self.mat @ vec(X), self.dim)
 
     def adjoint(self):

@@ -8,6 +8,8 @@ import itertools
 import json
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -559,6 +561,47 @@ def test_negative_control_verdicts(mode, structure_holds, markov_holds):
     else:  # the control must show at least one violation
         expected = structure_holds and not markov_holds
     assert report["passed"] is expected
+
+
+
+def _control_scenario():
+    (path,) = [p for p in corpus_paths() if p.endswith("nonmarkovian_control.json")]
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_scenario({**json.load(fh), "suites": ["semigroup"]})
+
+
+@pytest.mark.parametrize("field", ["xi0_invariance_max", "j_real_max"])
+def test_a_control_that_breaks_structure_fails(monkeypatch, field):
+    """A control whose T_t stops fixing xi0 (or commuting with J) and shows
+    no sampled violation is no control: it fails, it does not pass as designed."""
+    real = cli.markovianity_report
+
+    def broken(sf, probe):
+        rep = real(sf, probe)
+        return replace(rep, interval_violations=0, extreme_violations=0,
+                       positivity_violations=0, form_violations=0, witnesses=(),
+                       **{field: 1e-3})
+
+    monkeypatch.setattr(cli, "markovianity_report", broken)
+    suite = run_scenario_object(_control_scenario())["suites"]["semigroup"]
+    assert not suite["passed"]
+    assert suite["notes"] == ["negative control FAILED to produce any violation"]
+
+
+def test_the_shipped_control_passes_with_violations():
+    suite = run_scenario_object(_control_scenario())["suites"]["semigroup"]
+    assert suite["passed"]
+    assert suite["notes"] == ["negative control produced violations as designed"]
+    assert suite["gates"]["xi0_invariance"] == ["<", 1e-8]
+    assert suite["residuals"]["xi0_invariance"] < 1e-12 and suite["residuals"]["j_real"] < 1e-12
+
+
+def test_import_does_not_load_scipy():
+    """scipy serves only the Cauchy pole tails and is imported on first use."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = "import mdf, mdf.cli, sys; assert 'scipy' not in sys.modules, 'scipy loaded'"
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
 
 
 #: residuals that no gate reads, per suite
