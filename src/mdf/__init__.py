@@ -81,7 +81,6 @@ from .dirichlet import (
     DirichletSpec,
     coupling_quadratic,
     crosscheck_engines,
-    derivation_at,
     dirichlet_operator,
     ensure_admissible,
     form_eval,
@@ -186,7 +185,6 @@ __all__ = [
     "DirichletReport",
     "dirichlet_operator",
     "form_eval",
-    "derivation_at",
     "coupling_quadratic",
     "split_self_adjoint",
     "crosscheck_engines",

@@ -59,7 +59,7 @@ from .errors import (
     QuadratureNotConverged,
     SchemaError,
 )
-from .kernels import CauchyKernel, F0Kernel, check_admissible, kernel_from_descriptor
+from .kernels import _DESCRIPTORS, CauchyKernel, F0Kernel, check_admissible, kernel_from_descriptor
 from .linalg import dagger, ginibre, hs_inner, hs_norm, min_eigenvalue, random_hermitian
 from .lindblad import (
     check_balance_condition,
@@ -145,25 +145,24 @@ def matrix_from_json(obj, path, n=None):
         if not isinstance(row, list) or len(row) != n:
             raise SchemaError(f"{path}[{i}]: expected a row of {n} entries")
         for j, entry in enumerate(row):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
-            ):
+            if not isinstance(entry, list) or len(entry) != 2:
                 raise SchemaError(f"{path}[{i}][{j}]: expected an [re, im] number pair")
-            for c, v in enumerate(entry):
-                if not _finite(v):
-                    raise SchemaError(f"{path}[{i}][{j}][{c}]: expected a finite number")
-            out[i, j] = complex(entry[0], entry[1])
+            parts = (_finite_number(v, f"{path}[{i}][{j}][{c}]") for c, v in enumerate(entry))
+            out[i, j] = complex(*parts)
     return out
 
 
-def _finite(v):
-    """Whether a JSON number is a finite double (huge integers are not)."""
+def _finite_number(value, path):
+    """A JSON scalar as a float; SchemaError at ``path`` unless it is a finite non-bool number.
+
+    ``json.load`` gives NaN, infinities and exact huge integers; none is a finite double.
+    """
     try:
-        return math.isfinite(v)
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
     except OverflowError:
-        return False
+        pass
+    raise SchemaError(f"{path}: expected a finite number")
 
 
 def _plain(value):
@@ -233,8 +232,7 @@ def parse_scenario(obj):
         if not isinstance(g, dict) or set(g) - {"hamiltonian", "beta"}:
             raise SchemaError("state.gibbs: expected {hamiltonian, beta}")
         matrix_from_json(g.get("hamiltonian"), "state.gibbs.hamiltonian", dim)
-        beta = g.get("beta", 1.0)
-        if not isinstance(beta, (int, float)) or isinstance(beta, bool) or beta <= 0:
+        if _finite_number(g.get("beta", 1.0), "state.gibbs.beta") <= 0:
             raise SchemaError("state.gibbs.beta: expected a positive number")
     elif isinstance(state, dict) and set(state) == {"density"}:
         matrix_from_json(state["density"], "state.density", dim)
@@ -269,6 +267,15 @@ def parse_scenario(obj):
         raise SchemaError("negative_control: expected a boolean")
 
     kernel_desc = obj.get("kernel", "f0")
+    for kind, params in kernel_desc.items() if isinstance(kernel_desc, dict) else ():
+        if kind not in _DESCRIPTORS:
+            continue
+        if not isinstance(params, dict):
+            raise SchemaError(f"kernel.{kind}: expected an object")
+        for key, value in params.items():
+            if key != _DESCRIPTORS[kind][1]:
+                raise SchemaError(f"kernel.{kind}.{key}: unknown parameter")
+            _finite_number(value, f"kernel.{kind}.{key}")
     try:
         kernel = kernel_from_descriptor(kernel_desc)
     except (NotAdmissible, TypeError, KeyError) as exc:
@@ -293,9 +300,9 @@ def parse_scenario(obj):
     for key, value in overrides.items():
         if key not in DEFAULT_TOLERANCES:
             raise SchemaError(f"tolerances.{key}: unknown tolerance")
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
+        tolerances[key] = _finite_number(value, f"tolerances.{key}")
+        if tolerances[key] <= 0:
             raise SchemaError(f"tolerances.{key}: expected a positive number")
-        tolerances[key] = float(value)
 
     seed = obj.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):

@@ -16,17 +16,19 @@ Two independent engines build H:
     Uses the covariance d(t) = U_t d(0) U_t* of the derivations under
     the flow: the double-index entries of the base quadratic
     G0 = d1(0)* d1(0) + d2(0)* d2(0) pick up the closed-form transform
-    of f at the frequency differences.  Exact up to rounding; scales to
-    the full supported dimension range.
+    of f at the frequency differences.  G0 itself is a sandwich sum,
+    L(a* a) + R(b b*) - S(a*, b) - S(a, b*) per derivation L(a) - R(b),
+    built in O(n^4).  Exact up to rounding; scales to the full supported
+    dimension range.
 
 ``quadrature``
     Builds the flow orbits of the coupling literally at every node of a
-    fixed panel rule and accumulates f(t) d(t)* d(t), adding the
-    weight's analytic tail beyond the truncation radius.  d(t)* d(t) is
-    expanded into left, right and sandwich multiplications, so the m
-    nodes cost O(m n^4) and no n^2 x n^2 derivation is formed.  Serves
-    as the oracle route for cross-checking the spectral engine and is
-    priced for small dims.
+    fixed panel rule (in rho-eigenbasis coordinates) and accumulates
+    f(t) d(t)* d(t), adding the weight's analytic tail beyond the
+    truncation radius.  d(t)* d(t) is expanded into the same sandwich
+    sum, one per chunk of nodes, so the m nodes cost O(m n^4) and no
+    n^2 x n^2 derivation is formed.  Serves as the oracle route for
+    cross-checking the spectral engine and is priced for small dims.
 
 The two must agree to ``ENGINE_AGREEMENT_RTOL`` in relative spectral
 norm; :func:`crosscheck_engines` raises ``EngineDisagreement`` otherwise.
@@ -155,18 +157,31 @@ def _resolve_spec(spec, kernel, engine, check_kernel):
     return DirichletSpec(x=spec, kernel=kernel, engine=engine, check_kernel=check_kernel)
 
 
-def derivation_at(sf, x, t=0.0):
-    """The derivation at time t: xi -> sigma_{t-i/4}(x) xi - xi sigma_{t+i/4}(x)."""
-    left = sigma(sf, x, t - 0.25j)
-    right = sigma(sf, x, t + 0.25j)
-    return SuperOperator.left_mult(left) - SuperOperator.right_mult(right)
+def _derivation_quadratic(w, A, B):
+    """sum_m w_m d_m* d_m over the derivations d_m = L(A_m) - R(B_m) of stacks (m, n, n).
+
+    With S(a, b): X -> a X b, d* d = L(A* A) + R(B B*) - S(A*, B) - S(A, B*)
+    = K + K* for K = L(A* A / 2) + R(B B* / 2) - S(A*, B).  The sums of
+    A* A and B B* are n x n and the sandwich sum over the m nodes is one
+    :meth:`SuperOperator.sandwich`, O(m n^4); no n^2 x n^2 derivation is formed.
+    """
+    wAc = w[:, None, None] * A.conj()
+    left = np.tensordot(wAc, A, axes=([0, 1], [0, 1]))
+    right = np.tensordot(w[:, None, None] * B, B.conj(), axes=([0, 2], [0, 2]))
+    eye = np.eye(A.shape[-1])
+    K = SuperOperator.sandwich([left / 2, eye], [eye, right / 2])
+    K = K - SuperOperator.sandwich(wAc.swapaxes(1, 2), B)
+    return K + K.adjoint()
 
 
 def coupling_quadratic(sf, x):
-    """Base quadratic G0 = d1(0)* d1(0) + d2(0)* d2(0) of the coupling pair."""
-    d1 = derivation_at(sf, x, 0.0)
-    d2 = derivation_at(sf, dagger(x), 0.0)
-    return d1.adjoint() @ d1 + d2.adjoint() @ d2
+    """Base quadratic G0 = d1(0)* d1(0) + d2(0)* d2(0) of the coupling pair.
+
+    The derivation of y in {x, x*} at t = 0 is L(sigma_{-i/4}(y)) - R(sigma_{i/4}(y)),
+    so G0 is one :func:`_derivation_quadratic`.
+    """
+    ys = np.stack([x, dagger(x)])
+    return _derivation_quadratic(np.ones(2), sigma(sf, ys, -0.25j), sigma(sf, ys, 0.25j))
 
 
 def split_self_adjoint(x):
@@ -182,25 +197,6 @@ def split_self_adjoint(x):
     return x1, x2
 
 
-def _node_phases(sf, ts):
-    """Flow phases e^{i t kappa} at each node, one flattened row per node: shape (m, n^2)."""
-    return np.exp(1j * np.multiply.outer(np.asarray(ts, dtype=float), sf.nu))
-
-
-def _flow_orbit(sf, y, phases, shift):
-    """Batched sigma_{t + i*shift}(y) over the nodes whose ``phases`` are given.
-
-    Returns an array of shape (m, n, n) in the working basis; the
-    imaginary offset is applied once to the eigenbasis coefficients, the
-    real times are the phases, and the back-transform of every node is
-    one product with U (x) conj(U).
-    """
-    n = sf.dim
-    U = sf.eigenvectors
-    coeff = (sf.to_eigenbasis(y) * np.exp(-float(shift) * sf.kappa)).reshape(-1)
-    return ((phases * coeff) @ np.kron(U, U.conj()).T).reshape(-1, n, n)
-
-
 def _radius(kernel):
     """Truncation radius of the panel rule; the structured tail covers the rest."""
     return float(kernel.truncation_radius or 16.0)
@@ -210,18 +206,22 @@ def _orbit_chunks(sf, x, kernel):
     """The panel rule of ``kernel`` over the literal flow orbits, in node chunks.
 
     Yields (fw, A, B) for y = x and y = x* over each chunk of nodes t:
-    the weights f(t) w, A = sigma_{t-i/4}(y) and B = sigma_{t+i/4}(y).
-    A chunk is sized so that up to eight (m, n, n) stacks live at once
-    hold ``_CHUNK_ENTRIES`` entries in all.
+    the weights f(t) w, and A = sigma_{t-i/4}(y), B = sigma_{t+i/4}(y)
+    as (m, n, n) stacks in rho-eigenbasis coordinates, where the flow at
+    t multiplies entry (j, k) by the phase e^{i t kappa_jk}.  A chunk is
+    sized so that eight (m, n, n) stacks hold ``_CHUNK_ENTRIES`` entries
+    in all.
     """
     n = sf.dim
     ts, ws = _panel_rule(_radius(kernel), PANEL_WIDTH, PANEL_NODES)
     fw = ws * kernel.eval(ts)
+    quarter = np.exp(sf.kappa / 4.0)
+    shifted = [(y * quarter, y / quarter) for y in map(sf.to_eigenbasis, (x, dagger(x)))]
     chunk = max(1, _CHUNK_ENTRIES // (8 * n * n))
     for lo in range(0, ts.size, chunk):
-        phases, wc = _node_phases(sf, ts[lo : lo + chunk]), fw[lo : lo + chunk]
-        for y in (x, dagger(x)):
-            yield wc, _flow_orbit(sf, y, phases, -0.25), _flow_orbit(sf, y, phases, +0.25)
+        phases = np.exp(1j * np.multiply.outer(ts[lo : lo + chunk], sf.kappa))
+        for a, b in shifted:
+            yield fw[lo : lo + chunk], phases * a, phases * b
 
 
 def _structured_tail(sf, x, kernel):
@@ -240,30 +240,15 @@ def _structured_tail(sf, x, kernel):
 def _dirichlet_quadrature(sf, x, kernel):
     """Panel-rule sum of f(t) d(t)* d(t) over the literal flow orbits, plus the tail.
 
-    With A = sigma_{t-i/4}(y) and B = sigma_{t+i/4}(y), the derivation is
-    d = L(A) - R(B) (left and right multiplication), so
-
-        d* d = L(A* A) + R(B B*) - S(A*, B) - S(A*, B)*,   S(a, b): X -> a X b.
-
-    The weighted sums of A* A and B B* are n x n; the sandwich sum is one
-    (n^2 x m)(m x n^2) product over the m nodes, O(m n^4) where the dense
-    d(t) would cost O(m n^6).
+    With A = sigma_{t-i/4}(y) and B = sigma_{t+i/4}(y) the derivation is
+    d = L(A) - R(B), so each chunk of m nodes is one
+    :func:`_derivation_quadratic`, O(m n^4) where the dense d(t) would
+    cost O(m n^6).  The chunks are summed in eigenbasis coordinates and
+    the sum is transformed back once, by one :meth:`SuperOperator.sandwiched`.
     """
-    n = sf.dim
-    left = np.zeros((n, n), dtype=complex)
-    right = np.zeros((n, n), dtype=complex)
-    cross = np.zeros((n * n, n * n), dtype=complex)
-    for fw, A, B in _orbit_chunks(sf, x, kernel):
-        wc = fw[:, None, None]
-        wAc = wc * A.conj()
-        left += np.tensordot(wAc, A, axes=([0, 1], [0, 1]))
-        right += np.tensordot(wc * B, B.conj(), axes=([0, 2], [0, 2]))
-        cross += wAc.reshape(-1, n * n).T @ B.reshape(-1, n * n)
-    # cross[(p, i), (q, j)] = sum w conj(A[p, i]) B[q, j] = S(A*, B)[(i, j), (p, q)]
-    cross = cross.reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(n * n, n * n)
-    core = SuperOperator.left_mult(left) + SuperOperator.right_mult(right)
-    core = core - SuperOperator(cross + dagger(cross), n)
-    return core + _structured_tail(sf, x, kernel)
+    core = sum(_derivation_quadratic(*chunk).mat for chunk in _orbit_chunks(sf, x, kernel))
+    U, Ud = sf.eigenvectors, dagger(sf.eigenvectors)
+    return SuperOperator(core, sf.dim).sandwiched(U, Ud, Ud, U) + _structured_tail(sf, x, kernel)
 
 
 def dirichlet_operator(sf, spec, kernel=None, engine=ENGINE_EXACT, check_kernel=True):
@@ -301,10 +286,12 @@ def form_eval(sf, spec, eta, xi, kernel=None, engine=ENGINE_EXACT, check_kernel=
         H = dirichlet_operator(sf, spec)
         return complex(hs_inner(eta, H.apply(xi)))
     x = check_square(spec.x, sf.dim, "coupling")
+    # the orbits are in eigenbasis coordinates, and the form is unitarily invariant
+    eta_eig, xi_eig = sf.to_eigenbasis(eta), sf.to_eigenbasis(xi)
     total = 0j
     for fw, A, B in _orbit_chunks(sf, x, spec.kernel):
-        d_eta = A @ eta - eta @ B
-        d_xi = A @ xi - xi @ B
+        d_eta = A @ eta_eig - eta_eig @ B
+        d_xi = A @ xi_eig - xi_eig @ B
         total += np.einsum("k,kij,kij->", fw, d_eta.conj(), d_xi)
     total += hs_inner(eta, _structured_tail(sf, x, spec.kernel).apply(xi))
     return complex(total)
@@ -339,7 +326,7 @@ def verify_boundary_shift(sf, x, f):
     weight, so the identity is exercised end to end.
     """
     x = check_square(np.asarray(x, dtype=complex), sf.dim, "coupling")
-    K0 = SuperOperator.sandwich(x, dagger(x)) + SuperOperator.sandwich(dagger(x), x)
+    K0 = SuperOperator.sandwich([x, dagger(x)], [dagger(x), x])
     lhs = superop_modular_map(sf, superop_smear(sf, K0, f), T_MAP)
     rhs = superop_smear_quadrature(sf, K0, BoundaryCombination(f))
     return (lhs - rhs).norm() / max(lhs.norm(), 1e-300)

@@ -449,6 +449,11 @@ def check_admissible(f):
     )
 
 
+#: parametrized descriptor kind -> (kernel class, its one parameter, that parameter's default)
+_DESCRIPTORS = {"cauchy": (CauchyKernel, "scale", 1.0),
+                "signed_f0": (CosineModulatedF0, "alpha", 6.0)}
+
+
 def kernel_from_descriptor(desc):
     """Build a kernel from its scenario-file descriptor.
 
@@ -459,8 +464,7 @@ def kernel_from_descriptor(desc):
         return F0Kernel()
     if isinstance(desc, dict) and len(desc) == 1:
         (kind, params), = desc.items()
-        if kind == "cauchy":
-            return CauchyKernel(scale=float(params.get("scale", 1.0)))
-        if kind == "signed_f0":
-            return CosineModulatedF0(alpha=float(params.get("alpha", 6.0)))
+        if kind in _DESCRIPTORS:
+            cls, name, default = _DESCRIPTORS[kind]
+            return cls(float(params.get(name, default)))
     raise NotAdmissible(f"unknown kernel descriptor: {desc!r}")

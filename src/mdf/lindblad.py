@@ -101,17 +101,24 @@ def spec_from_couplings(sf, xs, Q="auto", f=None):
     return LindbladSpec(ys=tuple(ys), Q=Q)
 
 
+def _sandwich_sum(pairs):
+    """The superoperator sum_r S(A_r, B_r) of a list of factor pairs (A_r, B_r)."""
+    return SuperOperator.sandwich(*zip(*pairs))
+
+
+def _lindblad_pairs(spec):
+    """Factor pairs of L: L(y* y) + R(y* y) - 2 S(y*, y) per coupling, plus i[Q, .]."""
+    eye = np.eye(spec.dim)
+    pairs = [(1j * spec.Q, eye), (eye, -1j * spec.Q)]
+    for y in spec.ys:
+        w = dagger(y) @ y
+        pairs += [(w, eye), (eye, w), (-2.0 * dagger(y), y)]
+    return pairs
+
+
 def lindblad_superop(spec):
     """Dense matrix of L (pure algebra, no state involved)."""
-    n = spec.dim
-    op = SuperOperator.zero(n)
-    for y in spec.ys:
-        yd = dagger(y)
-        w = yd @ y
-        op = op + SuperOperator.left_mult(w) + SuperOperator.right_mult(w)
-        op = op - 2.0 * SuperOperator.sandwich(yd, y)
-    op = op + 1j * (SuperOperator.left_mult(spec.Q) - SuperOperator.right_mult(spec.Q))
-    return op
+    return _sandwich_sum(_lindblad_pairs(spec))
 
 
 def lindblad_apply(spec, A):
@@ -126,16 +133,14 @@ def lindblad_apply(spec, A):
     return out
 
 
-def _embedding_pair(sf):
-    r = sf.rho_power(0.25)
-    r_inv = sf.rho_power(-0.25)
-    return SuperOperator.sandwich(r, r), SuperOperator.sandwich(r_inv, r_inv)
-
-
 def induced_operator(sf, spec):
-    """H = i0 . L . i0^{-1} by explicit conjugation with the embedding."""
-    e0, e0_inv = _embedding_pair(sf)
-    return e0 @ lindblad_superop(spec) @ e0_inv
+    """H = i0 . L . i0^{-1} by explicit conjugation with the embedding.
+
+    i0 = S(rho^{1/4}, rho^{1/4}), so the conjugation of the dense L is
+    one :meth:`SuperOperator.sandwiched`, O(n^5).
+    """
+    r, r_inv = sf.rho_power(0.25), sf.rho_power(-0.25)
+    return lindblad_superop(spec).sandwiched(r, r, r_inv, r_inv)
 
 
 def induced_operator_shifted(sf, spec):
@@ -146,17 +151,14 @@ def induced_operator_shifted(sf, spec):
     this route never forms the embedding, so it is an independent
     assembly of the same operator (exact identity, any drift).
     """
-    op = SuperOperator.zero(spec.dim)
+    eye = np.eye(spec.dim)
+    pairs = []
     for y in spec.ys:
         w = dagger(y) @ y
-        op = op + SuperOperator.left_mult(sigma(sf, w, -0.25j))
-        op = op + SuperOperator.right_mult(sigma(sf, w, 0.25j))
-        op = op - 2.0 * SuperOperator.sandwich(
-            sigma(sf, dagger(y), -0.25j), sigma(sf, y, 0.25j)
-        )
-    op = op + 1j * SuperOperator.left_mult(sigma(sf, spec.Q, -0.25j))
-    op = op - 1j * SuperOperator.right_mult(sigma(sf, spec.Q, 0.25j))
-    return op
+        pairs += [(sigma(sf, w, -0.25j), eye), (eye, sigma(sf, w, 0.25j))]
+        pairs.append((-2.0 * sigma(sf, dagger(y), -0.25j), sigma(sf, y, 0.25j)))
+    pairs += [(1j * sigma(sf, spec.Q, -0.25j), eye), (eye, -1j * sigma(sf, spec.Q, 0.25j))]
+    return _sandwich_sum(pairs)
 
 
 def induced_adjoint_shifted(sf, spec):
@@ -166,17 +168,14 @@ def induced_adjoint_shifted(sf, spec):
     as its own assembly lets tests measure ||H - H*|| from two
     independently built operators.
     """
-    op = SuperOperator.zero(spec.dim)
+    eye = np.eye(spec.dim)
+    pairs = []
     for y in spec.ys:
         w = dagger(y) @ y
-        op = op + SuperOperator.left_mult(sigma(sf, w, 0.25j))
-        op = op + SuperOperator.right_mult(sigma(sf, w, -0.25j))
-        op = op - 2.0 * SuperOperator.sandwich(
-            sigma(sf, y, 0.25j), sigma(sf, dagger(y), -0.25j)
-        )
-    op = op - 1j * SuperOperator.left_mult(sigma(sf, spec.Q, 0.25j))
-    op = op + 1j * SuperOperator.right_mult(sigma(sf, spec.Q, -0.25j))
-    return op
+        pairs += [(sigma(sf, w, 0.25j), eye), (eye, sigma(sf, w, -0.25j))]
+        pairs.append((-2.0 * sigma(sf, y, 0.25j), sigma(sf, dagger(y), -0.25j)))
+    pairs += [(-1j * sigma(sf, spec.Q, 0.25j), eye), (eye, 1j * sigma(sf, spec.Q, -0.25j))]
+    return _sandwich_sum(pairs)
 
 
 def build_Q(sf, xs, f=None, central_offset=0.0):
@@ -227,17 +226,13 @@ class BalanceReport:
 def check_balance_condition(sf, xs, samples=64, seed=0):
     """Measure both faces of the balance condition for a coupling family."""
     xs = [check_square(np.asarray(x, dtype=complex), sf.dim, "coupling") for x in xs]
-    cond = SuperOperator.zero(sf.dim)
-    dressed = SuperOperator.zero(sf.dim)
+    cond, dressed = [], []
     for x in xs:
         xd = dagger(x)
-        cond = cond + SuperOperator.sandwich(x, xd) - SuperOperator.sandwich(xd, x)
-        dressed = dressed + SuperOperator.sandwich(
-            sigma(sf, x, 0.25j), sigma(sf, xd, -0.25j)
-        )
-        dressed = dressed - SuperOperator.sandwich(
-            sigma(sf, xd, 0.25j), sigma(sf, x, -0.25j)
-        )
+        cond += [(x, xd), (-xd, x)]
+        dressed += [(sigma(sf, x, 0.25j), sigma(sf, xd, -0.25j)),
+                    (-sigma(sf, xd, 0.25j), sigma(sf, x, -0.25j))]
+    cond, dressed = _sandwich_sum(cond), _sandwich_sum(dressed)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
@@ -271,19 +266,16 @@ def drift_criterion(sf, spec):
     right side every coupling-dependence; H is self-adjoint exactly
     when the difference vanishes.
     """
+    eye = np.eye(sf.dim)
     tq = modular_map(sf, spec.Q, T_MAP)
-    lhs = 1j * (SuperOperator.left_mult(tq) - SuperOperator.right_mult(tq))
     w = sum(dagger(y) @ y for y in spec.ys)
     sw = modular_map(sf, w, S_MAP)
-    rhs = -SuperOperator.left_mult(sw) + SuperOperator.right_mult(sw)
+    # Q side i[T(Q), .] minus the coupling side -[S(w), .] + 2 sum (sandwich - its swap)
+    pairs = [(1j * tq, eye), (eye, -1j * tq), (sw, eye), (eye, -sw)]
     for y in spec.ys:
-        rhs = rhs + 2.0 * SuperOperator.sandwich(
-            sigma(sf, dagger(y), -0.25j), sigma(sf, y, 0.25j)
-        )
-        rhs = rhs - 2.0 * SuperOperator.sandwich(
-            sigma(sf, y, 0.25j), sigma(sf, dagger(y), -0.25j)
-        )
-    return lhs - rhs
+        pairs += [(-2.0 * sigma(sf, dagger(y), -0.25j), sigma(sf, y, 0.25j)),
+                  (2.0 * sigma(sf, y, 0.25j), sigma(sf, dagger(y), -0.25j))]
+    return _sandwich_sum(pairs)
 
 
 def selfadjointness_residual(criterion, H, tol=1e-8):
@@ -361,9 +353,9 @@ def selfadjoint_component_decomposition(sf, xs, spec, balance):
         x1, x2 = split_self_adjoint(x)
         components.extend([x2, x1])
     full = lindblad_superop(spec)
-    half = SuperOperator.zero(sf.dim)
-    for c in components:
-        half = half + lindblad_superop(spec_from_couplings(sf, [c], Q="auto"))
+    half = _sandwich_sum(
+        [p for c in components for p in _lindblad_pairs(spec_from_couplings(sf, [c], Q="auto"))]
+    )
     residual = (full - 0.5 * half).hs_norm()
     return components, residual
 
@@ -438,7 +430,8 @@ def general_f_generator(sf, x, f, _left_coefficient_both_adjoint=False):
     if not isinstance(f, F0Kernel):
         ensure_admissible(f)
     xd = dagger(x)
-    op = SuperOperator.zero(sf.dim)
+    eye = np.eye(sf.dim)
+    coefficients, sandwiches = [], []
     for a, b in ((xd, x), (x, xd)):
         # coefficient sigma_{i/4}(a) sigma_{-i/4}(b), flow-averaged
         # against the boundary weight
@@ -447,18 +440,13 @@ def general_f_generator(sf, x, f, _left_coefficient_both_adjoint=False):
         p = sigma(sf, a, 0.25j) @ sigma(sf, b, -0.25j)
         c_left = boundary_combination_smear(sf, p_left, f)
         c_right = boundary_combination_smear(sf, p, f)
-        k = SuperOperator.sandwich(sigma(sf, a, 0.25j), sigma(sf, b, -0.25j))
-        if isinstance(f, F0Kernel):
-            k_smeared = k  # boundary weight of the distinguished kernel is a delta
-        else:
-            k_smeared = superop_smear(sf, k, BoundaryCombination(f))
         q1 = build_Q(sf, [b], f)
-        op = op + 0.5 * (
-            SuperOperator.left_mult(c_left) + SuperOperator.right_mult(c_right)
-        )
-        op = op - k_smeared
-        op = op + 0.5j * (SuperOperator.left_mult(q1) - SuperOperator.right_mult(q1))
-    return op
+        coefficients += [(0.5 * c_left + 0.5j * q1, eye), (eye, 0.5 * c_right - 0.5j * q1)]
+        sandwiches.append((sigma(sf, a, 0.25j), sigma(sf, b, -0.25j)))
+    k = _sandwich_sum(sandwiches)
+    if not isinstance(f, F0Kernel):  # the boundary weight of f0 is a delta
+        k = superop_smear(sf, k, BoundaryCombination(f))
+    return _sandwich_sum(coefficients) - k
 
 
 def general_f_embedding_residual(sf, x, f, H, samples=50, seed=0, **kwargs):
@@ -503,17 +491,13 @@ class TracialReport:
 def tracial_symmetric_generator(ys):
     """The symmetrized generator: half the coupling terms plus half the adjoint terms."""
     ys = tuple(np.asarray(y, dtype=complex) for y in ys)
-    n = ys[0].shape[0]
-    op = SuperOperator.zero(n)
+    eye = np.eye(ys[0].shape[0])
+    pairs = []
     for y in ys:
         for a in (y, dagger(y)):
-            ad = dagger(a)
-            w = ad @ a
-            op = op + 0.5 * (
-                SuperOperator.left_mult(w) + SuperOperator.right_mult(w)
-            )
-            op = op - SuperOperator.sandwich(ad, a)
-    return op
+            w = dagger(a) @ a
+            pairs += [(0.5 * w, eye), (eye, 0.5 * w), (-dagger(a), a)]
+    return _sandwich_sum(pairs)
 
 
 def verify_tracial_case(xs):
@@ -526,13 +510,11 @@ def verify_tracial_case(xs):
     spec = LindbladSpec(ys=tuple(xs), Q=q)  # flow is trivial: y_k = x_k
     plain = lindblad_superop(spec)
     sym = tracial_symmetric_generator(xs)
-    ident = 1j * (SuperOperator.left_mult(q) - SuperOperator.right_mult(q))
-    for y in xs:
-        ident = ident - SuperOperator.sandwich(dagger(y), y)
-        ident = ident + SuperOperator.sandwich(y, dagger(y))
-    dirich = SuperOperator.zero(n)
-    for x in xs:
-        dirich = dirich + dirichlet_operator(sf, x)
+    eye = np.eye(n)
+    ident = _sandwich_sum([(1j * q, eye), (eye, -1j * q)]
+                          + [(-dagger(y), y) for y in xs] + [(y, dagger(y)) for y in xs])
+    parts = [dirichlet_operator(sf, x) for x in xs]
+    dirich = sum(parts[1:], parts[0])
     return TracialReport(
         q_norm=float(np.linalg.norm(q, 2)),
         balance_residual=balance.condition_residual,

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import Overflow
 from .kernels import F0Kernel, PANEL_WIDTH, integrate_on_line
-from .linalg import check_square
+from .linalg import check_square, check_square_or_stack
 
 OVERFLOW_EXPONENT = 700.0
 
@@ -32,7 +32,7 @@ def _guard_exponent(grid, im_z):
 
 
 def _multiply_entrywise(sf, A, factors):
-    A = check_square(A, sf.dim, "operator")
+    A = check_square_or_stack(A, sf.dim, "operator")
     return sf.from_eigenbasis(sf.to_eigenbasis(A) * factors)
 
 
@@ -41,7 +41,8 @@ def sigma(sf, A, z):
 
     In the rho-eigenbasis the (j, k) entry is multiplied by
     exp(i z kappa_jk); for real z this is the unitary conjugation by
-    rho^{iz}, for z = -i/4 it is rho^{1/4} A rho^{-1/4}, etc.
+    rho^{iz}, for z = -i/4 it is rho^{1/4} A rho^{-1/4}, etc.  A stack
+    (k, n, n) is mapped member by member.
 
     Raises
     ------

@@ -134,21 +134,13 @@ class StandardForm:
     def superop_multiplier(self, K, factors):
         """Entrywise multiplier in eigenbasis coordinates: V* ((V K V*) * F) V.
 
-        V = :meth:`superop_basis_change` acts on each of the four indices
-        of ``K.mat.reshape(n, n, n, n)`` separately, so the basis change
-        is four batched n x n contractions each way, O(n^5) with no dense
-        V: U* and U^T on the row pair, U^T . conj(U) on the column pair.
+        V = :meth:`superop_basis_change` is the sandwich S(U*, U), so each
+        side is one :meth:`SuperOperator.sandwiched`, O(n^5) with no dense V.
         """
-        n = self.dim
-        U = self.eigenvectors
-        Ut, Uc = U.T, U.conj()
-        k = (Uc.T @ K.mat.reshape(n, n**3)).reshape(n, n, n * n)
-        k = (Ut @ k).reshape(n, n, n, n)
-        k = Ut @ k @ Uc
-        k *= factors.reshape(n, n, n, n)
-        k = (Uc @ k @ Ut).reshape(n, n, n * n)
-        k = (Uc @ k).reshape(n, n**3)
-        return SuperOperator((U @ k).reshape(n * n, n * n), n)
+        U, Ud = self.eigenvectors, dagger(self.eigenvectors)
+        k = K.sandwiched(Ud, U, U, Ud)
+        k.mat *= factors
+        return k.sandwiched(U, Ud, Ud, U)
 
 
 def build_standard_form(rho):
@@ -382,25 +374,28 @@ class SuperOperator:
         return cls(np.eye(n * n, dtype=complex), n)
 
     @classmethod
+    def sandwich(cls, A, B):
+        """X -> A X B; for stacks (r, n, n) the sandwich sum X -> sum_r A_r X B_r.
+
+        The dense matrix sum_r kron(A_r, B_r^T) is one einsum over the
+        stacked factors, O(r n^4).  Sequences of n x n matrices are stacked.
+        """
+        n = np.shape(A)[-1]
+        A, B = (check_square_or_stack(M, n, "operator").reshape(-1, n, n) for M in (A, B))
+        if len(A) != len(B):
+            raise DimMismatch(f"sandwich of {len(A)} left and {len(B)} right factors")
+        mat = np.einsum("rjp,rqk->jkpq", A, B, optimize=True)
+        return cls(mat.reshape(n * n, n * n), n)
+
+    @classmethod
     def left_mult(cls, A):
         """X -> A X."""
-        A = check_square(A, what="operator")
-        n = A.shape[0]
-        return cls(np.kron(A, np.eye(n)), n)
+        return cls.sandwich(A, np.eye(np.shape(A)[-1]))
 
     @classmethod
     def right_mult(cls, B):
         """X -> X B."""
-        B = check_square(B, what="operator")
-        n = B.shape[0]
-        return cls(np.kron(np.eye(n), B.T), n)
-
-    @classmethod
-    def sandwich(cls, A, B):
-        """X -> A X B."""
-        A = check_square(A, what="operator")
-        B = check_square(B, A.shape[0], "operator")
-        return cls(np.kron(A, B.T), A.shape[0])
+        return cls.sandwich(np.eye(np.shape(B)[-1]), B)
 
     @classmethod
     def commutant_j(cls, A):
@@ -415,6 +410,20 @@ class SuperOperator:
             n2 = self.dim * self.dim
             return (X.reshape(len(X), n2) @ self.mat.T).reshape(X.shape)
         return unvec(self.mat @ vec(X), self.dim)
+
+    def sandwiched(self, A, B, C, D):
+        """The composition S(A, B) K S(C, D): X -> A K(C X D) B.
+
+        Four batched n x n contractions on the four-index view of K, one
+        per index, O(n^5) where the dense composition costs O(n^6).
+        """
+        n = self.dim
+        A, B, C, D = (check_square(M, n, "operator") for M in (A, B, C, D))
+        p = (A @ self.mat.reshape(n, n**3)).reshape(n, n, n, n)
+        q = (B.T @ p.reshape(n, n, n * n)).reshape(n, n, n, n)
+        np.matmul(C.T, q, out=p)
+        np.matmul(p, D.T, out=q)
+        return SuperOperator(q.reshape(n * n, n * n), n)
 
     def adjoint(self):
         return SuperOperator(dagger(self.mat), self.dim)

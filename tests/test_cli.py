@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mdf import EngineDisagreement, SchemaError, cli, lindblad
+from mdf import EngineDisagreement, SchemaError, SuperOperator, cli, lindblad
 from mdf.cli import (
     SUITES,
     Scenario,
@@ -108,6 +108,21 @@ def test_parse_accepts_the_minimal_scenario():
         ({"unexpected": 1}, "unexpected"),
         ({"tolerances": {"interval": 1e-8}}, "tolerances.interval"),
         ({"tolerances": {"negativity": 1e-9}}, "tolerances.negativity"),
+        ({"kernel": {"cauchy": {"scale": "abc"}}}, "kernel.cauchy.scale"),
+        ({"kernel": {"cauchy": 5}}, "kernel.cauchy"),
+        (
+            {"kernel": {"signed_f0": {"alpha": "x"}}, "negative_control": True},
+            "kernel.signed_f0.alpha",
+        ),
+        ({"kernel": {"cauchy": {"scale": True}}}, "kernel.cauchy.scale"),
+        ({"kernel": {"cauchy": {"scale": 1, "foo": 2}}}, "kernel.cauchy.foo"),
+        ({"kernel": {"cauchy": {"scale": float("inf")}}}, "kernel.cauchy.scale"),
+        (
+            {"state": {"gibbs": {"hamiltonian": matrix_to_json(np.diag([0.0, 1.0])),
+                                 "beta": float("inf")}}},
+            "state.gibbs.beta",
+        ),
+        ({"tolerances": {"algebraic": float("inf")}}, "tolerances.algebraic"),
     ],
 )
 def test_parse_rejections_point_at_the_key(patch, key, tmp_path, capsys):
@@ -390,6 +405,23 @@ _SHARED = (
     "verify_boundary_shift",
     "general_f_embedding_residual",
 )
+
+
+def test_assembly_never_composes_dense_superoperators(monkeypatch):
+    # the embedding conjugation is four n x n contractions and G0 a sandwich
+    # sum, so no suite but the semigroup law multiplies two n^2 x n^2 matrices
+    calls = []
+    matmul = SuperOperator.__matmul__
+
+    def counted(self, other):
+        calls.append(self.dim)
+        return matmul(self, other)
+
+    monkeypatch.setattr(SuperOperator, "__matmul__", counted)
+    obj = generate_scenario(1, 8, "balanced_pair")
+    obj["suites"] = ["modular", "dirichlet", "lindblad", "proof_regression"]
+    assert run_scenario_object(parse_scenario(obj))["passed"]
+    assert calls == []
 
 
 def test_full_run_builds_each_shared_operator_once(monkeypatch):

@@ -21,11 +21,12 @@ from mdf import (
     NotAdmissible,
     SuperOperator,
     build_standard_form,
+    coupling_quadratic,
     crosscheck_engines,
-    derivation_at,
     dirichlet_operator,
     form_eval,
     jordan_decompose,
+    sigma,
     split_self_adjoint,
     symmetric_embed,
     tracial_state,
@@ -116,11 +117,33 @@ def test_two_level_corner_coupling_closed_form(p):
 # ---------------------------------------------------------------------------
 
 def test_derivation_kills_the_cyclic_vector(sf3, rng):
-    # sigma_{t-i/4}(x) rho^{1/2} = rho^{1/2} sigma_{t+i/4}(x) for every t
+    # d(t) xi0 = sigma_{t-i/4}(x) xi0 - xi0 sigma_{t+i/4}(x) = 0 for every t
     x = ginibre(3, rng)
     for t in (0.0, 0.7, -2.3):
-        d = derivation_at(sf3, x, t)
-        assert hs_norm(d.apply(sf3.xi0)) < 1e-12
+        d_xi0 = sigma(sf3, x, t - 0.25j) @ sf3.xi0 - sf3.xi0 @ sigma(sf3, x, t + 0.25j)
+        assert hs_norm(d_xi0) < 1e-12
+
+
+def dense_coupling_quadratic(sf, x):
+    """G0 = d1(0)* d1(0) + d2(0)* d2(0) with each derivation formed as a dense kron matrix."""
+    n = sf.dim
+    eye = np.eye(n)
+    G0 = np.zeros((n * n, n * n), dtype=complex)
+    for y in (x, dagger(x)):
+        d = np.kron(sigma(sf, y, -0.25j), eye) - np.kron(eye, sigma(sf, y, 0.25j).T)
+        G0 += dagger(d) @ d
+    return G0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_coupling_quadratic_matches_the_dense_composition(n, rng):
+    g = ginibre(n, rng)
+    rho = g @ dagger(g) + 0.2 * np.eye(n)
+    sf = build_standard_form(rho / np.trace(rho).real)
+    x = ginibre(n, rng)
+    dense = dense_coupling_quadratic(sf, x)
+    gap = np.max(np.abs(coupling_quadratic(sf, x).mat - dense))
+    assert gap <= 1e-13 * max(1.0, np.max(np.abs(dense)))
 
 
 def test_central_coupling_gives_zero_operator(sf3):

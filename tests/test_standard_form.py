@@ -6,6 +6,7 @@ import pytest
 import mdf.standard_form
 from mdf import (
     DensityMatrix,
+    DimMismatch,
     NoConvergence,
     NotAState,
     NotFaithful,
@@ -303,6 +304,29 @@ def test_superop_multiplier_matches_dense_basis_change(n, rng):
     V = sf.superop_basis_change()
     dense = dagger(V) @ ((V @ K.mat @ dagger(V)) * F) @ V
     assert np.max(np.abs(sf.superop_multiplier(K, F).mat - dense)) <= 1e-13
+
+
+@pytest.mark.parametrize("r", [1, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_stacked_sandwich_matches_the_kron_sum(n, r, rng):
+    A, B = (np.stack([ginibre(n, rng) for _ in range(r)]) for _ in range(2))
+    dense = sum(np.kron(a, b.T) for a, b in zip(A, B))
+    assert np.max(np.abs(SuperOperator.sandwich(A, B).mat - dense)) <= 1e-13
+    if r == 1:
+        assert np.max(np.abs(SuperOperator.sandwich(A[0], B[0]).mat - dense)) <= 1e-13
+
+
+def test_sandwich_rejects_unequal_stacks(rng):
+    with pytest.raises(DimMismatch):
+        SuperOperator.sandwich([ginibre(3, rng), ginibre(3, rng)], ginibre(3, rng))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_sandwiched_matches_the_dense_composition(n, rng):
+    K = SuperOperator(ginibre(n * n, rng), n)
+    A, B, C, D = (ginibre(n, rng) for _ in range(4))
+    dense = np.kron(A, B.T) @ K.mat @ np.kron(C, D.T)
+    assert np.max(np.abs(K.sandwiched(A, B, C, D).mat - dense)) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
