@@ -10,7 +10,11 @@ operator H (E(eta, xi) = <eta, H xi>) annihilates xi0, commutes with the
 modular conjugation, and generates a Markovian semigroup on the positive
 cone whenever f passes the admissibility checks.
 
-Two independent engines build H:
+Two independent engines build H.  Both work in rho-eigenbasis
+coordinates, where the derivation of y in {x, x*} at time t is
+L(A) - R(B) with A = sigma_{t-i/4}(y), B = sigma_{t+i/4}(y) the quarter-
+shifted couplings times the phases e^{i t kappa}, and both end with one
+back-transform to the working basis.
 
 ``exact_spectral``
     Uses the covariance d(t) = U_t d(0) U_t* of the derivations under
@@ -23,12 +27,12 @@ Two independent engines build H:
 
 ``quadrature``
     Builds the flow orbits of the coupling literally at every node of a
-    fixed panel rule (in rho-eigenbasis coordinates) and accumulates
-    f(t) d(t)* d(t), adding the weight's analytic tail beyond the
-    truncation radius.  d(t)* d(t) is expanded into the same sandwich
-    sum, one per chunk of nodes, so the m nodes cost O(m n^4) and no
-    n^2 x n^2 derivation is formed.  Serves as the oracle route for
-    cross-checking the spectral engine and is priced for small dims.
+    fixed panel rule and accumulates f(t) d(t)* d(t), adding G0 times
+    the weight's analytic tail beyond the truncation radius.  d(t)* d(t)
+    is expanded into the same sandwich sum, one per chunk of nodes, so
+    the m nodes cost O(m n^4) and no n^2 x n^2 derivation is formed.
+    Serves as the oracle route for cross-checking the spectral engine
+    and is priced for small dims.
 
 The two must agree to ``ENGINE_AGREEMENT_RTOL`` in relative spectral
 norm; :func:`crosscheck_engines` raises ``EngineDisagreement`` otherwise.
@@ -59,14 +63,7 @@ from .linalg import (
     random_hermitian,
     random_psd,
 )
-from .modular import (
-    T_MAP,
-    sigma,
-    superop_flow_factors,
-    superop_modular_map,
-    superop_smear,
-    superop_smear_quadrature,
-)
+from .modular import T_MAP, superop_modular_map, superop_smear, superop_smear_quadrature
 from .standard_form import SuperOperator, jordan_decompose
 
 ENGINE_EXACT = "exact_spectral"
@@ -174,14 +171,27 @@ def _derivation_quadratic(w, A, B):
     return K + K.adjoint()
 
 
+def _shifted_couplings(sf, x):
+    """sigma_{-i/4}(y) and sigma_{i/4}(y) for y in {x, x*}: two (2, n, n) eigenbasis stacks.
+
+    The flow at z multiplies eigenbasis entry (j, k) by e^{i z kappa_jk}.
+    """
+    ys = sf.to_eigenbasis(np.stack([x, dagger(x)]))
+    quarter = np.exp(sf.kappa / 4.0)
+    return ys * quarter, ys / quarter
+
+
+def _base_quadratic(sf, x):
+    """G0 of :func:`coupling_quadratic` in rho-eigenbasis coordinates."""
+    return _derivation_quadratic(np.ones(2), *_shifted_couplings(sf, x))
+
+
 def coupling_quadratic(sf, x):
     """Base quadratic G0 = d1(0)* d1(0) + d2(0)* d2(0) of the coupling pair.
 
-    The derivation of y in {x, x*} at t = 0 is L(sigma_{-i/4}(y)) - R(sigma_{i/4}(y)),
-    so G0 is one :func:`_derivation_quadratic`.
+    d(0) = L(sigma_{-i/4}(y)) - R(sigma_{i/4}(y)) for y in {x, x*}, in eigenbasis coordinates.
     """
-    ys = np.stack([x, dagger(x)])
-    return _derivation_quadratic(np.ones(2), sigma(sf, ys, -0.25j), sigma(sf, ys, 0.25j))
+    return sf.superop_from_eigenbasis(_base_quadratic(sf, x))
 
 
 def split_self_adjoint(x):
@@ -207,48 +217,29 @@ def _orbit_chunks(sf, x, kernel):
 
     Yields (fw, A, B) for y = x and y = x* over each chunk of nodes t:
     the weights f(t) w, and A = sigma_{t-i/4}(y), B = sigma_{t+i/4}(y)
-    as (m, n, n) stacks in rho-eigenbasis coordinates, where the flow at
-    t multiplies entry (j, k) by the phase e^{i t kappa_jk}.  A chunk is
-    sized so that eight (m, n, n) stacks hold ``_CHUNK_ENTRIES`` entries
-    in all.
+    as (m, n, n) stacks in rho-eigenbasis coordinates, the shifted
+    couplings times the phases e^{i t kappa_jk}.  A chunk is sized so
+    that eight (m, n, n) stacks hold ``_CHUNK_ENTRIES`` entries in all.
     """
-    n = sf.dim
     ts, ws = _panel_rule(_radius(kernel), PANEL_WIDTH, PANEL_NODES)
     fw = ws * kernel.eval(ts)
-    quarter = np.exp(sf.kappa / 4.0)
-    shifted = [(y * quarter, y / quarter) for y in map(sf.to_eigenbasis, (x, dagger(x)))]
-    chunk = max(1, _CHUNK_ENTRIES // (8 * n * n))
+    shifted = list(zip(*_shifted_couplings(sf, x)))
+    chunk = max(1, _CHUNK_ENTRIES // (8 * sf.dim**2))
     for lo in range(0, ts.size, chunk):
         phases = np.exp(1j * np.multiply.outer(ts[lo : lo + chunk], sf.kappa))
         for a, b in shifted:
             yield fw[lo : lo + chunk], phases * a, phases * b
 
 
-def _structured_tail(sf, x, kernel):
-    """Tail of the weighted quadratic beyond the truncation radius.
+def _structured_tail(sf, G0, kernel):
+    """Tail of the weighted quadratic beyond the truncation radius, in eigenbasis coordinates.
 
-    Past the truncation radius the integrand is the exact flow orbit of
-    the coupling quadratic G0 of x, so the tail is the entrywise analytic tail transform; weights
-    without one (fast-decaying, radius chosen for ~1e-13 mass) get zero.
+    Past the radius the integrand is the exact flow orbit of the base
+    quadratic G0, so the tail is G0 times the analytic tail transform;
+    weights without one (fast-decaying, radius for ~1e-13 mass) get zero.
     """
-    tail = kernel.tail_hat(superop_flow_factors(sf), _radius(kernel))
-    if tail is None:
-        return SuperOperator.zero(sf.dim)
-    return sf.superop_multiplier(coupling_quadratic(sf, x), tail)
-
-
-def _dirichlet_quadrature(sf, x, kernel):
-    """Panel-rule sum of f(t) d(t)* d(t) over the literal flow orbits, plus the tail.
-
-    With A = sigma_{t-i/4}(y) and B = sigma_{t+i/4}(y) the derivation is
-    d = L(A) - R(B), so each chunk of m nodes is one
-    :func:`_derivation_quadratic`, O(m n^4) where the dense d(t) would
-    cost O(m n^6).  The chunks are summed in eigenbasis coordinates and
-    the sum is transformed back once, by one :meth:`SuperOperator.sandwiched`.
-    """
-    core = sum(_derivation_quadratic(*chunk).mat for chunk in _orbit_chunks(sf, x, kernel))
-    U, Ud = sf.eigenvectors, dagger(sf.eigenvectors)
-    return SuperOperator(core, sf.dim).sandwiched(U, Ud, Ud, U) + _structured_tail(sf, x, kernel)
+    tail = kernel.tail_hat(sf.superop_frequencies, _radius(kernel))
+    return G0 * 0.0 if tail is None else SuperOperator(G0.mat * tail, sf.dim)
 
 
 def dirichlet_operator(sf, spec, kernel=None, engine=ENGINE_EXACT, check_kernel=True):
@@ -257,7 +248,8 @@ def dirichlet_operator(sf, spec, kernel=None, engine=ENGINE_EXACT, check_kernel=
     ``spec`` may be a :class:`DirichletSpec` or a bare coupling matrix
     (then the remaining keywords fill in the rest).  No symmetrization
     is applied to the result: self-adjointness is a property to be
-    observed (and is, for admissible weights), not enforced.
+    observed (and is, for admissible weights), not enforced.  Either
+    engine builds H in eigenbasis coordinates and transforms it back once.
 
     Raises
     ------
@@ -266,9 +258,14 @@ def dirichlet_operator(sf, spec, kernel=None, engine=ENGINE_EXACT, check_kernel=
     """
     spec = _resolve_spec(spec, kernel, engine, check_kernel)
     x = check_square(spec.x, sf.dim, "coupling")
+    G0 = _base_quadratic(sf, x)
     if spec.engine == ENGINE_EXACT:
-        return superop_smear(sf, coupling_quadratic(sf, x), spec.kernel)
-    return _dirichlet_quadrature(sf, x, spec.kernel)
+        G0.mat *= spec.kernel.hat(sf.superop_frequencies)
+        return sf.superop_from_eigenbasis(G0)
+    K = _structured_tail(sf, G0, spec.kernel)
+    for chunk in _orbit_chunks(sf, x, spec.kernel):
+        K.mat += _derivation_quadratic(*chunk).mat
+    return sf.superop_from_eigenbasis(K)
 
 
 def form_eval(sf, spec, eta, xi, kernel=None, engine=ENGINE_EXACT, check_kernel=True):
@@ -286,15 +283,15 @@ def form_eval(sf, spec, eta, xi, kernel=None, engine=ENGINE_EXACT, check_kernel=
         H = dirichlet_operator(sf, spec)
         return complex(hs_inner(eta, H.apply(xi)))
     x = check_square(spec.x, sf.dim, "coupling")
-    # the orbits are in eigenbasis coordinates, and the form is unitarily invariant
+    # the orbits and the tail are in eigenbasis coordinates, and the form is unitarily invariant
     eta_eig, xi_eig = sf.to_eigenbasis(eta), sf.to_eigenbasis(xi)
     total = 0j
     for fw, A, B in _orbit_chunks(sf, x, spec.kernel):
         d_eta = A @ eta_eig - eta_eig @ B
         d_xi = A @ xi_eig - xi_eig @ B
         total += np.einsum("k,kij,kij->", fw, d_eta.conj(), d_xi)
-    total += hs_inner(eta, _structured_tail(sf, x, spec.kernel).apply(xi))
-    return complex(total)
+    tail = _structured_tail(sf, _base_quadratic(sf, x), spec.kernel)
+    return complex(total + hs_inner(eta_eig, tail.apply(xi_eig)))
 
 
 def crosscheck_engines(sf, He, x, kernel=None, rtol=ENGINE_AGREEMENT_RTOL, check_kernel=True):

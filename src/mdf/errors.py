@@ -5,6 +5,8 @@ callers can catch the whole family with one handler while the CLI maps
 input-validation failures to exit code 2.
 """
 
+import sys
+
 
 class MdfError(Exception):
     """Base class for all mdf errors."""
@@ -56,3 +58,14 @@ class NotSelfAdjoint(MdfError):
 
 class SchemaError(MdfError):
     """Scenario file does not conform to the expected schema."""
+
+
+def finite_number(value, path):
+    """A JSON scalar as a float; SchemaError at ``path`` unless a finite non-bool number.
+
+    ``json.load`` gives NaN, infinities and exact huge integers; none is within the largest double.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max:
+            return float(value)
+    raise SchemaError(f"{path}: expected a finite number")

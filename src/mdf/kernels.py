@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NotAdmissible, QuadratureNotConverged
+from .errors import NotAdmissible, QuadratureNotConverged, SchemaError, finite_number
 
 PANEL_WIDTH = 0.5
 PANEL_NODES = 64
@@ -459,6 +459,11 @@ def kernel_from_descriptor(desc):
 
     Accepts ``"f0"``, ``{"cauchy": {"scale": s}}``, or
     ``{"signed_f0": {"alpha": a}}`` (the shipped negative control).
+
+    Raises ``SchemaError`` at the key path (``kernel.cauchy.scale``) for a
+    parameter block that is not an object, an unknown parameter, or a value
+    that is not a finite non-bool number; ``NotAdmissible`` for an unknown
+    descriptor or a parameter out of the kernel's range.
     """
     if desc == "f0":
         return F0Kernel()
@@ -466,5 +471,11 @@ def kernel_from_descriptor(desc):
         (kind, params), = desc.items()
         if kind in _DESCRIPTORS:
             cls, name, default = _DESCRIPTORS[kind]
+            if not isinstance(params, dict):
+                raise SchemaError(f"kernel.{kind}: expected an object")
+            for key, value in params.items():
+                if key != name:
+                    raise SchemaError(f"kernel.{kind}.{key}: unknown parameter")
+                finite_number(value, f"kernel.{kind}.{key}")
             return cls(float(params.get(name, default)))
     raise NotAdmissible(f"unknown kernel descriptor: {desc!r}")

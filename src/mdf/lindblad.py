@@ -41,7 +41,7 @@ from .modular import (
     smear,
     superop_smear,
 )
-from .standard_form import SuperOperator, tracial_state
+from .standard_form import SuperOperator, symmetric_embed, tracial_state
 
 #: balance-condition residual above this blocks the decomposition paths
 BALANCE_TOL = 1e-8
@@ -386,19 +386,13 @@ def kms_symmetry_residual(sf, spec, samples=50, seed=0):
     product; it vanishes exactly when the induced H is self-adjoint.
     """
     rng = np.random.default_rng(seed)
-    r = sf.rho_power(0.25)
-
-    def embed(a):
-        return r @ a @ r
-
     worst = 0.0
     for _ in range(samples):
-        a = ginibre(sf.dim, rng)
-        b = ginibre(sf.dim, rng)
+        a, b = ginibre(sf.dim, rng), ginibre(sf.dim, rng)
         la = lindblad_apply(spec, a)
         lb = lindblad_apply(spec, b)
-        lhs = complex(hs_inner(embed(la), embed(b)))
-        rhs = complex(hs_inner(embed(a), embed(lb)))
+        lhs = complex(hs_inner(symmetric_embed(sf, la), symmetric_embed(sf, b)))
+        rhs = complex(hs_inner(symmetric_embed(sf, a), symmetric_embed(sf, lb)))
         worst = max(worst, abs(lhs - rhs) / (hs_norm(a) * hs_norm(b)))
     return worst
 
@@ -453,13 +447,11 @@ def general_f_embedding_residual(sf, x, f, H, samples=50, seed=0, **kwargs):
     """Worst sampled residual of  i0(L(A)) = H i0(A),  H the Dirichlet operator of (x, f)."""
     rng = np.random.default_rng(seed)
     L = general_f_generator(sf, x, f, **kwargs)
-    r = sf.rho_power(0.25)
     worst = 0.0
     for _ in range(samples):
         a = ginibre(sf.dim, rng)
-        la = L.apply(a)
-        lhs = r @ la @ r
-        rhs = H.apply(r @ a @ r)
+        lhs = symmetric_embed(sf, L.apply(a))
+        rhs = H.apply(symmetric_embed(sf, a))
         worst = max(worst, hs_norm(lhs - rhs) / hs_norm(a))
     return worst
 

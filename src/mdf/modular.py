@@ -145,14 +145,12 @@ def boundary_combination_smear(sf, A, f):
 # ---------------------------------------------------------------------------
 
 def superop_flow_factors(sf):
-    """Frequency grid nu_a - nu_b for superoperator entries.
+    """Frequency grid nu_a - nu_b for superoperator entries (the cached, read-only member).
 
-    A superoperator K in rho-eigenbasis coordinates transforms under
-    Delta^{it} K Delta^{-it} by the entrywise phase
-    exp(i t (nu_a - nu_b)), where nu is the vectorized kappa grid.
+    A superoperator K in rho-eigenbasis coordinates transforms under Delta^{it} K Delta^{-it}
+    by the entrywise phase exp(i t (nu_a - nu_b)), where nu is the vectorized kappa grid.
     """
-    nu = sf.nu
-    return nu[:, None] - nu[None, :]
+    return sf.superop_frequencies
 
 
 def superop_smear(sf, K, f):
@@ -161,22 +159,20 @@ def superop_smear(sf, K, f):
     Entrywise in the eigenbasis double-index coordinates this multiplies
     by the kernel transform at nu_a - nu_b.
     """
-    return sf.superop_multiplier(K, f.hat(superop_flow_factors(sf)))
+    return sf.superop_multiplier(K, f.hat(sf.superop_frequencies))
 
 
 def superop_sigma(sf, K, z):
     """Flow conjugation of a superoperator at complex time z."""
     z = complex(z)
-    freq = superop_flow_factors(sf)
-    _guard_exponent(freq, z.imag)
-    return sf.superop_multiplier(K, np.exp(1j * z * freq))
+    _guard_exponent(sf.superop_frequencies, z.imag)
+    return sf.superop_multiplier(K, np.exp(1j * z * sf.superop_frequencies))
 
 
 def superop_modular_map(sf, K, which):
     """Quarter-shift maps lifted to superoperators (same four as modular_map)."""
-    freq = superop_flow_factors(sf)
-    _guard_exponent(freq, 0.25)
-    return sf.superop_multiplier(K, _quarter_shift_factors(freq, which))
+    _guard_exponent(sf.superop_frequencies, 0.25)
+    return sf.superop_multiplier(K, _quarter_shift_factors(sf.superop_frequencies, which))
 
 
 def superop_smear_quadrature(sf, K, f):
@@ -188,4 +184,4 @@ def superop_smear_quadrature(sf, K, f):
     pointwise values where :func:`superop_smear` uses the closed-form
     transform.
     """
-    return sf.superop_multiplier(K, f.hat_quadrature(superop_flow_factors(sf)))
+    return sf.superop_multiplier(K, f.hat_quadrature(sf.superop_frequencies))

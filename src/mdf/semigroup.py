@@ -30,7 +30,7 @@ from .linalg import (
     unvec,
     vec,
 )
-from .standard_form import SuperOperator, project_order_interval
+from .standard_form import SuperOperator, project_order_interval, symmetric_embed
 
 #: self-adjointness residual beyond which a probe refuses to run
 SELFADJOINT_GATE = 1e-8
@@ -132,8 +132,7 @@ def _extreme_draw(n, rng):
 def _interval_elements(sf, G, spectrum):
     """rho^{1/4} W diag(spectrum) W* rho^{1/4} for W the Haar unitary of G; stacks too."""
     W = unitary_from_ginibre(G)
-    r = sf.rho_power(0.25)
-    return r @ ((W * spectrum[..., None, :]) @ dagger(W)) @ r
+    return symmetric_embed(sf, (W * spectrum[..., None, :]) @ dagger(W))
 
 
 def _extreme_elements(sf, G, rank):

@@ -15,7 +15,8 @@ All modular data reduces to the exponent grid
 over the eigenvalues of rho, which the rest of the package consumes.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,6 +91,10 @@ class StandardForm:
     eigenvectors : unitary matrix whose columns are the eigenvectors
     xi0 : rho^{1/2}, the cyclic vector
     kappa : antisymmetric grid of modular exponents
+
+    Superoperator entries in eigenbasis coordinates carry the frequency grid
+    :attr:`superop_frequencies` (cached, read-only); :meth:`superop_from_eigenbasis`
+    is the one way back to the working basis.
     """
 
     rho: DensityMatrix
@@ -97,16 +102,17 @@ class StandardForm:
     eigenvectors: np.ndarray
     xi0: np.ndarray
     kappa: np.ndarray
-    log_eigenvalues: np.ndarray = field(repr=False, default=None)
 
     @property
     def dim(self):
         return self.rho.dim
 
-    @property
-    def nu(self):
-        """Modular exponents indexed by the vectorized basis: nu[j*n+k] = kappa[j,k]."""
-        return self.kappa.reshape(-1)
+    @cached_property
+    def superop_frequencies(self):
+        """Read-only n^2 x n^2 grid nu_a - nu_b, where nu[j*n+k] = kappa[j,k]."""
+        grid = np.subtract.outer(self.kappa.reshape(-1), self.kappa.reshape(-1))
+        grid.flags.writeable = False
+        return grid
 
     def to_eigenbasis(self, A):
         """Coordinates of a matrix in the rho-eigenbasis."""
@@ -140,7 +146,12 @@ class StandardForm:
         U, Ud = self.eigenvectors, dagger(self.eigenvectors)
         k = K.sandwiched(Ud, U, U, Ud)
         k.mat *= factors
-        return k.sandwiched(U, Ud, Ud, U)
+        return self.superop_from_eigenbasis(k)
+
+    def superop_from_eigenbasis(self, K):
+        """V* K V: a superoperator given in eigenbasis coordinates, in the working basis."""
+        U, Ud = self.eigenvectors, dagger(self.eigenvectors)
+        return K.sandwiched(U, Ud, Ud, U)
 
 
 def build_standard_form(rho):
@@ -170,7 +181,6 @@ def build_standard_form(rho):
         eigenvectors=U,
         xi0=xi0,
         kappa=kappa,
-        log_eigenvalues=logw,
     )
 
 

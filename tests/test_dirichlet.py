@@ -28,13 +28,13 @@ from mdf import (
     jordan_decompose,
     sigma,
     split_self_adjoint,
-    symmetric_embed,
+    superop_smear,
     tracial_state,
     verify_boundary_shift,
     verify_dirichlet,
 )
 from mdf import dirichlet
-from mdf.dirichlet import ENGINE_QUADRATURE
+from mdf.dirichlet import ENGINE_QUADRATURE, ENGINES
 from mdf.kernels import TabulatedKernel
 from mdf.linalg import dagger, ginibre, hs_inner, hs_norm, random_hermitian
 
@@ -144,6 +144,40 @@ def test_coupling_quadratic_matches_the_dense_composition(n, rng):
     dense = dense_coupling_quadratic(sf, x)
     gap = np.max(np.abs(coupling_quadratic(sf, x).mat - dense))
     assert gap <= 1e-13 * max(1.0, np.max(np.abs(dense)))
+
+
+@pytest.mark.parametrize(
+    "kernel", [F0Kernel(), CauchyKernel(scale=1.0), CosineModulatedF0(alpha=6.0)],
+    ids=["f0", "cauchy", "signed"],
+)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_exact_engine_matches_the_working_basis_smear(n, kernel):
+    # reference: G0 formed in the working basis, then smeared by the eigenbasis multiplier
+    rng = np.random.default_rng(50 + n)
+    g = ginibre(n, rng)
+    rho = g @ dagger(g) + 0.2 * np.eye(n)
+    sf = build_standard_form(rho / np.trace(rho).real)
+    x = ginibre(n, rng)
+    H = dirichlet_operator(sf, x, kernel, check_kernel=False)
+    ref = superop_smear(sf, coupling_quadratic(sf, x), kernel)
+    # at n = 1 the operator vanishes, so the scale falls back to |x|^2
+    assert (H - ref).hs_norm() <= 1e-13 * max(ref.hs_norm(), hs_norm(x) ** 2)
+
+
+@pytest.mark.parametrize("kernel", [F0Kernel(), CauchyKernel(scale=1.0)], ids=["f0", "cauchy"])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_each_build_transforms_back_once(monkeypatch, sf3, rng, engine, kernel):
+    # both engines assemble in eigenbasis coordinates: one O(n^5) back-transform per build
+    calls = []
+    sandwiched = SuperOperator.sandwiched
+
+    def counted(self, *factors):
+        calls.append(self.dim)
+        return sandwiched(self, *factors)
+
+    monkeypatch.setattr(SuperOperator, "sandwiched", counted)
+    dirichlet_operator(sf3, ginibre(3, rng), kernel, engine)
+    assert calls == [3]
 
 
 def test_central_coupling_gives_zero_operator(sf3):

@@ -10,7 +10,6 @@ from mdf import (
     LindbladSpec,
     NotSelfAdjoint,
     build_Q,
-    build_standard_form,
     check_balance_condition,
     couplings_of,
     criterion_matches_adjoint_gap,
@@ -28,14 +27,13 @@ from mdf import (
     lindblad_superop,
     selfadjoint_component_decomposition,
     selfadjointness_residual,
-    sigma,
     spec_from_couplings,
     symmetric_embed,
     tracial_state,
     verify_tracial_case,
     y_reconstruction_residual,
 )
-from mdf.linalg import dagger, ginibre, hs_inner, hs_norm, random_hermitian
+from mdf.linalg import dagger, ginibre, hs_norm, random_hermitian
 
 
 def _e(i, j, n=2):

@@ -16,12 +16,14 @@ from mdf import (
     Overflow,
     QuadratureNotConverged,
     S_MAP,
+    SchemaError,
     SuperOperator,
     T_MAP,
     TabulatedKernel,
     apply_I0,
     build_standard_form,
     check_admissible,
+    kernel_from_descriptor,
     modular_map,
     sigma,
     smear,
@@ -29,6 +31,7 @@ from mdf import (
     superop_modular_map,
     superop_sigma,
     superop_smear,
+    superop_flow_factors,
     superop_smear_quadrature,
 )
 from mdf.linalg import dagger, ginibre, hs_norm
@@ -112,6 +115,32 @@ def test_slow_kernel_without_tail_fails_quadrature():
 # ---------------------------------------------------------------------------
 # admissibility
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "desc, key",
+    [
+        ({"cauchy": 5}, "kernel.cauchy"),
+        ({"cauchy": {"scale": True, "foo": 1}}, "kernel.cauchy.scale"),
+        ({"cauchy": {"scale": 2.0, "foo": 1}}, "kernel.cauchy.foo"),
+        ({"signed_f0": {"alpha": float("nan")}}, "kernel.signed_f0.alpha"),
+        ({"cauchy": {"scale": 10**400}}, "kernel.cauchy.scale"),
+    ],
+)
+def test_kernel_descriptor_rejections_name_the_key(desc, key):
+    with pytest.raises(SchemaError, match="^" + key.replace(".", r"\.") + ": "):
+        kernel_from_descriptor(desc)
+
+
+def test_kernel_descriptors_build_their_kernels():
+    assert isinstance(kernel_from_descriptor("f0"), F0Kernel)
+    assert kernel_from_descriptor({"cauchy": {}}).scale == 1.0
+    assert kernel_from_descriptor({"cauchy": {"scale": 2}}).scale == 2.0
+    assert kernel_from_descriptor({"signed_f0": {"alpha": 3}}).alpha == 3.0
+    with pytest.raises(NotAdmissible, match="unknown kernel descriptor"):
+        kernel_from_descriptor({"sinc": {}})
+    with pytest.raises(NotAdmissible, match="1/4"):
+        kernel_from_descriptor({"cauchy": {"scale": 0.2}})
+
 
 def test_f0_and_cauchy_are_admissible():
     for f in (F0Kernel(), CauchyKernel(scale=1.0), CauchyKernel(scale=0.3)):
@@ -262,6 +291,16 @@ def test_smear_is_an_average_for_central_input(sf3):
 # ---------------------------------------------------------------------------
 # superoperator level
 # ---------------------------------------------------------------------------
+
+def test_superop_flow_factors_is_one_read_only_grid(sf3):
+    freq = superop_flow_factors(sf3)
+    assert superop_flow_factors(sf3) is freq
+    assert not freq.flags.writeable
+    nu = sf3.kappa.reshape(-1)
+    np.testing.assert_array_equal(freq, nu[:, None] - nu[None, :])
+    with pytest.raises(ValueError):
+        freq[0, 1] = 0.0
+
 
 def test_superop_flow_conjugates_sandwiches(sf3, rng):
     A, B, X = (ginibre(3, rng) for _ in range(3))

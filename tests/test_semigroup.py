@@ -18,7 +18,7 @@ from mdf import (
     spectral_gap,
     tracial_state,
 )
-from mdf.linalg import dagger, ginibre, hs_inner, hs_norm, random_hermitian
+from mdf.linalg import ginibre, hs_inner, hs_norm, random_hermitian
 from mdf.semigroup import extreme_interval_element, random_interval_element
 
 
