@@ -70,7 +70,6 @@ from .modular import (
     sigma,
     smear,
     smear_quadrature,
-    superop_flow_factors,
     superop_modular_map,
     superop_sigma,
     superop_smear,
@@ -171,7 +170,6 @@ __all__ = [
     "smear",
     "smear_quadrature",
     "boundary_combination_smear",
-    "superop_flow_factors",
     "superop_sigma",
     "superop_smear",
     "superop_smear_quadrature",

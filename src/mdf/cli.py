@@ -385,7 +385,7 @@ class ScenarioContext:
 
     @cached_property
     def balance(self):
-        return check_balance_condition(self.sf, self.xs, seed=self.seed)
+        return check_balance_condition(self.sf, self.xs)
 
     @cached_property
     def criterion(self):
@@ -419,7 +419,7 @@ class ScenarioContext:
     @cached_property
     def general_weight_embedding(self):
         return max(
-            general_f_embedding_residual(self.sf, x, self.kernel, Hk, samples=20, seed=self.seed)
+            general_f_embedding_residual(self.sf, x, self.kernel, Hk)
             for x, Hk in zip(self.xs, self.parts)
         )
 
@@ -612,7 +612,7 @@ def _suite_lindblad(ctx):
     rec.gate("selfadjointness_consistent", sa.consistent, "==", True)
     rec.gate("criterion_matches_adjoint_gap", ctx.criterion_gap, "<", "algebraic")
     rec.gate("assembly_conjugation_vs_shifted", ctx.assembly_gap, "<", "algebraic")
-    kms = kms_symmetry_residual(sf, ctx.spec, samples=25, seed=ctx.seed)
+    kms = kms_symmetry_residual(sf, ctx.spec)
     rec.info("kms_symmetry", kms)
     integral = ctx.tol["integral"]
     rec.gate("kms_consistent", (kms < integral) == (sa.operator_residual < integral), "==", True)

@@ -80,16 +80,18 @@ _CERT_PARAMS = {F0Kernel: (), CauchyKernel: ("scale",), CosineModulatedF0: ("alp
 
 
 def _cert_key(f):
-    """Certificate-cache key: kernel class and parameters.
+    """Certificate-cache key: kernel class and parameters, or None.
 
-    Tabulated (and any other) kernels wrap arbitrary callables, so each
-    instance is its own key and no two share a certificate.
+    Tabulated (and any other) kernels wrap arbitrary callables, so they
+    get no key: each call certifies them afresh and the cache, keyed by
+    value only, stays bounded by the parametrized kernels in use.
     """
     if isinstance(f, BoundaryCombination):
-        return (BoundaryCombination, _cert_key(f.base))
+        base = _cert_key(f.base)
+        return None if base is None else (BoundaryCombination, base)
     params = _CERT_PARAMS.get(type(f))
     if params is None:
-        return f
+        return None
     return (type(f),) + tuple(getattr(f, p) for p in params)
 
 
@@ -105,7 +107,8 @@ def ensure_admissible(f):
     cert = _CERT_CACHE.get(key)
     if cert is None:
         cert = check_admissible(f)
-        _CERT_CACHE[key] = cert
+        if key is not None:
+            _CERT_CACHE[key] = cert
     if not cert.granted:
         raise NotAdmissible(
             f"weight {f.name!r} is not admissible: positivity_ok="

@@ -31,7 +31,7 @@ import numpy as np
 from .dirichlet import dirichlet_operator, ensure_admissible, split_self_adjoint
 from .errors import BalanceViolated, NotSelfAdjoint
 from .kernels import BoundaryCombination, F0Kernel
-from .linalg import check_square, dagger, ginibre, hermitian_defect, hs_inner, hs_norm
+from .linalg import check_square, dagger, hermitian_defect
 from .modular import (
     S_MAP,
     T_MAP,
@@ -41,7 +41,7 @@ from .modular import (
     smear,
     superop_smear,
 )
-from .standard_form import SuperOperator, symmetric_embed, tracial_state
+from .standard_form import SuperOperator, tracial_state
 
 #: balance-condition residual above this blocks the decomposition paths
 BALANCE_TOL = 1e-8
@@ -207,11 +207,12 @@ def build_Q(sf, xs, f=None, central_offset=0.0):
 class BalanceReport:
     """Residuals of the two equivalent balance statements.
 
-    ``condition_residual`` is the superoperator norm of
-    X -> sum x_k X x_k* - x_k* X x_k; ``lemma_residual`` the worst
-    normalized residual of the quarter-shifted sandwich identity over
-    random matrices.  ``equivalent`` records that the two verdicts
-    agree — their co-vanishing is itself a theorem under test.
+    ``condition_residual`` is the operator norm of the map
+    X -> sum x_k X x_k* - x_k* X x_k; ``lemma_residual`` the
+    Hilbert-Schmidt norm of its quarter-shifted counterpart
+    X -> sum sigma_{i/4}(x_k) X sigma_{-i/4}(x_k*) - sigma_{i/4}(x_k*) X sigma_{-i/4}(x_k).
+    ``equivalent`` records that the two verdicts agree — their
+    co-vanishing is itself a theorem under test.
     """
 
     condition_residual: float
@@ -223,7 +224,7 @@ class BalanceReport:
         return self.condition_residual < BALANCE_TOL
 
 
-def check_balance_condition(sf, xs, samples=64, seed=0):
+def check_balance_condition(sf, xs):
     """Measure both faces of the balance condition for a coupling family."""
     xs = [check_square(np.asarray(x, dtype=complex), sf.dim, "coupling") for x in xs]
     cond, dressed = [], []
@@ -232,16 +233,11 @@ def check_balance_condition(sf, xs, samples=64, seed=0):
         cond += [(x, xd), (-xd, x)]
         dressed += [(sigma(sf, x, 0.25j), sigma(sf, xd, -0.25j)),
                     (-sigma(sf, xd, 0.25j), sigma(sf, x, -0.25j))]
-    cond, dressed = _sandwich_sum(cond), _sandwich_sum(dressed)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        a = ginibre(sf.dim, rng)
-        worst = max(worst, hs_norm(dressed.apply(a)) / hs_norm(a))
-    cond_res = cond.norm()
-    equivalent = (cond_res < BALANCE_TOL) == (worst < BALANCE_TOL)
+    cond_res = _sandwich_sum(cond).norm()
+    lemma_res = _sandwich_sum(dressed).hs_norm()
+    equivalent = (cond_res < BALANCE_TOL) == (lemma_res < BALANCE_TOL)
     return BalanceReport(
-        condition_residual=cond_res, lemma_residual=worst, equivalent=equivalent
+        condition_residual=cond_res, lemma_residual=lemma_res, equivalent=equivalent
     )
 
 
@@ -379,22 +375,18 @@ def y_reconstruction_residual(sf, xs):
     return float(np.linalg.norm(lhs - rhs, 2))
 
 
-def kms_symmetry_residual(sf, spec, samples=50, seed=0):
-    """Worst sampled violation of <i0(LA), i0(B)> = <i0(A), i0(LB)>.
+def kms_symmetry_residual(sf, spec):
+    """||E L - L* E||_HS, E = i0* i0 = S(rho^{1/2}, rho^{1/2}).
 
-    This is the symmetry of the generator in the embedded inner
-    product; it vanishes exactly when the induced H is self-adjoint.
+    <i0(LA), i0(B)> = <i0(A), i0(LB)> for all A, B is the operator
+    identity E L = L* E: the symmetry of the generator in the embedded
+    inner product, which holds exactly when the induced H is
+    self-adjoint.  E is self-adjoint, so the residual is the
+    self-adjoint defect of E L.  No rho^{-1/4} enters, so this route is
+    independent of the induced operator.
     """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        a, b = ginibre(sf.dim, rng), ginibre(sf.dim, rng)
-        la = lindblad_apply(spec, a)
-        lb = lindblad_apply(spec, b)
-        lhs = complex(hs_inner(symmetric_embed(sf, la), symmetric_embed(sf, b)))
-        rhs = complex(hs_inner(symmetric_embed(sf, a), symmetric_embed(sf, lb)))
-        worst = max(worst, abs(lhs - rhs) / (hs_norm(a) * hs_norm(b)))
-    return worst
+    h, eye = sf.rho_power(0.5), np.eye(sf.dim)
+    return lindblad_superop(spec).sandwiched(h, h, eye, eye).selfadjoint_defect()
 
 
 # ---------------------------------------------------------------------------
@@ -443,17 +435,15 @@ def general_f_generator(sf, x, f, _left_coefficient_both_adjoint=False):
     return _sandwich_sum(coefficients) - k
 
 
-def general_f_embedding_residual(sf, x, f, H, samples=50, seed=0, **kwargs):
-    """Worst sampled residual of  i0(L(A)) = H i0(A),  H the Dirichlet operator of (x, f)."""
-    rng = np.random.default_rng(seed)
-    L = general_f_generator(sf, x, f, **kwargs)
-    worst = 0.0
-    for _ in range(samples):
-        a = ginibre(sf.dim, rng)
-        lhs = symmetric_embed(sf, L.apply(a))
-        rhs = H.apply(symmetric_embed(sf, a))
-        worst = max(worst, hs_norm(lhs - rhs) / hs_norm(a))
-    return worst
+def general_f_embedding_residual(sf, x, f, H, _left_coefficient_both_adjoint=False):
+    """||e0 L - H e0||_HS for  i0(L(A)) = H i0(A),  e0 = S(rho^{1/4}, rho^{1/4}).
+
+    L is :func:`general_f_generator` of (x, f) and H the Dirichlet
+    operator of (x, f).
+    """
+    r, eye = sf.rho_power(0.25), np.eye(sf.dim)
+    L = general_f_generator(sf, x, f, _left_coefficient_both_adjoint)
+    return (L.sandwiched(r, r, eye, eye) - H.sandwiched(eye, eye, r, r)).hs_norm()
 
 
 # ---------------------------------------------------------------------------

@@ -144,15 +144,6 @@ def boundary_combination_smear(sf, A, f):
 # The same calculus one level up: maps on superoperators
 # ---------------------------------------------------------------------------
 
-def superop_flow_factors(sf):
-    """Frequency grid nu_a - nu_b for superoperator entries (the cached, read-only member).
-
-    A superoperator K in rho-eigenbasis coordinates transforms under Delta^{it} K Delta^{-it}
-    by the entrywise phase exp(i t (nu_a - nu_b)), where nu is the vectorized kappa grid.
-    """
-    return sf.superop_frequencies
-
-
 def superop_smear(sf, K, f):
     """Smear a superoperator along the flow:  int Delta^{it} K Delta^{-it} f(t) dt.
 

@@ -311,7 +311,17 @@ def test_admissibility_cache_does_not_share_certificates(monkeypatch, rng):
         DirichletSpec(x=ginibre(2, rng), kernel=bad)
     for scale in (0.5, 2.0, 0.5):
         dirichlet.ensure_admissible(CauchyKernel(scale=scale))
-    assert len(dirichlet._CERT_CACHE) == 4
+    assert len(dirichlet._CERT_CACHE) == 2
+
+
+def test_admissibility_cache_holds_no_tabulated_kernel(monkeypatch):
+    monkeypatch.setattr(dirichlet, "_CERT_CACHE", {})
+    f0 = F0Kernel()
+    dirichlet.ensure_admissible(f0)
+    for _ in range(50):
+        fresh = TabulatedKernel(f0.eval, f0.strip_eval, truncation_radius=5.0)
+        assert dirichlet.ensure_admissible(fresh).granted
+    assert len(dirichlet._CERT_CACHE) == 1
 
 
 def test_verification_report_is_clean(sf3, rng):

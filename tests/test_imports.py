@@ -1,8 +1,9 @@
-"""Static check: every module of the package and of the tests uses what it imports.
+"""Static checks: every module of the package and of the tests uses what it
+imports, and every private module-level name of the package is read.
 
-``mdf/__init__.py`` is left out: importing is how it re-exports the API.
-No linter is a dependency, so the check is a walk over the standard
-library's ``ast``.
+``mdf/__init__.py`` is left out of the import check: importing is how it
+re-exports the API.  No linter is a dependency, so the checks are walks
+over the standard library's ``ast``.
 """
 
 import ast
@@ -11,7 +12,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-FILES = [p for p in sorted((ROOT / "src" / "mdf").glob("*.py")) if p.name != "__init__.py"]
+PACKAGE = sorted((ROOT / "src" / "mdf").glob("*.py"))
+FILES = [p for p in PACKAGE if p.name != "__init__.py"]
 FILES += sorted((ROOT / "tests").glob("*.py"))
 
 
@@ -35,3 +37,47 @@ def test_no_unused_imports(path):
 def test_the_check_flags_what_is_never_read():
     source = "import os.path\nimport numpy as np\nfrom a import b, c as d\nd(np)\n"
     assert unused_imports(source) == ["b (line 3)", "os (line 1)"]
+
+
+def unread_private_names(sources):
+    """'module:name' for each module-level ``_name`` the sources define and never read.
+
+    ``sources`` maps a module name to its source.  A read is a loaded
+    name, an attribute of that name, or an import of it, in any of the
+    sources; dunder names are left out.
+    """
+    defined, read = set(), set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.add((module, name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(f"{module}:{name}" for module, name in defined if name not in read)
+
+
+def test_every_private_name_of_the_package_is_read():
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    assert unread_private_names(sources) == []
+
+
+def test_the_private_name_check_flags_what_is_never_read():
+    sources = {
+        "a": "_X = 1\n_Y, __all__ = 2, []\ndef _f():\n    return _X\nclass _C:\n    pass\n",
+        "b": "from a import _C\nimport a\na._f()\n",
+    }
+    assert unread_private_names(sources) == ["a:_Y"]

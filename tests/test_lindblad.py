@@ -5,6 +5,7 @@ import pytest
 
 from mdf import (
     BalanceViolated,
+    build_standard_form,
     CauchyKernel,
     F0Kernel,
     LindbladSpec,
@@ -33,7 +34,7 @@ from mdf import (
     verify_tracial_case,
     y_reconstruction_residual,
 )
-from mdf.linalg import dagger, ginibre, hs_norm, random_hermitian
+from mdf.linalg import dagger, ginibre, hs_inner, hs_norm, random_hermitian
 
 
 def _e(i, j, n=2):
@@ -211,9 +212,9 @@ def test_hs_residuals_are_never_below_the_spectral_ones(sf3, rng):
 def test_kms_symmetry_matches_selfadjointness(sf3, rng):
     g = ginibre(3, rng)
     spec = spec_from_couplings(sf3, [g, dagger(g)], Q="auto")
-    assert kms_symmetry_residual(sf3, spec, samples=20, seed=1) < 1e-10
+    assert kms_symmetry_residual(sf3, spec) < 1e-10
     lone = spec_from_couplings(sf3, [g], Q="auto")
-    assert kms_symmetry_residual(sf3, lone, samples=20, seed=1) > 1e-3
+    assert kms_symmetry_residual(sf3, lone) > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +295,7 @@ def test_general_weight_embedding(sf3, rng):
     f = CauchyKernel(scale=1.0)
     for x in (random_hermitian(3, rng), ginibre(3, rng)):
         H = dirichlet_operator(sf3, x, f)
-        assert general_f_embedding_residual(sf3, x, f, H, samples=20, seed=2) < 1e-10
+        assert general_f_embedding_residual(sf3, x, f, H) < 1e-10
 
 
 def test_wrong_left_coefficient_variant_is_caught_by_embedding(sf3, rng):
@@ -305,18 +306,127 @@ def test_wrong_left_coefficient_variant_is_caught_by_embedding(sf3, rng):
     f = CauchyKernel(scale=1.0)
     x = ginibre(3, rng)
     H = dirichlet_operator(sf3, x, f)
-    good = general_f_embedding_residual(sf3, x, f, H, samples=20, seed=3)
-    bad = general_f_embedding_residual(
-        sf3, x, f, H, samples=20, seed=3, _left_coefficient_both_adjoint=True
-    )
+    good = general_f_embedding_residual(sf3, x, f, H)
+    bad = general_f_embedding_residual(sf3, x, f, H, _left_coefficient_both_adjoint=True)
     assert good < 1e-10
     assert bad > 1e-2
     h = random_hermitian(3, rng)
     bad_h = general_f_embedding_residual(
-        sf3, h, f, dirichlet_operator(sf3, h, f), samples=20, seed=3,
-        _left_coefficient_both_adjoint=True,
+        sf3, h, f, dirichlet_operator(sf3, h, f), _left_coefficient_both_adjoint=True
     )
     assert bad_h < 1e-10  # invisible on Hermitian couplings
+
+
+# ---------------------------------------------------------------------------
+# the three operator identities are exact Hilbert-Schmidt residuals: each
+# equals a dense np.kron reference, and bounds the sampled loop it replaced
+# ---------------------------------------------------------------------------
+
+def _kron_sandwich(A, B):
+    """Dense matrix of X -> A X B in the row-major vec basis."""
+    return np.kron(A, B.T)
+
+
+def _rho_power(sf, p):
+    w, U = np.linalg.eigh(sf.rho.entries)
+    return (U * w**p) @ dagger(U)
+
+
+FAMILY_NAMES = ("hermitian", "pair", "single")
+
+
+def _family(n, name):
+    """A random faithful state and a balanced ('hermitian', 'pair') or unbalanced ('single') family."""
+    rng = np.random.default_rng([n, FAMILY_NAMES.index(name)])
+    g = ginibre(n, rng)
+    rho = g @ dagger(g) + 0.3 * np.eye(n)
+    sf = build_standard_form(rho / np.trace(rho).real)
+    g = ginibre(n, rng)
+    xs = {"hermitian": [random_hermitian(n, rng)], "pair": [g, dagger(g)], "single": [g]}[name]
+    return sf, xs
+
+
+FAMILIES = pytest.mark.parametrize("name", FAMILY_NAMES)
+DIMS = pytest.mark.parametrize("n", [2, 3, 4])
+
+
+def _sampled_kms(sf, spec, samples=50, seed=0):
+    """The former sampled KMS loop: worst |<i0(LA), i0(B)> - <i0(A), i0(LB)>| / |A||B|."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        a, b = ginibre(sf.dim, rng), ginibre(sf.dim, rng)
+        lhs = hs_inner(symmetric_embed(sf, lindblad_apply(spec, a)), symmetric_embed(sf, b))
+        rhs = hs_inner(symmetric_embed(sf, a), symmetric_embed(sf, lindblad_apply(spec, b)))
+        worst = max(worst, abs(lhs - rhs) / (hs_norm(a) * hs_norm(b)))
+    return worst
+
+
+def _sampled_norm(mat, n, samples=64, seed=0):
+    """The former sampled loops' worst |K vec(A)| / |A| of a dense n^2 x n^2 matrix.
+
+    The balance loop applied the dressed sandwich map, the embedding loop
+    the gap e0 L - H e0; both divided by |A|.
+    """
+    rng = np.random.default_rng(seed)
+    return max(np.linalg.norm(mat @ a.reshape(-1)) / hs_norm(a)
+               for a in (ginibre(n, rng) for _ in range(samples)))
+
+
+@DIMS
+@FAMILIES
+def test_kms_residual_is_the_exact_hs_defect(n, name):
+    sf, xs = _family(n, name)
+    spec = spec_from_couplings(sf, xs, Q="auto")
+    eye = np.eye(n)
+    L = 1j * (_kron_sandwich(spec.Q, eye) - _kron_sandwich(eye, spec.Q))
+    for y in spec.ys:
+        w = dagger(y) @ y
+        L += _kron_sandwich(w, eye) + _kron_sandwich(eye, w) - 2.0 * _kron_sandwich(dagger(y), y)
+    h = _rho_power(sf, 0.5)
+    EL = _kron_sandwich(h, h) @ L
+    reference = np.linalg.norm(EL - dagger(EL))
+    exact = kms_symmetry_residual(sf, spec)
+    assert abs(exact - reference) <= 1e-12 * np.linalg.norm(EL)
+    if name == "single":
+        assert exact >= _sampled_kms(sf, spec) > 1e-3
+
+
+@DIMS
+@FAMILIES
+def test_balance_lemma_residual_is_the_exact_hs_norm(n, name):
+    sf, xs = _family(n, name)
+    r, r_inv = _rho_power(sf, 0.25), _rho_power(sf, -0.25)
+    terms = [
+        (_kron_sandwich(r_inv @ a @ r, r @ dagger(a) @ r_inv),
+         _kron_sandwich(r_inv @ dagger(a) @ r, r @ a @ r_inv))
+        for a in xs
+    ]
+    dressed = sum(p - q for p, q in terms)
+    rep = check_balance_condition(sf, xs)
+    scale = sum(np.linalg.norm(p) + np.linalg.norm(q) for p, q in terms)
+    assert abs(rep.lemma_residual - np.linalg.norm(dressed)) <= 1e-12 * scale
+    assert rep.equivalent
+    if name == "single":
+        assert rep.lemma_residual >= _sampled_norm(dressed, n) > 1e-3
+
+
+@DIMS
+@FAMILIES
+def test_embedding_residual_is_the_exact_hs_gap(n, name):
+    sf, xs = _family(n, name)
+    f = CauchyKernel(scale=1.0)
+    r = _rho_power(sf, 0.25)
+    e0 = _kron_sandwich(r, r)
+    for x in xs:
+        H = dirichlet_operator(sf, x, f)
+        for wrong in (False, True):
+            L = general_f_generator(sf, x, f, _left_coefficient_both_adjoint=wrong)
+            gap = e0 @ L.mat - H.mat @ e0
+            exact = general_f_embedding_residual(sf, x, f, H, _left_coefficient_both_adjoint=wrong)
+            assert abs(exact - np.linalg.norm(gap)) <= 1e-12 * np.linalg.norm(e0 @ L.mat)
+            if wrong and name != "hermitian":
+                assert exact >= _sampled_norm(gap, n, samples=50) > 1e-3
 
 
 # ---------------------------------------------------------------------------

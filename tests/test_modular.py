@@ -31,7 +31,6 @@ from mdf import (
     superop_modular_map,
     superop_sigma,
     superop_smear,
-    superop_flow_factors,
     superop_smear_quadrature,
 )
 from mdf.linalg import dagger, ginibre, hs_norm
@@ -292,9 +291,9 @@ def test_smear_is_an_average_for_central_input(sf3):
 # superoperator level
 # ---------------------------------------------------------------------------
 
-def test_superop_flow_factors_is_one_read_only_grid(sf3):
-    freq = superop_flow_factors(sf3)
-    assert superop_flow_factors(sf3) is freq
+def test_superop_frequencies_is_one_read_only_grid(sf3):
+    freq = sf3.superop_frequencies
+    assert sf3.superop_frequencies is freq
     assert not freq.flags.writeable
     nu = sf3.kappa.reshape(-1)
     np.testing.assert_array_equal(freq, nu[:, None] - nu[None, :])

@@ -28,7 +28,6 @@ from mdf import dirichlet, kernels
 from mdf.dirichlet import ENGINE_QUADRATURE, coupling_quadratic, form_eval
 from mdf.kernels import PANEL_NODES, PANEL_WIDTH, _panel_rule
 from mdf.linalg import dagger, ginibre, hs_inner, hs_norm
-from mdf.modular import superop_flow_factors
 
 
 def _dense_orbit(sf, y, ts, shift):
@@ -59,7 +58,7 @@ def dense_quadrature_reference(sf, x, kernel):
             D -= np.einsum("ip,kqj->kijpq", eye, B).reshape(m, N, N)
             H += np.einsum("k,kab,kac->bc", wc, D.conj(), D, optimize=True)
     # the tail in the working basis, not the engine's eigenbasis tail
-    tail = kernel.tail_hat(superop_flow_factors(sf), radius)
+    tail = kernel.tail_hat(sf.superop_frequencies, radius)
     if tail is not None:
         H += sf.superop_multiplier(coupling_quadratic(sf, x), tail).mat
     return SuperOperator(H, n)
