@@ -72,6 +72,7 @@ from .lindblad import (
     induced_operator,
     induced_operator_shifted,
     kms_symmetry_residual,
+    lindblad_superop,
     selfadjoint_component_decomposition,
     selfadjointness_residual,
     spec_from_couplings,
@@ -263,9 +264,9 @@ def parse_scenario(obj):
         try:
             ensure_admissible(kernel)
         except NotAdmissible as exc:
-            raise SchemaError(
-                "kernel: not admissible; signed weights require negative_control: true"
-            ) from exc
+            signed = not kernel.certificate().positivity_ok
+            hint = "; signed weights require negative_control: true" if signed else ""
+            raise SchemaError(f"kernel: {exc}{hint}") from exc
 
     suites = obj.get("suites", list(SUITES))
     if not isinstance(suites, list) or not suites:
@@ -372,8 +373,12 @@ class ScenarioContext:
         return spec_from_couplings(self.sf, self.xs, Q="auto")
 
     @cached_property
+    def generator(self):
+        return lindblad_superop(self.spec)
+
+    @cached_property
     def induced(self):
-        return induced_operator(self.sf, self.spec)
+        return induced_operator(self.sf, self.generator)
 
     @cached_property
     def induced_shifted(self):
@@ -612,14 +617,14 @@ def _suite_lindblad(ctx):
     rec.gate("selfadjointness_consistent", sa.consistent, "==", True)
     rec.gate("criterion_matches_adjoint_gap", ctx.criterion_gap, "<", "algebraic")
     rec.gate("assembly_conjugation_vs_shifted", ctx.assembly_gap, "<", "algebraic")
-    kms = kms_symmetry_residual(sf, ctx.spec)
+    kms = kms_symmetry_residual(sf, ctx.generator)
     rec.info("kms_symmetry", kms)
     integral = ctx.tol["integral"]
     rec.gate("kms_consistent", (kms < integral) == (sa.operator_residual < integral), "==", True)
     if balance.balanced:
         rec.gate("selfadjointness_operator", sa.operator_residual, "<", "integral")
         rec.gate("dirichlet_decomposition", ctx.decomposition, "<", "decomposition")
-        _, comp_res = selfadjoint_component_decomposition(sf, xs, ctx.spec, balance)
+        _, comp_res = selfadjoint_component_decomposition(sf, xs, ctx.generator, balance)
         rec.gate("component_decomposition", comp_res, "<", "decomposition")
         rec.gate("y_reconstruction", y_reconstruction_residual(sf, xs), "<", "integral")
     else:

@@ -48,11 +48,8 @@ from .kernels import (
     PANEL_NODES,
     PANEL_WIDTH,
     BoundaryCombination,
-    CauchyKernel,
-    CosineModulatedF0,
     F0Kernel,
     _panel_rule,
-    check_admissible,
 )
 from .linalg import (
     check_square,
@@ -73,48 +70,18 @@ ENGINES = (ENGINE_EXACT, ENGINE_QUADRATURE)
 #: engines past this relative gap are treated as a build failure
 ENGINE_AGREEMENT_RTOL = 1e-6
 
-_CERT_CACHE = {}
-
-#: kernel classes whose certificate is fixed by these parameters
-_CERT_PARAMS = {F0Kernel: (), CauchyKernel: ("scale",), CosineModulatedF0: ("alpha",)}
-
-
-def _cert_key(f):
-    """Certificate-cache key: kernel class and parameters, or None.
-
-    Tabulated (and any other) kernels wrap arbitrary callables, so they
-    get no key: each call certifies them afresh and the cache, keyed by
-    value only, stays bounded by the parametrized kernels in use.
-    """
-    if isinstance(f, BoundaryCombination):
-        base = _cert_key(f.base)
-        return None if base is None else (BoundaryCombination, base)
-    params = _CERT_PARAMS.get(type(f))
-    if params is None:
-        return None
-    return (type(f),) + tuple(getattr(f, p) for p in params)
-
-
 def ensure_admissible(f):
-    """Return the (cached) admissibility certificate of f or raise.
+    """Return the admissibility certificate of f or raise.
 
     Raises
     ------
     NotAdmissible
-        If any of positivity, boundary behaviour, or strip decay fails.
+        Naming each of positivity, boundary combination, or strip decay that fails.
     """
-    key = _cert_key(f)
-    cert = _CERT_CACHE.get(key)
-    if cert is None:
-        cert = check_admissible(f)
-        if key is not None:
-            _CERT_CACHE[key] = cert
+    cert = f.certificate()
     if not cert.granted:
-        raise NotAdmissible(
-            f"weight {f.name!r} is not admissible: positivity_ok="
-            f"{cert.positivity_ok}, boundary={cert.boundary_status!r}, "
-            f"decay_ok={cert.decay_ok}"
-        )
+        failed = ", ".join(cert.failures)
+        raise NotAdmissible(f"weight {f.name!r} is not admissible: {failed} failed")
     return cert
 
 
@@ -124,9 +91,9 @@ class DirichletSpec:
 
     ``check_kernel=False`` skips the admissibility gate; that is the
     switch for deliberately signed weights used as negative controls.
-    The quadrature engine additionally requires a certified decay rate
-    (or the distinguished weight), since a truncated panel rule is
-    meaningless for slowly decaying weights without an analytic tail.
+    A granted certificate includes strip decay; the quadrature engine
+    still refuses a weight that no radius up to 1024 truncates (see
+    :meth:`KernelFunction.quadrature_radius`).
     """
 
     x: np.ndarray
@@ -143,12 +110,7 @@ class DirichletSpec:
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; expected one of {ENGINES}")
         if self.check_kernel:
-            cert = ensure_admissible(self.kernel)
-            if self.engine == ENGINE_QUADRATURE and not cert.decay_ok:
-                raise NotAdmissible(
-                    f"weight {self.kernel.name!r} has no certified decay; "
-                    "the quadrature engine cannot truncate it"
-                )
+            ensure_admissible(self.kernel)
 
 
 def _resolve_spec(spec, kernel, engine, check_kernel):
@@ -210,11 +172,6 @@ def split_self_adjoint(x):
     return x1, x2
 
 
-def _radius(kernel):
-    """Truncation radius of the panel rule; the structured tail covers the rest."""
-    return float(kernel.truncation_radius or 16.0)
-
-
 def _orbit_chunks(sf, x, kernel):
     """The panel rule of ``kernel`` over the literal flow orbits, in node chunks.
 
@@ -224,7 +181,7 @@ def _orbit_chunks(sf, x, kernel):
     couplings times the phases e^{i t kappa_jk}.  A chunk is sized so
     that eight (m, n, n) stacks hold ``_CHUNK_ENTRIES`` entries in all.
     """
-    ts, ws = _panel_rule(_radius(kernel), PANEL_WIDTH, PANEL_NODES)
+    ts, ws = _panel_rule(kernel.quadrature_radius(), PANEL_WIDTH, PANEL_NODES)
     fw = ws * kernel.eval(ts)
     shifted = list(zip(*_shifted_couplings(sf, x)))
     chunk = max(1, _CHUNK_ENTRIES // (8 * sf.dim**2))
@@ -241,7 +198,7 @@ def _structured_tail(sf, G0, kernel):
     quadratic G0, so the tail is G0 times the analytic tail transform;
     weights without one (fast-decaying, radius for ~1e-13 mass) get zero.
     """
-    tail = kernel.tail_hat(sf.superop_frequencies, _radius(kernel))
+    tail = kernel.tail_hat(sf.superop_frequencies, kernel.quadrature_radius())
     return G0 * 0.0 if tail is None else SuperOperator(G0.mat * tail, sf.dim)
 
 

@@ -1,18 +1,23 @@
-"""Smearing kernels, their Fourier transforms, and admissibility checks.
+"""Smearing kernels, their Fourier transforms, and admissibility certificates.
 
 A kernel is a real, even, nonnegative function f on the line that
 extends analytically to the strip |Im z| <= 1/4.  Each kernel exposes
 
 * ``eval(t)``       -- values on the real axis (vectorized),
 * ``strip_eval(t, s)`` -- values at t + i s for |s| <= 1/4,
-* ``hat(kappa)``    -- the Fourier transform  int f(t) e^{i kappa t} dt.
+* ``hat(kappa)``    -- the Fourier transform  int f(t) e^{i kappa t} dt,
+* ``certificate()`` -- its :class:`AdmissibilityCertificate`.
 
 Two routes to ``hat`` exist: a closed form where available, and a
 composite Gauss-Legendre quadrature (64 nodes per panel, panel width
-1/2, symmetric truncation chosen from the kernel's decay, plus an
-analytic tail correction for slowly decaying kernels).  The quadrature
-route is deliberately independent so it can serve as an oracle for the
-closed forms, and vice versa.
+1/2, symmetric truncation at ``quadrature_radius()``, plus an analytic
+tail correction for slowly decaying kernels).  The quadrature route is
+deliberately independent so it can serve as an oracle for the closed
+forms, and vice versa.
+
+Certificates split the same way: ``F0Kernel`` and ``CauchyKernel`` derive
+theirs exactly from their parameters; every other kernel is certified by
+the sampled :func:`check_admissible`.
 """
 
 from dataclasses import dataclass
@@ -44,24 +49,11 @@ def _panel_rule(radius, width, nodes):
     return t, wt
 
 
-def integrate_on_line(g, radius, width=PANEL_WIDTH, nodes=PANEL_NODES):
-    """Integrate a vectorized callable g(t) over [-radius, radius].
-
-    g may return an array whose leading axis matches t; the weighted sum
-    is taken over that axis, so matrix-valued integrands work directly.
-    """
-    t, wt = _panel_rule(float(radius), float(width), int(nodes))
-    vals = g(t)
-    return np.tensordot(wt, vals, axes=(0, 0))
-
-
 class KernelFunction:
     """Base class; concrete kernels fill in eval/strip_eval and hat data."""
 
     name = "kernel"
-    #: closed-form hat available
-    has_closed_hat = False
-    #: truncation radius giving quadrature tail below ~1e-13 (None = needs tail)
+    #: truncation radius giving quadrature tail below ~1e-13 (None: grown from the decay)
     truncation_radius = None
 
     def eval(self, t):
@@ -71,14 +63,20 @@ class KernelFunction:
         raise NotImplementedError
 
     def hat(self, kappa):
-        """Fourier transform at kappa (closed form when the kernel has one)."""
-        if self.has_closed_hat:
-            raise NotImplementedError
+        """Fourier transform at kappa; kernels with a closed form override this."""
         return self.hat_quadrature(kappa)
 
     def tail_hat(self, kappa, radius):
         """Analytic value of int_{|t| > radius} f(t) e^{i kappa t} dt, or None."""
         return None
+
+    def certificate(self):
+        """The :class:`AdmissibilityCertificate`; sampled unless a kernel has a closed form."""
+        return check_admissible(self)
+
+    def quadrature_radius(self):
+        """Truncation radius of every panel rule: the declared one, else grown from the decay."""
+        return float(self.truncation_radius or self._grow_truncation())
 
     def hat_quadrature(self, kappa):
         """Quadrature route for the Fourier transform (vectorized in kappa).
@@ -91,13 +89,11 @@ class KernelFunction:
         halved once as a convergence check.
         """
         kappa = np.asarray(kappa, dtype=float)
-        T = self.truncation_radius
-        if T is None:
-            T = self._grow_truncation()
+        T = self.quadrature_radius()
         k, where = np.unique(np.abs(kappa).reshape(-1), return_inverse=True)
 
         def run(width):
-            t, wt = _panel_rule(float(T), float(width), PANEL_NODES)
+            t, wt = _panel_rule(T, float(width), PANEL_NODES)
             wf = wt * self.eval(t)
             step = max(1, _CHUNK_ENTRIES // t.size)
             return np.concatenate(
@@ -141,7 +137,6 @@ class F0Kernel(KernelFunction):
     """
 
     name = "f0"
-    has_closed_hat = True
     # (2/pi) e^{-2 pi T} < 1e-13 already at T = 5
     truncation_radius = 5.0
     boundary_status = "distributional"
@@ -162,6 +157,23 @@ class F0Kernel(KernelFunction):
         out = 0.5 / np.cosh(kappa / 4.0)
         return out if out.ndim else float(out)
 
+    def certificate(self):
+        """Closed-form certificate.
+
+        (a) sech(2 pi t) > 0 on the real axis.
+        (b) cosh(2 pi t +- i pi/2) = +- i sinh(2 pi t), so f0(t + i/4) + f0(t - i/4)
+            vanishes off t = 0; with its poles at t = 0 it is the delta, whose
+            transform (e^{kappa/4} + e^{-kappa/4}) hat_f0(kappa) is 1.
+        (c) |cosh(2 pi (t + i s))|^2 = sinh(2 pi t)^2 + cos(2 pi s)^2, so on the strip
+            |f0(t + i s)| <= 1 / sinh(2 pi |t|) <= M e^{-2 pi |t|} for |t| >= 1/2 with
+            M = 2 / (1 - e^{-2 pi}): faster than every power, so ``decay_p`` is inf
+            and ``decay_log_M`` is log M.
+        """
+        log_M = float(np.log(2.0 / (1.0 - np.exp(-2.0 * np.pi))))
+        return AdmissibilityCertificate(
+            kernel=self.name, positivity_ok=True, boundary_status=self.boundary_status,
+            decay_p=np.inf, decay_log_M=log_M, decay_ok=True, grid=CLOSED_FORM)
+
 
 class CauchyKernel(KernelFunction):
     """Unit-mass Cauchy density s / (pi (s^2 + t^2)) with scale s > 1/4.
@@ -174,7 +186,6 @@ class CauchyKernel(KernelFunction):
     """
 
     name = "cauchy"
-    has_closed_hat = True
     truncation_radius = 64.0
 
     def __init__(self, scale=1.0):
@@ -198,6 +209,24 @@ class CauchyKernel(KernelFunction):
         kappa = np.asarray(kappa, dtype=float)
         out = np.exp(-self.scale * np.abs(kappa))
         return out if out.ndim else float(out)
+
+    def certificate(self):
+        """Closed-form certificate of f(z) = s / (pi (s^2 + z^2)); all hold as s > 1/4.
+
+        (a) f(t) > 0 on the real axis.
+        (b) f(t - i/4) = conj f(t + i/4), so the boundary combination is real, and
+            Re f(t + i/4) = s (c + t^2) / (pi |s^2 + (t + i/4)^2|^2) with c = s^2 - 1/16
+            is positive for every t exactly when s > 1/4.
+        (c) |s^2 + (t + i u)^2| >= c + t^2 for |u| <= 1/4, and (1 + v)^2 / (c + v^2)
+            peaks at v = c, so |f(t + i u)| (1 + |t|)^2 <= M = s (1 + c) / (pi c) on
+            the whole strip.  t^2 f(t) -> s / pi: the exponent p = 2 is exact.
+        """
+        s = self.scale
+        c = s * s - 1.0 / 16.0
+        log_M = float(np.log(s * (1.0 + c) / (np.pi * c)))
+        return AdmissibilityCertificate(
+            kernel=self.name, positivity_ok=True, boundary_status="pointwise",
+            decay_p=2.0, decay_log_M=log_M, decay_ok=True, grid=CLOSED_FORM)
 
     def tail_hat(self, kappa, radius):
         """int_{|t| > radius} f(t) e^{i kappa t} dt, exactly.
@@ -228,7 +257,6 @@ class CosineModulatedF0(KernelFunction):
     """
 
     name = "signed_f0"
-    has_closed_hat = True
     truncation_radius = 5.0
 
     def __init__(self, alpha=6.0):
@@ -285,7 +313,6 @@ class BoundaryCombination(KernelFunction):
     distribution and is rejected here).
     """
 
-    has_closed_hat = True
 
     def __init__(self, base):
         if getattr(base, "boundary_status", None) == "distributional":
@@ -341,7 +368,6 @@ class TabulatedKernel(KernelFunction):
         Override the automatic truncation search.
     """
 
-    has_closed_hat = False
 
     def __init__(self, fn, strip_fn=None, name="tabulated", truncation_radius=None):
         self._fn = fn
@@ -368,13 +394,18 @@ BOUNDARY_IM_TOL = 1e-10
 BOUNDARY_RE_FLOOR = -1e-12
 
 
+#: the ``grid`` of a certificate derived from the kernel's parameters
+CLOSED_FORM = "closed form in the kernel parameters"
+
+
 @dataclass(frozen=True)
 class AdmissibilityCertificate:
-    """Outcome of the three admissibility conditions on documented grids.
+    """Outcome of the three admissibility conditions, sampled or in closed form.
 
     ``boundary_status`` is one of ``"pointwise"`` (condition (b) holds on
-    the sample grid), ``"distributional"`` (exempt kernel whose boundary
-    combination is a delta), or ``"failed"``.
+    the sample grid, or for all t), ``"distributional"`` (exempt kernel
+    whose boundary combination is a delta), or ``"failed"``.  ``decay_p``
+    is inf for exponential decay.
     """
 
     kernel: str
@@ -386,12 +417,17 @@ class AdmissibilityCertificate:
     grid: str
 
     @property
-    def boundary_sum_ok(self):
-        return self.boundary_status in ("pointwise", "distributional")
+    def failures(self):
+        """The failing conditions, by name; empty when the certificate is granted."""
+        return [name for name, ok in (
+            ("positivity", self.positivity_ok),
+            ("boundary combination", self.boundary_status != "failed"),
+            (f"strip decay (p = {self.decay_p:.3g})", self.decay_ok),
+        ) if not ok]
 
     @property
     def granted(self):
-        return self.positivity_ok and self.boundary_sum_ok and self.decay_ok
+        return not self.failures
 
 
 def check_admissible(f):

@@ -133,14 +133,14 @@ def lindblad_apply(spec, A):
     return out
 
 
-def induced_operator(sf, spec):
-    """H = i0 . L . i0^{-1} by explicit conjugation with the embedding.
+def induced_operator(sf, L):
+    """H = i0 . L . i0^{-1} for the dense generator L, by conjugation with the embedding.
 
-    i0 = S(rho^{1/4}, rho^{1/4}), so the conjugation of the dense L is
-    one :meth:`SuperOperator.sandwiched`, O(n^5).
+    i0 = S(rho^{1/4}, rho^{1/4}), so the conjugation is one
+    :meth:`SuperOperator.sandwiched`, O(n^5).
     """
     r, r_inv = sf.rho_power(0.25), sf.rho_power(-0.25)
-    return lindblad_superop(spec).sandwiched(r, r, r_inv, r_inv)
+    return L.sandwiched(r, r, r_inv, r_inv)
 
 
 def induced_operator_shifted(sf, spec):
@@ -333,11 +333,11 @@ def decomposition_residual(H, total):
     return (H - total).hs_norm()
 
 
-def selfadjoint_component_decomposition(sf, xs, spec, balance):
+def selfadjoint_component_decomposition(sf, xs, L, balance):
     """Split each coupling into Hermitian components; L halves over them.
 
-    ``spec`` is the ``auto``-drift spec of xs and ``balance`` its
-    :class:`BalanceReport`.  Returns (components, residual) where
+    ``L`` is the dense generator of the ``auto``-drift spec of xs and
+    ``balance`` its :class:`BalanceReport`.  Returns (components, residual) where
     components lists the 2m Hermitian matrices of the split and residual
     is the Hilbert-Schmidt norm of L - (1/2) sum_k L_k, each L_k the
     generator of a single component with its own drift.  Requires
@@ -348,11 +348,10 @@ def selfadjoint_component_decomposition(sf, xs, spec, balance):
     for x in xs:
         x1, x2 = split_self_adjoint(x)
         components.extend([x2, x1])
-    full = lindblad_superop(spec)
     half = _sandwich_sum(
         [p for c in components for p in _lindblad_pairs(spec_from_couplings(sf, [c], Q="auto"))]
     )
-    residual = (full - 0.5 * half).hs_norm()
+    residual = (L - 0.5 * half).hs_norm()
     return components, residual
 
 
@@ -375,8 +374,8 @@ def y_reconstruction_residual(sf, xs):
     return float(np.linalg.norm(lhs - rhs, 2))
 
 
-def kms_symmetry_residual(sf, spec):
-    """||E L - L* E||_HS, E = i0* i0 = S(rho^{1/2}, rho^{1/2}).
+def kms_symmetry_residual(sf, L):
+    """||E L - L* E||_HS, E = i0* i0 = S(rho^{1/2}, rho^{1/2}), for the dense generator L.
 
     <i0(LA), i0(B)> = <i0(A), i0(LB)> for all A, B is the operator
     identity E L = L* E: the symmetry of the generator in the embedded
@@ -386,7 +385,7 @@ def kms_symmetry_residual(sf, spec):
     independent of the induced operator.
     """
     h, eye = sf.rho_power(0.5), np.eye(sf.dim)
-    return lindblad_superop(spec).sandwiched(h, h, eye, eye).selfadjoint_defect()
+    return L.sandwiched(h, h, eye, eye).selfadjoint_defect()
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +412,7 @@ def general_f_generator(sf, x, f, _left_coefficient_both_adjoint=False):
         For weights without a certificate.
     """
     x = check_square(np.asarray(x, dtype=complex), sf.dim, "coupling")
-    if not isinstance(f, F0Kernel):
-        ensure_admissible(f)
+    ensure_admissible(f)
     xd = dagger(x)
     eye = np.eye(sf.dim)
     coefficients, sandwiches = [], []

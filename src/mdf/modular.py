@@ -11,7 +11,7 @@ what makes the exact spectral engine of the Dirichlet module possible.
 import numpy as np
 
 from .errors import Overflow
-from .kernels import F0Kernel, PANEL_WIDTH, integrate_on_line
+from .kernels import F0Kernel, PANEL_NODES, PANEL_WIDTH, _panel_rule
 from .linalg import check_square, check_square_or_stack
 
 OVERFLOW_EXPONENT = 700.0
@@ -112,13 +112,10 @@ def smear_quadrature(sf, A, f, width=PANEL_WIDTH):
     """
     A = check_square(A, sf.dim, "operator")
     A_eig = sf.to_eigenbasis(A)
-    T = f.truncation_radius or 16.0
-
-    def orbit(t):
-        phases = np.exp(1j * np.multiply.outer(t, sf.kappa))
-        return f.eval(t)[:, None, None] * phases * A_eig[None, :, :]
-
-    core = integrate_on_line(orbit, T, width=width)
+    T = f.quadrature_radius()
+    t, wt = _panel_rule(T, float(width), PANEL_NODES)
+    orbit = f.eval(t)[:, None, None] * np.exp(1j * np.multiply.outer(t, sf.kappa)) * A_eig
+    core = np.tensordot(wt, orbit, axes=(0, 0))
     tail = f.tail_hat(sf.kappa.reshape(-1), T)
     if tail is not None:
         core = core + tail.reshape(sf.kappa.shape) * A_eig

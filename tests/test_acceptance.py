@@ -27,6 +27,7 @@ from mdf import (
     induced_operator,
     induced_operator_shifted,
     jordan_decompose,
+    lindblad_superop,
     markovianity_report,
     modular_map,
     nonmarkovian_control,
@@ -162,7 +163,7 @@ def test_detailed_balance_and_decomposition():
         families = [[random_hermitian(n, rng)], [g, dagger(g)]]
         for xs in families:
             spec = spec_from_couplings(sf, xs, Q="auto")
-            H = induced_operator(sf, spec)
+            H = induced_operator(sf, lindblad_superop(spec))
             worst_sa = max(
                 worst_sa, selfadjointness_residual(drift_criterion(sf, spec), H).operator_residual
             )
@@ -191,7 +192,7 @@ def test_detailed_balance_and_decomposition():
             worst_control = min(
                 worst_control,
                 selfadjointness_residual(
-                    drift_criterion(sf, bad), induced_operator(sf, bad)
+                    drift_criterion(sf, bad), induced_operator(sf, lindblad_superop(bad))
                 ).operator_residual,
             )
     assert worst_sa < 1e-8

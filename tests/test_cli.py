@@ -135,13 +135,28 @@ def test_parse_rejections_point_at_the_key(patch, key, tmp_path, capsys):
     assert re.search(pattern, capsys.readouterr().err)
 
 
-def test_signed_kernel_requires_the_control_flag():
-    with pytest.raises(SchemaError, match="negative_control"):
-        parse_scenario(_minimal(kernel={"signed_f0": {"alpha": 6.0}}))
+def test_signed_kernel_requires_the_control_flag(tmp_path, capsys):
+    signed = _minimal(kernel={"signed_f0": {"alpha": 6.0}})
+    with pytest.raises(SchemaError, match="positivity.* failed; .*negative_control: true"):
+        parse_scenario(signed)
+    p = tmp_path / "signed.json"
+    p.write_text(json.dumps(signed))
+    assert main(["run", str(p)]) == 2
+    assert "positivity" in capsys.readouterr().err
     s = parse_scenario(
         _minimal(kernel={"signed_f0": {"alpha": 6.0}}, negative_control=True)
     )
     assert s.negative_control
+
+
+def test_wide_cauchy_scenario_runs(tmp_path):
+    # the sampled decay fit refused every Cauchy scale above about 25.7 as signed
+    with open(os.path.join(os.path.dirname(corpus_paths()[0]), "balanced_pair_cauchy.json")) as fh:
+        obj = json.load(fh)
+    obj["kernel"] = {"cauchy": {"scale": 50.0}}
+    p = tmp_path / "wide_cauchy.json"
+    p.write_text(json.dumps(obj))
+    assert main(["run", str(p)]) == 0
 
 
 def test_dim_cap_env_override(monkeypatch):
@@ -396,6 +411,7 @@ def _digest(a):
 _SHARED = (
     "dirichlet_operator",
     "spec_from_couplings",
+    "lindblad_superop",
     "induced_operator",
     "induced_operator_shifted",
     "induced_adjoint_shifted",
@@ -469,10 +485,12 @@ def test_full_run_builds_each_shared_operator_once(monkeypatch):
         assert builds.count((_digest(x), "F0Kernel", None)) == 1
     for name in ("induced_operator", "induced_operator_shifted", "induced_adjoint_shifted"):
         assert [c for c in calls if c[0] == name] == [(name, "lindblad", None, "mdf.cli")]
-    # the component decomposition takes the context's balance report and builds its
-    # per-component specs inside mdf.lindblad
+    # the context builds the auto-drift spec, its balance report and its generator L
+    # once; the component decomposition takes all three and builds only its
+    # per-component specs, inside mdf.lindblad
     for name in ("spec_from_couplings", "check_balance_condition"):
         assert sum(c[0] == name and c[3] == "mdf.cli" for c in calls) == 1
+    assert [c[3] for c in calls if c[0] == "lindblad_superop"] == ["mdf.cli"]
     for name in ("verify_boundary_shift", "general_f_embedding_residual"):
         assert sum(c[0] == name for c in calls) == len(xs)
     assert [c for c in calls if c[1] == "proof_regression"] == []

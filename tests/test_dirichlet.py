@@ -19,6 +19,7 @@ from mdf import (
     DirichletSpec,
     F0Kernel,
     NotAdmissible,
+    QuadratureNotConverged,
     SuperOperator,
     build_standard_form,
     coupling_quadratic,
@@ -27,6 +28,7 @@ from mdf import (
     form_eval,
     jordan_decompose,
     sigma,
+    smear_quadrature,
     split_self_adjoint,
     superop_smear,
     tracial_state,
@@ -300,8 +302,7 @@ def test_spec_rejects_signed_kernel_by_default(rng):
                   check_kernel=False)
 
 
-def test_admissibility_cache_does_not_share_certificates(monkeypatch, rng):
-    monkeypatch.setattr(dirichlet, "_CERT_CACHE", {})
+def test_admissibility_cache_does_not_share_certificates(rng):
     f0, signed = F0Kernel(), CosineModulatedF0(alpha=6.0)
     good = TabulatedKernel(f0.eval, f0.strip_eval, truncation_radius=5.0)
     bad = TabulatedKernel(signed.eval, signed.strip_eval, truncation_radius=5.0)
@@ -311,17 +312,27 @@ def test_admissibility_cache_does_not_share_certificates(monkeypatch, rng):
         DirichletSpec(x=ginibre(2, rng), kernel=bad)
     for scale in (0.5, 2.0, 0.5):
         dirichlet.ensure_admissible(CauchyKernel(scale=scale))
-    assert len(dirichlet._CERT_CACHE) == 2
 
 
-def test_admissibility_cache_holds_no_tabulated_kernel(monkeypatch):
-    monkeypatch.setattr(dirichlet, "_CERT_CACHE", {})
+def test_admissibility_cache_holds_no_tabulated_kernel():
     f0 = F0Kernel()
     dirichlet.ensure_admissible(f0)
     for _ in range(50):
         fresh = TabulatedKernel(f0.eval, f0.strip_eval, truncation_radius=5.0)
         assert dirichlet.ensure_admissible(fresh).granted
-    assert len(dirichlet._CERT_CACHE) == 1
+
+
+def test_quadrature_routes_refuse_a_slow_kernel_without_a_radius(sf3, rng):
+    # Cauchy values with no declared radius and no analytic tail: the sampled
+    # certificate grants them (p ~ 2), but no panel rule up to |t| = 1024 holds their mass
+    cauchy = CauchyKernel(scale=1.0)
+    slow = TabulatedKernel(cauchy.eval, cauchy.strip_eval, name="tab_cauchy")
+    assert slow.certificate().granted
+    x = ginibre(3, rng)
+    with pytest.raises(QuadratureNotConverged):
+        dirichlet_operator(sf3, x, slow, ENGINE_QUADRATURE)
+    with pytest.raises(QuadratureNotConverged):
+        smear_quadrature(sf3, x, slow)
 
 
 def test_verification_report_is_clean(sf3, rng):

@@ -164,12 +164,14 @@ def test_skew_root_of_central_element_is_balanced(sf2):
 def test_induced_operator_selfadjoint_iff_balanced(sf3, rng):
     g = ginibre(3, rng)
     balanced = spec_from_couplings(sf3, [g, dagger(g)], Q="auto")
-    rep = selfadjointness_residual(drift_criterion(sf3, balanced), induced_operator(sf3, balanced))
+    H = induced_operator(sf3, lindblad_superop(balanced))
+    rep = selfadjointness_residual(drift_criterion(sf3, balanced), H)
     assert rep.operator_residual < 1e-10
     assert rep.consistent
 
     lone = spec_from_couplings(sf3, [g], Q="auto")
-    rep2 = selfadjointness_residual(drift_criterion(sf3, lone), induced_operator(sf3, lone))
+    H2 = induced_operator(sf3, lindblad_superop(lone))
+    rep2 = selfadjointness_residual(drift_criterion(sf3, lone), H2)
     assert rep2.operator_residual > 1e-3
     assert rep2.consistent  # criterion and operator agree on the verdict
 
@@ -186,11 +188,11 @@ def test_criterion_tracks_adjoint_gap_exactly(sf3, rng):
 def test_perturbed_drift_breaks_selfadjointness(sf3, rng):
     x = random_hermitian(3, rng)
     spec = spec_from_couplings(sf3, [x], Q="auto")
-    H = induced_operator(sf3, spec)
+    H = induced_operator(sf3, lindblad_superop(spec))
     assert selfadjointness_residual(drift_criterion(sf3, spec), H).operator_residual < 1e-10
     bad_q = spec.Q + 0.1 * (random_hermitian(3, rng) - np.trace(random_hermitian(3, rng)) / 3 * np.eye(3))
     bad = LindbladSpec(ys=spec.ys, Q=bad_q)
-    bad_H = induced_operator(sf3, bad)
+    bad_H = induced_operator(sf3, lindblad_superop(bad))
     assert selfadjointness_residual(drift_criterion(sf3, bad), bad_H).operator_residual > 1e-4
 
 
@@ -199,7 +201,7 @@ def test_hs_residuals_are_never_below_the_spectral_ones(sf3, rng):
     # the comparison with the former spectral-norm residuals is meaningful
     x = ginibre(3, rng)
     spec = spec_from_couplings(sf3, [x], Q="auto")
-    H = induced_operator(sf3, spec)
+    H = induced_operator(sf3, lindblad_superop(spec))
     criterion = drift_criterion(sf3, spec)
     sa = selfadjointness_residual(criterion, H)
     assert sa.operator_residual >= (H - H.adjoint()).norm() > 1e-3
@@ -212,9 +214,9 @@ def test_hs_residuals_are_never_below_the_spectral_ones(sf3, rng):
 def test_kms_symmetry_matches_selfadjointness(sf3, rng):
     g = ginibre(3, rng)
     spec = spec_from_couplings(sf3, [g, dagger(g)], Q="auto")
-    assert kms_symmetry_residual(sf3, spec) < 1e-10
+    assert kms_symmetry_residual(sf3, lindblad_superop(spec)) < 1e-10
     lone = spec_from_couplings(sf3, [g], Q="auto")
-    assert kms_symmetry_residual(sf3, lone) > 1e-3
+    assert kms_symmetry_residual(sf3, lindblad_superop(lone)) > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +230,7 @@ def test_balanced_generator_decomposes_into_dirichlet_operators(sf3, rng):
     total = parts[0]
     for p in parts[1:]:
         total = total + p
-    H = induced_operator(sf3, spec_from_couplings(sf3, xs, Q="auto"))
+    H = induced_operator(sf3, lindblad_superop(spec_from_couplings(sf3, xs, Q="auto")))
     assert decomposition_residual(H, total) < 1e-10
     assert (total - H).norm() < 1e-10
 
@@ -242,7 +244,8 @@ def test_component_decomposition(sf3, rng):
     g = ginibre(3, rng)
     xs = [g, dagger(g)]
     components, residual = selfadjoint_component_decomposition(
-        sf3, xs, spec_from_couplings(sf3, xs, Q="auto"), check_balance_condition(sf3, xs)
+        sf3, xs, lindblad_superop(spec_from_couplings(sf3, xs, Q="auto")),
+        check_balance_condition(sf3, xs),
     )
     assert len(components) == 4
     assert residual < 1e-10
@@ -263,8 +266,8 @@ def test_embedding_intertwines_generator_and_form_operator(sf3, rng):
     # rho^{1/4} L(a) rho^{1/4} = H rho^{1/4} a rho^{1/4}, unconditionally
     xs = [ginibre(3, rng)]
     spec = spec_from_couplings(sf3, xs, Q="auto")
-    H = induced_operator(sf3, spec)
     L = lindblad_superop(spec)
+    H = induced_operator(sf3, L)
     for _ in range(10):
         a = ginibre(3, rng)
         lhs = symmetric_embed(sf3, L.apply(a))
@@ -275,7 +278,7 @@ def test_embedding_intertwines_generator_and_form_operator(sf3, rng):
 def test_hermitian_singleton_induces_its_dirichlet_operator(sf3, rng):
     x = random_hermitian(3, rng)
     spec = spec_from_couplings(sf3, [x], Q="auto")
-    H = induced_operator(sf3, spec)
+    H = induced_operator(sf3, lindblad_superop(spec))
     D = dirichlet_operator(sf3, x)
     assert (H - D).norm() < 1e-10
 
@@ -386,7 +389,7 @@ def test_kms_residual_is_the_exact_hs_defect(n, name):
     h = _rho_power(sf, 0.5)
     EL = _kron_sandwich(h, h) @ L
     reference = np.linalg.norm(EL - dagger(EL))
-    exact = kms_symmetry_residual(sf, spec)
+    exact = kms_symmetry_residual(sf, lindblad_superop(spec))
     assert abs(exact - reference) <= 1e-12 * np.linalg.norm(EL)
     if name == "single":
         assert exact >= _sampled_kms(sf, spec) > 1e-3

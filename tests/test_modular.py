@@ -23,6 +23,7 @@ from mdf import (
     apply_I0,
     build_standard_form,
     check_admissible,
+    ensure_admissible,
     kernel_from_descriptor,
     modular_map,
     sigma,
@@ -33,6 +34,7 @@ from mdf import (
     superop_smear,
     superop_smear_quadrature,
 )
+from mdf.kernels import CLOSED_FORM
 from mdf.linalg import dagger, ginibre, hs_norm
 
 
@@ -174,6 +176,38 @@ def test_gaussian_fails_boundary_condition():
     assert cert.positivity_ok
     assert cert.boundary_status == "failed"
     assert not cert.granted
+
+
+@pytest.mark.parametrize(
+    "f", [F0Kernel(), CauchyKernel(0.26), CauchyKernel(1.0), CauchyKernel(20.0)],
+    ids=["f0", "cauchy_0.26", "cauchy_1", "cauchy_20"],
+)
+def test_closed_form_certificate_agrees_with_the_sampled_check(f):
+    closed, sampled = f.certificate(), check_admissible(f)
+    assert closed.grid == CLOSED_FORM != sampled.grid
+    for field in ("positivity_ok", "boundary_status", "decay_ok", "granted"):
+        assert getattr(closed, field) == getattr(sampled, field), field
+    assert closed.granted
+    assert closed.decay_p >= 2.0 and sampled.decay_p > 1.0
+
+
+@pytest.mark.parametrize("scale", [50.0, 200.0])
+def test_wide_cauchy_scales_are_granted(scale):
+    # the sampled decay fit over |t| in [10, 50] sees these weights flat
+    cert = ensure_admissible(CauchyKernel(scale))
+    assert cert.granted and cert.decay_p == 2.0
+
+
+@pytest.mark.parametrize("scale", [0.2501, 0.26, 1.0, 20.0, 50.0, 200.0])
+def test_cauchy_decay_bound_holds_on_the_strip(scale):
+    f = CauchyKernel(scale)
+    M = np.exp(f.certificate().decay_log_M)
+    half = np.geomspace(1e-4, 1e7, 20001)
+    t = np.concatenate([-half[::-1], [0.0], half])
+    strip = np.abs(f.strip_eval(t, np.linspace(-0.25, 0.25, 41)[:, None]))
+    worst = float(np.max(strip * (1.0 + np.abs(t)) ** 2))
+    assert worst <= M * (1 + 1e-12)
+    assert worst >= 0.5 * M  # and is not loose: at least half of it is attained
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,8 @@ def dense_quadrature_reference(sf, x, kernel):
     """The quadrature engine with the dense derivation D(t) formed at every node."""
     n = sf.dim
     N = n * n
-    radius = kernel.truncation_radius or 16.0
-    ts, ws = _panel_rule(float(radius), PANEL_WIDTH, PANEL_NODES)
+    radius = kernel.quadrature_radius()
+    ts, ws = _panel_rule(radius, PANEL_WIDTH, PANEL_NODES)
     fw = ws * kernel.eval(ts)
     eye = np.eye(n)
     H = np.zeros((N, N), dtype=complex)
