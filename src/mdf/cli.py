@@ -415,11 +415,7 @@ class ScenarioContext:
 
     @cached_property
     def boundary_shift(self):
-        """Worst boundary-shift residual, or the QuadratureNotConverged its oracle raised."""
-        try:
-            return max(verify_boundary_shift(self.sf, x, self.kernel) for x in self.xs)
-        except QuadratureNotConverged as exc:
-            return exc
+        return max(verify_boundary_shift(self.sf, x, self.kernel) for x in self.xs)
 
     @cached_property
     def general_weight_embedding(self):
@@ -478,13 +474,19 @@ class _Gates:
         return out
 
 
-def _record_boundary_shift(ctx, rec, violations):
-    """Gate the boundary-shift residual; an unconverged quadrature is inf and a violation."""
-    shift = ctx.boundary_shift
-    if isinstance(shift, QuadratureNotConverged):
-        violations.append({"kind": "quadrature_not_converged", "detail": str(shift)})
-        shift = float("inf")
-    rec.gate("boundary_shift_identity", shift, "<", "integral")
+#: the oracle failures recorded as data, by violation kind
+_ORACLE_FAILURES = {QuadratureNotConverged: "quadrature_not_converged",
+                    EngineDisagreement: "engine_disagreement"}
+
+
+def _gate_oracle(rec, violations, key, residual, bound):
+    """Gate ``residual()`` below ``bound``; a failed oracle is inf and a {kind, detail} entry."""
+    try:
+        value = residual()
+    except tuple(_ORACLE_FAILURES) as exc:
+        violations.append({"kind": _ORACLE_FAILURES[type(exc)], "detail": str(exc)})
+        value = float("inf")
+    rec.gate(key, value, "<", bound)
 
 
 def _hs_norms(X):
@@ -549,13 +551,15 @@ def _suite_modular(ctx):
     rec.gate("flow_star_compatibility", worst_star, "<", "algebraic")
     rec.gate("smear_inverts_T", worst_inverse, "<", "algebraic")
     rec.gate("flow_commutant_compatibility", worst_j, "<", "algebraic")
-    worst_smear = 0.0
-    for x in ctx.xs:
+
+    def smear_gap(x):
         exact = smear(sf, x, ctx.kernel)
-        quad = smear_quadrature(sf, x, ctx.kernel)
-        worst_smear = max(worst_smear, hs_norm(exact - quad) / max(hs_norm(exact), 1e-300))
-    rec.gate("smear_exact_vs_quadrature", worst_smear, "<", "integral")
-    return rec.report([])
+        return hs_norm(exact - smear_quadrature(sf, x, ctx.kernel)) / max(hs_norm(exact), 1e-300)
+
+    violations = []
+    _gate_oracle(rec, violations, "smear_exact_vs_quadrature",
+                 lambda: max(smear_gap(x) for x in ctx.xs), "integral")
+    return rec.report([], violations)
 
 
 def _suite_dirichlet(ctx):
@@ -584,19 +588,16 @@ def _suite_dirichlet(ctx):
         worst_split = max(worst_split, (Hk - 0.5 * (H1 + H2)).hs_norm())
     rec.gate("split_identity", worst_split, "<", "integral")
     if sf.dim <= 4:
-        try:
-            cross = max(
-                crosscheck_engines(sf, Hk, x, kernel, check_kernel=check_kernel)
-                for x, Hk in zip(xs, ctx.parts)
-            )
-        except EngineDisagreement as exc:
-            cross = float("inf")
-            violations.append({"kind": "engine_disagreement", "detail": str(exc)})
-        rec.gate("engine_crosscheck", cross, "<", "cross_engine")
+        rtol = ctx.tol["cross_engine"]
+        _gate_oracle(rec, violations, "engine_crosscheck", lambda: max(
+            crosscheck_engines(sf, Hk, x, kernel, rtol=rtol, check_kernel=check_kernel)
+            for x, Hk in zip(xs, ctx.parts)
+        ), "cross_engine")
     else:
         notes.append("engine cross-check skipped (dim > 4: quadrature engine is priced out)")
     if isinstance(kernel, CauchyKernel):
-        _record_boundary_shift(ctx, rec, violations)
+        _gate_oracle(rec, violations, "boundary_shift_identity", lambda: ctx.boundary_shift,
+                     "integral")
     if ctx.negative_control:
         # the signed weight must keep the structure and is allowed (not
         # required, at this suite's level) to break Markovianity
@@ -612,7 +613,7 @@ def _suite_lindblad(ctx):
     rec.info("balance_condition", balance.condition_residual)
     rec.info("balance_lemma", balance.lemma_residual)
     rec.gate("balance_equivalent", balance.equivalent, "==", True)
-    sa = selfadjointness_residual(ctx.criterion, ctx.induced)
+    sa = selfadjointness_residual(ctx.criterion, ctx.induced, tol=ctx.tol["integral"])
     rec.info("selfadjointness_criterion", sa.criterion_residual)
     rec.gate("selfadjointness_consistent", sa.consistent, "==", True)
     rec.gate("criterion_matches_adjoint_gap", ctx.criterion_gap, "<", "algebraic")
@@ -694,7 +695,8 @@ def _suite_proof_regression(ctx):
     else:
         notes.append("decomposition regression skipped (family unbalanced)")
     if isinstance(ctx.kernel, CauchyKernel):
-        _record_boundary_shift(ctx, rec, violations)
+        _gate_oracle(rec, violations, "boundary_shift_identity", lambda: ctx.boundary_shift,
+                     "integral")
         rec.gate("general_weight_embedding", ctx.general_weight_embedding, "<", "decomposition")
     return rec.report(notes, violations)
 

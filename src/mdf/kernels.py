@@ -13,7 +13,9 @@ composite Gauss-Legendre quadrature (64 nodes per panel, panel width
 1/2, symmetric truncation at ``quadrature_radius()``, plus an analytic
 tail correction for slowly decaying kernels).  The quadrature route is
 deliberately independent so it can serve as an oracle for the closed
-forms, and vice versa.
+forms, and vice versa; the smear oracles of ``modular`` are multipliers
+by ``hat_quadrature``.  The tail has one formula, :func:`_pole_tail`, read
+from the ``poles`` a kernel declares: (b, c) with f = (1/2 pi i) sum c / (t - i b).
 
 Certificates split the same way: ``F0Kernel`` and ``CauchyKernel`` derive
 theirs exactly from their parameters; every other kernel is certified by
@@ -55,6 +57,8 @@ class KernelFunction:
     name = "kernel"
     #: truncation radius giving quadrature tail below ~1e-13 (None: grown from the decay)
     truncation_radius = None
+    #: partial-fraction poles [(b, c), ...] with f = (1/2 pi i) sum c / (t - i b), or None
+    poles = None
 
     def eval(self, t):
         raise NotImplementedError
@@ -67,8 +71,8 @@ class KernelFunction:
         return self.hat_quadrature(kappa)
 
     def tail_hat(self, kappa, radius):
-        """Analytic value of int_{|t| > radius} f(t) e^{i kappa t} dt, or None."""
-        return None
+        """Analytic value of int_{|t| > radius} f(t) e^{i kappa t} dt; None without ``poles``."""
+        return None if self.poles is None else _pole_tail(kappa, radius, self.poles)
 
     def certificate(self):
         """The :class:`AdmissibilityCertificate`; sampled unless a kernel has a closed form."""
@@ -182,7 +186,8 @@ class CauchyKernel(KernelFunction):
     strip |Im z| <= 1/4 with margin.  The transform is e^{-s |kappa|}.
     The quadrature route cannot reach 1e-9 by truncation alone (the
     density decays like 1/t^2), so the tail integral over |t| > T is
-    added in closed form via the exponential integral E1.
+    added in closed form from the partial fractions
+    f = (1/2 pi i)(1/(t - i s) - 1/(t + i s)): poles (s, 1), (-s, -1).
     """
 
     name = "cauchy"
@@ -194,6 +199,7 @@ class CauchyKernel(KernelFunction):
                 f"Cauchy scale {scale} must exceed 1/4 for strip analyticity"
             )
         self.scale = float(scale)
+        self.poles = [(self.scale, 1.0), (-self.scale, -1.0)]
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)
@@ -227,23 +233,6 @@ class CauchyKernel(KernelFunction):
         return AdmissibilityCertificate(
             kernel=self.name, positivity_ok=True, boundary_status="pointwise",
             decay_p=2.0, decay_log_M=log_M, decay_ok=True, grid=CLOSED_FORM)
-
-    def tail_hat(self, kappa, radius):
-        """int_{|t| > radius} f(t) e^{i kappa t} dt, exactly.
-
-        Partial fractions give f = (1/2 pi i)(1/(t - is) - 1/(t + is)),
-        the pole tail of :func:`_pole_tail` with poles (s, 1), (-s, -1);
-        at kappa = 0 the tail mass is (2/pi) arctan(s/T).
-        """
-        kappa = np.asarray(kappa, dtype=float)
-        s, T = self.scale, float(radius)
-        k = np.abs(kappa)
-        out = np.empty(k.shape, dtype=float)
-        zero = k < 1e-300
-        out[zero] = (2.0 / np.pi) * np.arctan(s / T)
-        if not zero.all():
-            out[~zero] = _pole_tail(k[~zero], T, [(s, 1.0), (-s, -1.0)])
-        return out
 
 
 class CosineModulatedF0(KernelFunction):
@@ -280,28 +269,36 @@ class CosineModulatedF0(KernelFunction):
 
 def _pole_tail(kappa, radius, poles):
     """Tail  int_{|t| > radius} g(t) e^{i kappa t} dt  for a real, even g
-    given by the partial-fraction form g = (1/2 pi i) sum_j c_j / (t - i b_j).
+    given by the partial-fraction form g = (1/2 pi i) sum_j c_j / (t - i b_j)
+    with sum_j c_j = 0 (g decays like 1/t^2).
 
     For kappa > 0 each one-sided term rotates onto the exponential
     integral:  int_T^inf e^{i k t}/(t - i b) dt = e^{-k b} E1(-i k (T - i b));
     the left tail is the complex conjugate and the total is even in kappa.
 
+    kappa = 0 is the k -> 0 limit of that formula.  E1(z) = -gamma - log z
+    + O(z) and e^{-k b} = 1 + O(k), so the one-sided sum is
+    sum_j c_j (-gamma - log(-i k) - log(T - i b_j)) + O(k log k); the first
+    two terms carry the common factor sum_j c_j = 0, leaving
+    -(1/2 pi i) sum_j c_j log(T - i b_j).  With log(T - i b) =
+    log|T - i b| - i arctan(b/T), twice its real part is the tail mass
+    (1/pi) sum_j c_j arctan(b_j / T).
+
     scipy is imported here, its one use: ``import mdf`` does not load it.
     """
     from scipy.special import exp1
 
-    kappa = np.asarray(kappa, dtype=float)
+    k = np.abs(np.asarray(kappa, dtype=float))
     T = float(radius)
-    k = np.abs(kappa)
-    if np.any(k < 1e-300):
-        raise ValueError("pole tail is for kappa != 0; handle zero separately")
-    if np.max(k) * max(abs(b) for b, _ in poles) > 700:
+    if np.max(k, initial=0.0) * max(abs(b) for b, _ in poles) > 700:
         raise QuadratureNotConverged("pole tail factor overflows")
-    one_sided = np.zeros(k.shape, dtype=complex)
-    for b, c in poles:
-        one_sided += c * np.exp(-k * b) * exp1(-1j * k * (T - 1j * b))
-    one_sided /= 2j * np.pi
-    return 2 * np.real(one_sided)
+    zero = k < 1e-300
+    out = np.empty(k.shape, dtype=float)
+    out[zero] = (1.0 / np.pi) * sum(c * np.arctan(b / T) for b, c in poles)
+    kz = k[~zero]
+    one_sided = sum(c * np.exp(-kz * b) * exp1(-1j * kz * (T - 1j * b)) for b, c in poles)
+    out[~zero] = 2 * np.real(one_sided / (2j * np.pi))
+    return out
 
 
 class BoundaryCombination(KernelFunction):
@@ -323,6 +320,9 @@ class BoundaryCombination(KernelFunction):
         self.base = base
         self.name = f"boundary({base.name})"
         self.truncation_radius = base.truncation_radius
+        # c / (t + i/4 - i b) + c / (t - i/4 - i b): each base pole splits in two
+        if base.poles is not None:
+            self.poles = [(b + shift, c) for b, c in base.poles for shift in (-0.25, 0.25)]
 
     def eval(self, t):
         w = self.base.strip_eval(t, 0.25) + self.base.strip_eval(t, -0.25)
@@ -336,22 +336,6 @@ class BoundaryCombination(KernelFunction):
         e = np.exp(kappa / 4.0)
         out = (e + 1.0 / e) * self.base.hat(kappa)
         return out if out.ndim else float(out)
-
-    def tail_hat(self, kappa, radius):
-        if not isinstance(self.base, CauchyKernel):
-            return None
-        s = self.base.scale
-        a = 0.25
-        poles = [(s - a, 1.0), (-(s + a), -1.0), (s + a, 1.0), (-(s - a), -1.0)]
-        kappa = np.asarray(kappa, dtype=float)
-        out = _pole_tail(np.where(np.abs(kappa) < 1e-300, 1e-8, kappa), radius, poles)
-        zero = np.abs(kappa) < 1e-300
-        if np.any(zero):
-            # exact: int_{|t|>T} w dt = 4 Re (1/pi)(pi/2 - arctan((T + i a)/s))
-            z = (float(radius) + 1j * a) / s
-            val = 4.0 * float(np.real(np.pi / 2 - np.arctan(z))) / np.pi
-            out = np.where(zero, val, out)
-        return out
 
 
 class TabulatedKernel(KernelFunction):
@@ -389,7 +373,10 @@ class TabulatedKernel(KernelFunction):
 # ---------------------------------------------------------------------------
 
 POSITIVITY_GRID = (-50.0, 50.0, 0.01)
-DECAY_FIT_RANGE = (10.0, 50.0)
+#: the decay window [t0, 5 t0] starts where |f| first drops to 1e-2 |f(0)|, t0 in [10, 1024]
+DECAY_FIT_BOUNDS = (10.0, 1024.0)
+DECAY_FIT_DROP = 1e-2
+DECAY_FIT_WIDTH = 5.0
 BOUNDARY_IM_TOL = 1e-10
 BOUNDARY_RE_FLOOR = -1e-12
 
@@ -433,18 +420,33 @@ class AdmissibilityCertificate:
 def check_admissible(f):
     """Sample the admissibility conditions for a kernel.
 
-    (a) nonnegativity on the real grid [-50, 50] step 0.01;
+    The decay window is |t| in [t0, 5 t0], t0 the first t in 10, 11, ...,
+    1024 with |f(t)| <= 1e-2 |f(0)| (else 1024), so that a wide kernel is
+    fitted on its tail and not on its flat top.  The sample grid is
+    [-50, 50] step 0.01, extended by a geometric grid to |t| = 5 t0 when
+    the window reaches past 50.
+
+    (a) nonnegativity on the sample grid;
     (b) Re(f(t + i/4) + f(t - i/4)) >= -1e-12 with imaginary part below
         1e-10 on the same grid (skipped for kernels whose boundary
         combination is distributional);
-    (c) a least-squares fit of log|f| against log(1 + |t|) over
-        |t| in [10, 50] on nine strip lines must have slope <= -p with
+    (c) a least-squares fit of log|f| against log(1 + |t|) over the
+        decay window on nine strip lines must have slope <= -p with
         p > 1.
 
     Returns a certificate; nothing is raised on failure.
     """
     lo, hi, step = POSITIVITY_GRID
     t = np.arange(lo, hi + step / 2, step)
+    starts = np.arange(DECAY_FIT_BOUNDS[0], DECAY_FIT_BOUNDS[1] + 0.5)
+    small = np.abs(f.eval(starts)) <= DECAY_FIT_DROP * abs(f.eval(np.zeros(1))[0])
+    fit_lo = float(starts[np.argmax(small)]) if small.any() else DECAY_FIT_BOUNDS[1]
+    fit_hi = DECAY_FIT_WIDTH * fit_lo
+    grid = f"t in [{lo}, {hi}] step {step}"
+    if fit_hi > hi:
+        far = np.geomspace(hi, fit_hi, 2001)[1:]  # 2000 points a side past the step grid
+        t = np.concatenate([-far[::-1], t, far])
+        grid += f", geometric to |t| = {fit_hi}"
 
     vals = f.eval(t)
     positivity_ok = bool(np.min(vals) >= -1e-14)
@@ -458,7 +460,6 @@ def check_admissible(f):
         ) <= BOUNDARY_IM_TOL
         boundary_status = "pointwise" if ok else "failed"
 
-    fit_lo, fit_hi = DECAY_FIT_RANGE
     mask = (np.abs(t) >= fit_lo) & (np.abs(t) <= fit_hi)
     tt = t[mask]
     logs = np.log(1.0 + np.abs(tt))
@@ -481,7 +482,7 @@ def check_admissible(f):
         decay_p=float(p),
         decay_log_M=float(log_M),
         decay_ok=decay_ok,
-        grid=f"t in [{lo}, {hi}] step {step}; decay fit |t| in [{fit_lo}, {fit_hi}], 9 strip lines",
+        grid=f"{grid}; decay fit |t| in [{fit_lo}, {fit_hi}], 9 strip lines",
     )
 
 

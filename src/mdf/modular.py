@@ -3,6 +3,8 @@
 Every map here is an entrywise multiplier in the rho-eigenbasis: the
 flow at complex time z multiplies the (j, k) entry by exp(i z kappa_jk),
 and a kernel smear multiplies it by the kernel transform at kappa_jk.
+The quadrature oracles are the same multipliers with the transform taken
+from ``hat_quadrature`` instead of the closed form.
 The same mechanism lifts to superoperators, whose double-index entries
 pick up the transform at differences of the exponents; that lift is
 what makes the exact spectral engine of the Dirichlet module possible.
@@ -11,7 +13,7 @@ what makes the exact spectral engine of the Dirichlet module possible.
 import numpy as np
 
 from .errors import Overflow
-from .kernels import F0Kernel, PANEL_NODES, PANEL_WIDTH, _panel_rule
+from .kernels import F0Kernel
 from .linalg import check_square, check_square_or_stack
 
 OVERFLOW_EXPONENT = 700.0
@@ -102,24 +104,16 @@ def smear(sf, A, f):
     return _multiply_entrywise(sf, A, f.hat(sf.kappa))
 
 
-def smear_quadrature(sf, A, f, width=PANEL_WIDTH):
-    """Direct t-quadrature of  int sigma_t(A) f(t) dt  (oracle route).
+def smear_quadrature(sf, A, f):
+    """Quadrature route for  int sigma_t(A) f(t) dt  (oracle route).
 
-    Integrates the matrix-valued orbit on the kernel's truncation range
-    with the fixed panel rule, then adds the kernel's analytic tail
-    entrywise (the orbit of entry (j, k) is the pure phase
-    e^{i t kappa_jk}, so the tail factorizes exactly).
+    The orbit of eigenbasis entry (j, k) is the pure phase
+    e^{i t kappa_jk}, so the integral is the entrywise multiplier by the
+    kernel transform computed by t-quadrature plus its analytic tail:
+    the matrix-level twin of :func:`superop_smear_quadrature`.  Raises
+    ``QuadratureNotConverged`` when panel refinement moves the transform.
     """
-    A = check_square(A, sf.dim, "operator")
-    A_eig = sf.to_eigenbasis(A)
-    T = f.quadrature_radius()
-    t, wt = _panel_rule(T, float(width), PANEL_NODES)
-    orbit = f.eval(t)[:, None, None] * np.exp(1j * np.multiply.outer(t, sf.kappa)) * A_eig
-    core = np.tensordot(wt, orbit, axes=(0, 0))
-    tail = f.tail_hat(sf.kappa.reshape(-1), T)
-    if tail is not None:
-        core = core + tail.reshape(sf.kappa.shape) * A_eig
-    return sf.from_eigenbasis(core)
+    return _multiply_entrywise(sf, A, f.hat_quadrature(sf.kappa))
 
 
 def boundary_combination_smear(sf, A, f):

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mdf import EngineDisagreement, SchemaError, SuperOperator, cli, lindblad
+from mdf import EngineDisagreement, SchemaError, SuperOperator, cli, dirichlet, lindblad
 from mdf.cli import (
     SUITES,
     Scenario,
@@ -326,6 +326,72 @@ def test_unconverged_boundary_quadrature_is_recorded(tmp_path):
         assert "panel refinement" in suites[name]["violations"][0]["detail"]
     assert all(suites[name]["passed"] for name in ("standard_form", "modular", "lindblad",
                                                     "semigroup"))
+
+
+def _corpus_object(name):
+    with open(os.path.join(os.path.dirname(corpus_paths()[0]), f"{name}.json")) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("base, kernel, suites, failing, detail", [
+    # f0 cos(100 t) has a transform near e^{-25}: panel refinement cannot reach 1e-9 of it
+    ("nonmarkovian_control", {"signed_f0": {"alpha": 100.0}}, ["modular"],
+     {"modular": ["smear_exact_vs_quadrature"]}, "panel refinement"),
+    # e^{-k b} at pole b = -1000 overflows the tail formula of every quadrature oracle
+    ("balanced_pair_cauchy", {"cauchy": {"scale": 1000.0}}, None,
+     {"modular": ["smear_exact_vs_quadrature"],
+      "dirichlet": ["boundary_shift_identity", "engine_crosscheck"],
+      "proof_regression": ["boundary_shift_identity"]}, "pole tail factor overflows"),
+], ids=["control_alpha_100", "cauchy_scale_1000"])
+def test_a_failed_oracle_is_recorded_in_the_report(tmp_path, base, kernel, suites, failing, detail):
+    obj = _corpus_object(base)
+    obj["kernel"] = kernel
+    p, out = tmp_path / "s.json", tmp_path / "r.json"
+    p.write_text(json.dumps(obj))
+    args = ["run", str(p), "--out", str(out)] + (["--suites", ",".join(suites)] if suites else [])
+    assert main(args) == 1
+    for name, data in json.loads(out.read_text())["suites"].items():
+        keys = failing.get(name, [])
+        assert data["passed"] == (not keys), name
+        assert sorted(k for k, v in data["residuals"].items() if v == float("inf")) == sorted(keys)
+        assert [v["kind"] for v in data.get("violations", [])] == (
+            ["quadrature_not_converged"] * len(keys)), name
+        assert all(detail in v["detail"] for v in data.get("violations", [])), name
+
+
+@pytest.mark.parametrize("tolerance, passed", [(None, False), (1e-3, True)])
+def test_the_engine_crosscheck_reads_the_scenario_bar(monkeypatch, tolerance, passed):
+    real = dirichlet.dirichlet_operator
+
+    def skewed(sf, spec, kernel=None, engine=dirichlet.ENGINE_EXACT, check_kernel=True):
+        H = real(sf, spec, kernel, engine, check_kernel)
+        return (1 + 1e-5) * H if engine == dirichlet.ENGINE_QUADRATURE else H
+
+    monkeypatch.setattr(dirichlet, "dirichlet_operator", skewed)  # a 1e-5 engine gap
+    tolerances = {} if tolerance is None else {"cross_engine": tolerance}
+    scenario = parse_scenario(_minimal(suites=["dirichlet"], tolerances=tolerances))
+    suite = run_scenario_object(scenario)["suites"]["dirichlet"]
+    assert suite["passed"] == passed
+    if passed:
+        assert suite["residuals"]["engine_crosscheck"] == pytest.approx(1e-5, rel=1e-3)
+        assert suite["violations"] == []
+    else:
+        assert suite["residuals"]["engine_crosscheck"] == float("inf")
+        assert "above the 1e-07 agreement bar" in suite["violations"][0]["detail"]
+
+
+def test_the_consistency_gate_reads_the_integral_bar(monkeypatch):
+    bars = []
+    real = cli.selfadjointness_residual
+
+    def spy(criterion, H, tol):
+        bars.append(tol)
+        return real(criterion, H, tol)
+
+    monkeypatch.setattr(cli, "selfadjointness_residual", spy)
+    scenario = parse_scenario(_minimal(suites=["lindblad"], tolerances={"integral": 1e-6}))
+    assert run_scenario_object(scenario)["suites"]["lindblad"]["passed"]
+    assert bars == [1e-6]
 
 
 def test_suites_flag_filters_and_validates(tmp_path):

@@ -162,17 +162,15 @@ def test_signed_kernel_fails_positivity():
     assert not cert.granted
 
 
+_GAUSSIAN = TabulatedKernel(lambda t: np.exp(-(t**2)), lambda t, s: np.exp(-((t + 1j * s) ** 2)),
+                            name="gaussian", truncation_radius=8.0)
+
+
 def test_gaussian_fails_boundary_condition():
     # e^{-z^2} on the boundary lines: f(t+i/4) + f(t-i/4) oscillates in
     # sign, so the boundary-positivity condition cannot hold even though
     # the kernel is positive and rapidly decaying on the real axis
-    g = TabulatedKernel(
-        fn=lambda t: np.exp(-(t**2)),
-        strip_fn=lambda t, s: np.exp(-((np.asarray(t) + 1j * s) ** 2)),
-        name="gaussian",
-        truncation_radius=8.0,
-    )
-    cert = check_admissible(g)
+    cert = check_admissible(_GAUSSIAN)
     assert cert.positivity_ok
     assert cert.boundary_status == "failed"
     assert not cert.granted
@@ -193,9 +191,39 @@ def test_closed_form_certificate_agrees_with_the_sampled_check(f):
 
 @pytest.mark.parametrize("scale", [50.0, 200.0])
 def test_wide_cauchy_scales_are_granted(scale):
-    # the sampled decay fit over |t| in [10, 50] sees these weights flat
     cert = ensure_admissible(CauchyKernel(scale))
     assert cert.granted and cert.decay_p == 2.0
+    # the sampled route fits the decay on the tail, past the flat top of width ~10 s
+    c = CauchyKernel(scale)
+    sampled = check_admissible(TabulatedKernel(c.eval, c.strip_eval, name="tab_cauchy"))
+    assert sampled.granted and sampled.decay_p == pytest.approx(2.0, abs=0.03)
+
+
+def test_sampled_decay_fit_refuses_a_wide_slow_kernel():
+    # (1 + (t/50)^2)^(-0.4) decays like t^(-0.8): as wide as Cauchy(50), but p < 1
+    slow = TabulatedKernel(lambda t: (1 + (t / 50) ** 2) ** -0.4,
+                           lambda t, s: (1 + ((t + 1j * s) / 50) ** 2) ** -0.4, name="p08")
+    cert = check_admissible(slow)
+    assert cert.failures == [f"strip decay (p = {cert.decay_p:.3g})"]
+    assert cert.decay_p == pytest.approx(0.8, abs=0.01)
+
+
+@pytest.mark.parametrize(
+    "f", [F0Kernel(), CauchyKernel(0.26), CauchyKernel(1.0), _GAUSSIAN,
+          TabulatedKernel(CauchyKernel(1.0).eval, CauchyKernel(1.0).strip_eval, name="tab_cauchy")],
+    ids=["f0", "cauchy_0.26", "cauchy_1", "gaussian", "tab_cauchy"],
+)
+def test_kernels_that_drop_by_t_10_keep_the_fixed_decay_window(f):
+    # the literal fit over |t| in [10, 50] of the [-50, 50] step 0.01 grid
+    t = np.arange(-50.0, 50.005, 0.01)
+    tt = t[(np.abs(t) >= 10.0) & (np.abs(t) <= 50.0)]
+    logs = np.log(1.0 + np.abs(tt))
+    slopes = [np.polyfit(logs, np.log(np.maximum(np.abs(f.strip_eval(tt, s)), 1e-300)), 1)[0]
+              for s in np.linspace(-0.25, 0.25, 9)]
+    cert = check_admissible(f)
+    assert cert.grid == ("t in [-50.0, 50.0] step 0.01; decay fit |t| in [10.0, 50.0], "
+                         "9 strip lines")
+    assert cert.decay_p == -max(slopes)
 
 
 @pytest.mark.parametrize("scale", [0.2501, 0.26, 1.0, 20.0, 50.0, 200.0])

@@ -1,10 +1,14 @@
-"""The two t-quadrature oracles against their literal per-node forms.
+"""The t-quadrature oracles against their literal per-node forms.
 
 The quadrature engine of :func:`dirichlet_operator` expands d(t)* d(t)
 instead of forming d(t) at every node, and ``hat_quadrature`` integrates
 each distinct |kappa| once.  The references below are the literal
 routes: the dense n^2 x n^2 derivation D(t) = L(A) - R(B) at every
-node, and one transform call per grid entry.
+node, and one transform call per grid entry.  ``smear_quadrature`` and
+``superop_smear_quadrature`` are multipliers by ``hat_quadrature``, so
+they share its refinement check and its memory bound; the analytic tail
+past the truncation radius is the one pole formula, checked against the
+partial fractions it reads and against the arctan tail masses at kappa = 0.
 """
 
 import tracemalloc
@@ -22,6 +26,7 @@ from mdf import (
     TabulatedKernel,
     build_standard_form,
     dirichlet_operator,
+    smear_quadrature,
     tracial_state,
 )
 from mdf import dirichlet, kernels
@@ -170,8 +175,53 @@ def test_hat_quadrature_does_not_depend_on_the_column_chunks(monkeypatch):
     np.testing.assert_allclose(kernel.hat_quadrature(_GRID), whole, rtol=0, atol=1e-14)
 
 
-def test_failed_refinement_still_raises():
+def test_failed_refinement_still_raises(sf3, rng):
     # boundary poles 1e-7 from the real axis: halving the panels moves the transform
     w = BoundaryCombination(CauchyKernel(scale=0.2500001))
     with pytest.raises(QuadratureNotConverged, match="panel refinement"):
         w.hat_quadrature(np.array([0.0, 1.0, -1.0]))
+    with pytest.raises(QuadratureNotConverged, match="panel refinement"):
+        smear_quadrature(sf3, ginibre(3, rng), w)
+
+
+def test_smear_quadrature_memory_stays_bounded():
+    # 32,768 Cauchy nodes at n = 16: the transform of each distinct |kappa| in
+    # column chunks, not the (nodes, n, n) complex orbit (128 MiB)
+    sf = _state(16, seed=16)
+    x = ginibre(16, np.random.default_rng(26))
+    tracemalloc.start()
+    try:
+        smear_quadrature(sf, x, CauchyKernel(scale=1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+
+
+_T = np.concatenate([-np.geomspace(1e-3, 1e4, 200)[::-1], [0.0], np.geomspace(1e-3, 1e4, 200)])
+
+
+@pytest.mark.parametrize("kernel", [CauchyKernel(0.26), CauchyKernel(3.0),
+                                    BoundaryCombination(CauchyKernel(0.26)),
+                                    BoundaryCombination(CauchyKernel(3.0))],
+                         ids=["cauchy_0.26", "cauchy_3", "boundary_0.26", "boundary_3"])
+def test_declared_poles_reproduce_the_kernel(kernel):
+    # f = (1/2 pi i) sum c / (t - i b), and sum c = 0 (the tail formula needs 1/t^2 decay)
+    partial = sum(c / (_T - 1j * b) for b, c in kernel.poles) / (2j * np.pi)
+    np.testing.assert_allclose(partial.real, kernel.eval(_T), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(partial.imag, 0.0, atol=1e-15)
+    assert sum(c for _, c in kernel.poles) == 0
+
+
+@pytest.mark.parametrize("scale", [0.2501, 0.26, 1.0, 20.0, 200.0])
+@pytest.mark.parametrize("radius", [16.0, 64.0, 1024.0])
+def test_pole_tail_at_kappa_zero_is_the_tail_mass(scale, radius):
+    cauchy, boundary = CauchyKernel(scale), BoundaryCombination(CauchyKernel(scale))
+    # int_{|t| > T} of s / (pi (s^2 + t^2)), and of its boundary weight via the antiderivative
+    mass = (2.0 / np.pi) * np.arctan(scale / radius)
+    boundary_mass = 4.0 * np.real(np.pi / 2 - np.arctan((radius + 0.25j) / scale)) / np.pi
+    for kernel, expected, slope in ((cauchy, mass, -scale), (boundary, boundary_mass, -2 * scale)):
+        at0, near0 = kernel.tail_hat(np.array([0.0, 1e-9]), radius)
+        assert at0 == pytest.approx(expected, rel=1e-12, abs=0)
+        # continuous at 0: the step is the kink of the transform, d hat / d|kappa| at 0+
+        assert (near0 - at0) / 1e-9 == pytest.approx(slope, rel=1e-5)
