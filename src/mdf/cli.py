@@ -345,7 +345,8 @@ class ScenarioContext:
     ``parts``, the Dirichlet operators H_k of the couplings, is built up
     front: a coupling whose operator overflows is a ``SchemaError``,
     whatever the suites.  Every other member is built on first use.
-    Suites never mutate a member.
+    ``boundary_shift`` caches a failed oracle too, and raises that one
+    failure on every use.  Suites never mutate a member.
     """
 
     def __init__(self, scenario, seed):
@@ -414,8 +415,20 @@ class ScenarioContext:
         return decomposition_residual(self.induced, sum(f0_parts[1:], f0_parts[0]))
 
     @cached_property
+    def _boundary_shift_outcome(self):
+        try:
+            value = max(verify_boundary_shift(self.sf, x, self.kernel) for x in self.xs)
+        except tuple(_ORACLE_FAILURES) as exc:
+            return None, exc
+        return value, None
+
+    @property
     def boundary_shift(self):
-        return max(verify_boundary_shift(self.sf, x, self.kernel) for x in self.xs)
+        """The boundary-shift residual; a failed oracle raises the one cached failure."""
+        value, failure = self._boundary_shift_outcome
+        if failure is not None:
+            raise failure
+        return value
 
     @cached_property
     def general_weight_embedding(self):

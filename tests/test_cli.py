@@ -359,6 +359,37 @@ def test_a_failed_oracle_is_recorded_in_the_report(tmp_path, base, kernel, suite
         assert all(detail in v["detail"] for v in data.get("violations", [])), name
 
 
+def test_a_failed_boundary_shift_is_computed_once_per_scenario(monkeypatch):
+    # dirichlet and proof_regression both gate the oracle; a failure is shared like a value
+    calls = []
+    real = cli.verify_boundary_shift
+
+    def counted(sf, x, kernel):
+        calls.append(x)
+        return real(sf, x, kernel)
+
+    monkeypatch.setattr(cli, "verify_boundary_shift", counted)
+    obj = _corpus_object("balanced_pair_cauchy")
+    obj["kernel"] = {"cauchy": {"scale": 1000.0}}
+    run_scenario_object(parse_scenario({**obj, "suites": ["dirichlet"]}))
+    one_pass = len(calls)
+    calls.clear()
+    suites = run_scenario_object(parse_scenario(obj))["suites"]
+    assert 1 <= len(calls) == one_pass
+    for name in ("dirichlet", "proof_regression"):
+        assert suites[name]["residuals"]["boundary_shift_identity"] == float("inf")
+
+
+def test_the_two_level_gibbs_state_at_beta_14_passes_every_suite(tmp_path):
+    # smallest eigenvalue 2.1e-7: the thinnest order interval [0, xi0] of the corpus states
+    obj = _corpus_object("gibbs_two_level")
+    obj["state"]["gibbs"]["beta"] = 14.0
+    p, out = tmp_path / "beta14.json", tmp_path / "r.json"
+    p.write_text(json.dumps(obj))
+    assert main(["run", str(p), "--out", str(out)]) == 0
+    assert sorted(json.loads(out.read_text())["suites"]) == sorted(SUITES)
+
+
 @pytest.mark.parametrize("tolerance, passed", [(None, False), (1e-3, True)])
 def test_the_engine_crosscheck_reads_the_scenario_bar(monkeypatch, tolerance, passed):
     real = dirichlet.dirichlet_operator

@@ -188,12 +188,14 @@ def test_projection_of_a_stack_rejects_one_non_hermitian_member(sf3, rng):
 
 
 def test_projection_of_a_stack_raises_for_one_stalled_member(sf3, rng, monkeypatch):
-    monkeypatch.setattr(mdf.standard_form, "DYKSTRA_MAX_ITER", 2)
-    monkeypatch.setattr(mdf.standard_form, "DYKSTRA_FAIL_RESIDUAL", 1e-12)
+    monkeypatch.setattr(mdf.standard_form, "NEWTON_MAX_ITER", 1)
+    monkeypatch.setattr(mdf.standard_form, "NEWTON_TOL", 1e-14)
     inside = sf3.xi0 / 2
     np.testing.assert_allclose(project_order_interval(sf3, inside), inside, atol=1e-14)
     far = 10.0 * random_hermitian(3, rng)
-    with pytest.raises(NoConvergence):
+    with pytest.raises(NoConvergence, match="member 0 has KKT residual"):
+        project_order_interval(sf3, far)
+    with pytest.raises(NoConvergence, match="member 1 has KKT residual"):
         project_order_interval(sf3, np.stack([inside, far, inside]))
 
 
