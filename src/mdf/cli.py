@@ -61,7 +61,16 @@ from .errors import (
     finite_number,
 )
 from .kernels import CauchyKernel, F0Kernel, kernel_from_descriptor
-from .linalg import dagger, ginibre, hs_inner, hs_norm, min_eigenvalue, random_hermitian
+from .linalg import (
+    dagger,
+    ginibre,
+    ginibre_from_normals,
+    hermitian_from_ginibre,
+    hs_inner,
+    hs_norm,
+    min_eigenvalue,
+    random_hermitian,
+)
 from .lindblad import (
     check_balance_condition,
     criterion_matches_adjoint_gap,
@@ -516,8 +525,8 @@ def _suite_standard_form(ctx):
     rec.gate("j_fixes_xi0", hs_norm(dagger(sf.xi0) - sf.xi0), "<", "algebraic")
     rec.gate("flow_fixes_xi0", hs_norm(sigma(sf, sf.xi0, -1.0j) - sf.xi0), "<", "algebraic")
     n = sf.dim
-    draws = [(ginibre(n, rng), random_hermitian(n, rng)) for _ in range(20)]
-    a, h = (np.stack([d[j] for d in draws]) for j in range(2))
+    G = ginibre(n, rng, (20, 2))
+    a, h = G[:, 0], hermitian_from_ginibre(G[:, 1])
     worst_embed = float(_hs_norms(symmetric_unembed(sf, symmetric_embed(sf, a)) - a).max())
     plus, minus = jordan_decompose(sf, h)
     worst_jordan = float(max(
@@ -537,29 +546,30 @@ def _suite_modular(ctx):
     sf = ctx.sf
     rng = np.random.default_rng(ctx.seed)
     rec = _Gates(ctx)
-    worst_group = 0.0
-    worst_star = 0.0
-    worst_inverse = 0.0
+    # per sample a Ginibre matrix, then s and z with real parts N(0, 1)
+    # and imaginary parts 0.1 N(0, 1): one block of the seeded stream
+    n = sf.dim
+    W = rng.standard_normal((10, 2 * n * n + 4))
+    a = ginibre_from_normals(W[:, : 2 * n * n].reshape(10, 2, n, n))
+    s_t = W[:, -4] + 0.1j * W[:, -3]
+    z_t = W[:, -2] + 0.1j * W[:, -1]
+    norms = _hs_norms(a)
+    lhs = sigma(sf, sigma(sf, a, s_t), z_t)
+    worst_group = float((_hs_norms(lhs - sigma(sf, a, s_t + z_t)) / norms).max())
+    star = sigma(sf, dagger(a), z_t.conj()) - dagger(sigma(sf, a, z_t))
+    worst_star = float((_hs_norms(star) / norms).max())
+    inverse = modular_map(sf, apply_I0(sf, a), T_MAP) - a
+    worst_inverse = float((_hs_norms(inverse) / norms).max())
+    # the dense check loops over its n^2 x n^2 operators; each member's
+    # stay alive until the next member's are built, so malloc reuses the
+    # blocks (freed within one expression they went back to the OS and
+    # page-faulted in again, 7x the faults and +20 % wall time at n = 16)
     worst_j = 0.0
-    for _ in range(10):
-        a = ginibre(sf.dim, rng)
-        s_t = complex(rng.normal(), 0.1 * rng.normal())
-        z_t = complex(rng.normal(), 0.1 * rng.normal())
-        lhs = sigma(sf, sigma(sf, a, s_t), z_t)
-        worst_group = max(worst_group, hs_norm(lhs - sigma(sf, a, s_t + z_t)) / hs_norm(a))
-        worst_star = max(
-            worst_star,
-            hs_norm(sigma(sf, dagger(a), np.conj(z_t)) - dagger(sigma(sf, a, z_t)))
-            / hs_norm(a),
-        )
-        worst_inverse = max(
-            worst_inverse,
-            hs_norm(modular_map(sf, apply_I0(sf, a), T_MAP) - a) / hs_norm(a),
-        )
-        K = SuperOperator.commutant_j(a)
-        lhs_op = superop_sigma(sf, K, z_t)
-        rhs_op = SuperOperator.commutant_j(sigma(sf, a, np.conj(z_t)))
-        worst_j = max(worst_j, (lhs_op - rhs_op).hs_norm() / hs_norm(a))
+    for x, z, y, norm in zip(a, z_t, sigma(sf, a, z_t.conj()), norms):
+        K = SuperOperator.commutant_j(x)
+        lhs_op = superop_sigma(sf, K, z)
+        rhs_op = SuperOperator.commutant_j(y)
+        worst_j = max(worst_j, float((lhs_op - rhs_op).hs_norm() / norm))
     rec.gate("flow_group_law", worst_group, "<", "algebraic")
     rec.gate("flow_star_compatibility", worst_star, "<", "algebraic")
     rec.gate("smear_inverts_T", worst_inverse, "<", "algebraic")
@@ -680,7 +690,7 @@ def _suite_semigroup(ctx):
     rng = np.random.default_rng(ctx.seed)
     Ts, Tt, Tst = (semigroup_operator(H, t) for t in (0.3, 0.9, 1.2))
     rec.gate("semigroup_law", (Tst - Ts @ Tt).hs_norm(), "<", 1e-9)
-    a, b = ginibre(ctx.sf.dim, rng), ginibre(ctx.sf.dim, rng)
+    a, b = ginibre(ctx.sf.dim, rng, (2,))
     symmetry = abs(complex(hs_inner(Ts.apply(a), b)) - complex(hs_inner(a, Ts.apply(b))))
     rec.gate("semigroup_symmetry", symmetry, "<", 1e-9)
     if ctx.negative_control:

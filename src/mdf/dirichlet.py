@@ -55,10 +55,10 @@ from .linalg import (
     check_square,
     dagger,
     ginibre,
+    hermitian_from_ginibre,
     hs_inner,
     hs_norm,
-    random_hermitian,
-    random_psd,
+    psd_from_ginibre,
 )
 from .modular import T_MAP, superop_modular_map, superop_smear, superop_smear_quadrature
 from .standard_form import SuperOperator, jordan_decompose
@@ -324,10 +324,11 @@ class DirichletReport:
 def verify_dirichlet(sf, H, samples=100, seed=0):
     """Measure the defining properties of a built Dirichlet operator H.
 
-    ``samples`` (Hermitian xi, positive p, Ginibre g) triples are drawn
-    one triple at a time from the seeded stream and then evaluated as
-    stacks: one batched Jordan split of the xi, and H applied to each
-    stack in one product.  Per sample it measures <xi_+, H xi_->
+    ``samples`` (Hermitian xi, positive p, Ginibre g) triples come from
+    one (samples, 3) Ginibre block of the seeded stream, the same numbers
+    as drawing them triple by triple, and are evaluated as stacks: one
+    batched Jordan split of the xi, and H applied to each stack in one
+    product.  Per sample it measures <xi_+, H xi_->
     (at most ``NEGATIVITY_TOL``), |<p, H xi0>| and |E(Jg) - conj E(g)|;
     H xi0 is formed once.
     """
@@ -336,8 +337,8 @@ def verify_dirichlet(sf, H, samples=100, seed=0):
     h_xi0 = H.apply(sf.xi0)
     herm = (H.mat + dagger(H.mat)) / 2.0
     psd_min_eig = float(np.linalg.eigvalsh(herm)[0])
-    draws = [(random_hermitian(n, rng), random_psd(n, rng), ginibre(n, rng)) for _ in range(samples)]
-    xi, psd, g = (np.reshape([d[j] for d in draws], (samples, n, n)) for j in range(3))
+    G = ginibre(n, rng, (samples, 3))
+    xi, psd, g = hermitian_from_ginibre(G[:, 0]), psd_from_ginibre(G[:, 1]), G[:, 2]
     plus, minus = jordan_decompose(sf, xi)
     neg = np.real(hs_inner(plus, H.apply(minus)))
     e_g = hs_inner(g, H.apply(g))

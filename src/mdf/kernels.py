@@ -267,6 +267,13 @@ class CosineModulatedF0(KernelFunction):
         return out if out.ndim else float(out)
 
 
+#: k |b| above which e^{-k b} over- or underflows in the pole tail
+POLE_EXPONENT = 700.0
+
+#: terms of the asymptotic series of e^{w} E1(w) used at |w| > POLE_EXPONENT
+_ASYMPTOTIC_TERMS = 20
+
+
 def _pole_tail(kappa, radius, poles):
     """Tail  int_{|t| > radius} g(t) e^{i kappa t} dt  for a real, even g
     given by the partial-fraction form g = (1/2 pi i) sum_j c_j / (t - i b_j)
@@ -275,6 +282,7 @@ def _pole_tail(kappa, radius, poles):
     For kappa > 0 each one-sided term rotates onto the exponential
     integral:  int_T^inf e^{i k t}/(t - i b) dt = e^{-k b} E1(-i k (T - i b));
     the left tail is the complex conjugate and the total is even in kappa.
+    :func:`_pole_term` evaluates it without overflow.
 
     kappa = 0 is the k -> 0 limit of that formula.  E1(z) = -gamma - log z
     + O(z) and e^{-k b} = 1 + O(k), so the one-sided sum is
@@ -283,21 +291,45 @@ def _pole_tail(kappa, radius, poles):
     -(1/2 pi i) sum_j c_j log(T - i b_j).  With log(T - i b) =
     log|T - i b| - i arctan(b/T), twice its real part is the tail mass
     (1/pi) sum_j c_j arctan(b_j / T).
+    """
+    k = np.abs(np.asarray(kappa, dtype=float))
+    T = float(radius)
+    zero = k < 1e-300
+    out = np.empty(k.shape, dtype=float)
+    out[zero] = (1.0 / np.pi) * sum(c * np.arctan(b / T) for b, c in poles)
+    kz = k[~zero]
+    one_sided = sum(_pole_term(kz, T, b, c) for b, c in poles)
+    out[~zero] = 2 * np.real(one_sided / (2j * np.pi))
+    return out
+
+
+def _pole_term(k, T, b, c):
+    """c e^{-k b} E1(w) at w = -i k (T - i b), for k > 0.
+
+    Where k |b| > ``POLE_EXPONENT`` the factor e^{-k b} overflows (b < 0)
+    or underflows against an overflowing E1 (b > 0) although the product
+    is of size 1/|w|.  There the term is c e^{i k T} [e^{w} E1(w)], since
+    e^{w} = e^{-k b} e^{-i k T}, with e^{w} E1(w) from its asymptotic
+    series sum_m (-1)^m m! / w^{m+1}.  At |w| >= k |b| > 700 twenty terms
+    leave a relative error below 1e-40 (the series holds for
+    |arg w| < 3 pi / 2; just below the negative axis, where b > 0, it
+    drops only i pi e^{w}, below 1e-300).
 
     scipy is imported here, its one use: ``import mdf`` does not load it.
     """
     from scipy.special import exp1
 
-    k = np.abs(np.asarray(kappa, dtype=float))
-    T = float(radius)
-    if np.max(k, initial=0.0) * max(abs(b) for b, _ in poles) > 700:
-        raise QuadratureNotConverged("pole tail factor overflows")
-    zero = k < 1e-300
-    out = np.empty(k.shape, dtype=float)
-    out[zero] = (1.0 / np.pi) * sum(c * np.arctan(b / T) for b, c in poles)
-    kz = k[~zero]
-    one_sided = sum(c * np.exp(-kz * b) * exp1(-1j * kz * (T - 1j * b)) for b, c in poles)
-    out[~zero] = 2 * np.real(one_sided / (2j * np.pi))
+    w = -1j * k * (T - 1j * b)
+    big = k * abs(b) > POLE_EXPONENT
+    out = np.empty(k.shape, dtype=complex)
+    small = ~big
+    out[small] = c * np.exp(-k[small] * b) * exp1(w[small])
+    wb = w[big]
+    term = series = 1.0 / wb
+    for m in range(1, _ASYMPTOTIC_TERMS):
+        term = term * (-m / wb)
+        series = series + term
+    out[big] = c * np.exp(1j * k[big] * T) * series
     return out
 
 

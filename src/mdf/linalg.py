@@ -116,21 +116,44 @@ def min_eigenvalue(A):
 # Seeded random matrix samplers (Ginibre convention: entries ~ CN(0, 1))
 # ---------------------------------------------------------------------------
 
-def ginibre(n, rng):
-    """Complex Ginibre matrix, entries (g + i g') / sqrt(2)."""
-    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+def ginibre(n, rng, shape=()):
+    """Complex Ginibre matrix, entries (g + i g') / sqrt(2); a stack of leading shape ``shape``.
+
+    The stack is one ``standard_normal(shape + (2, n, n))`` block, the
+    same stream as drawing its members one at a time in C order.
+    """
+    return ginibre_from_normals(rng.standard_normal(tuple(shape) + (2, n, n)))
+
+
+def ginibre_from_normals(Z):
+    """The Ginibre matrices of standard normal pairs Z (..., 2, n, n): (Z_0 + i Z_1) / sqrt(2).
+
+    Written into one complex array, with no complex temporaries.
+    """
+    G = np.empty(Z.shape[:-3] + Z.shape[-2:], dtype=complex)
+    G.real, G.imag = Z[..., 0, :, :], Z[..., 1, :, :]
+    G /= np.sqrt(2.0)
+    return G
+
+
+def hermitian_from_ginibre(G):
+    """GUE-style Hermitian part (G + G*) / 2 of a Ginibre matrix or of each member of a stack."""
+    return (G + dagger(G)) / 2.0
+
+
+def psd_from_ginibre(G):
+    """Positive semidefinite G G* of a Ginibre matrix or of each member of a stack."""
+    return G @ dagger(G)
 
 
 def random_hermitian(n, rng):
     """GUE-style Hermitian matrix built from a Ginibre sample."""
-    G = ginibre(n, rng)
-    return (G + dagger(G)) / 2.0
+    return hermitian_from_ginibre(ginibre(n, rng))
 
 
 def random_psd(n, rng):
     """Random positive semidefinite matrix G G*."""
-    G = ginibre(n, rng)
-    return G @ dagger(G)
+    return psd_from_ginibre(ginibre(n, rng))
 
 
 def haar_unitary(n, rng):

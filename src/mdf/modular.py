@@ -44,16 +44,17 @@ def sigma(sf, A, z):
     In the rho-eigenbasis the (j, k) entry is multiplied by
     exp(i z kappa_jk); for real z this is the unitary conjugation by
     rho^{iz}, for z = -i/4 it is rho^{1/4} A rho^{-1/4}, etc.  A stack
-    (k, n, n) is mapped member by member.
+    (k, n, n) is mapped member by member, at one z or at one z per
+    member (z of shape (k,)).
 
     Raises
     ------
     Overflow
         If |Im z| * max|kappa| exceeds the exponent guard.
     """
-    z = complex(z)
-    _guard_exponent(sf.kappa, z.imag)
-    return _multiply_entrywise(sf, A, np.exp(1j * z * sf.kappa))
+    z = np.asarray(z, dtype=complex)
+    _guard_exponent(sf.kappa, np.abs(z.imag).max(initial=0.0))
+    return _multiply_entrywise(sf, A, np.exp(1j * z[..., None, None] * sf.kappa))
 
 
 def _quarter_shift_factors(grid, which):

@@ -21,11 +21,12 @@ from .linalg import (
     check_square,
     dagger,
     ginibre,
+    ginibre_from_normals,
+    hermitian_from_ginibre,
     hs_inner,
     hs_norm,
     min_eigenvalue,
-    random_hermitian,
-    random_psd,
+    psd_from_ginibre,
     unitary_from_ginibre,
     unvec,
     vec,
@@ -119,16 +120,6 @@ class SemigroupProbe:
         _require_selfadjoint(self.H)
 
 
-def _interval_draw(n, rng):
-    """The draws of one interval element: a Ginibre matrix and a spectrum in [0, 1]."""
-    return ginibre(n, rng), rng.uniform(0.0, 1.0, size=n)
-
-
-def _extreme_draw(n, rng):
-    """The draws of one extreme point: a Ginibre matrix and a rank 1 <= k <= n."""
-    return ginibre(n, rng), int(rng.integers(1, n + 1))
-
-
 def _interval_elements(sf, G, spectrum):
     """rho^{1/4} W diag(spectrum) W* rho^{1/4} for W the Haar unitary of G; stacks too."""
     W = unitary_from_ginibre(G)
@@ -142,13 +133,19 @@ def _extreme_elements(sf, G, rank):
 
 
 def random_interval_element(sf, rng):
-    """A random element of [0, xi0]: the embedding of a contraction 0 <= M <= I."""
-    return _interval_elements(sf, *_interval_draw(sf.dim, rng))
+    """A random element of [0, xi0]: the embedding of a contraction 0 <= M <= I.
+
+    Draws a Ginibre matrix, then a spectrum in [0, 1].
+    """
+    return _interval_elements(sf, ginibre(sf.dim, rng), rng.uniform(0.0, 1.0, size=sf.dim))
 
 
 def extreme_interval_element(sf, rng):
-    """An extreme point of [0, xi0]: the embedding of a projection."""
-    return _extreme_elements(sf, *_extreme_draw(sf.dim, rng))
+    """An extreme point of [0, xi0]: the embedding of a projection.
+
+    Draws a Ginibre matrix, then a rank 1 <= k <= n.
+    """
+    return _extreme_elements(sf, ginibre(sf.dim, rng), int(rng.integers(1, sf.dim + 1)))
 
 
 @dataclass(frozen=True)
@@ -193,36 +190,47 @@ _PROBE_KINDS = ("interval", "extreme", "positivity")
 
 
 def _probe_draws(sf, rng, count):
-    """``count`` (interval, extreme, positivity) samples, drawn one triple at a time.
+    """``count`` (interval, extreme, positivity) samples as three stacks (count, n, n).
 
-    Returns the interval elements, the extreme points and the positive
-    matrices as three stacks (count, n, n); each kind's unitaries come
-    from one batched QR.
+    Each sample draws, in order, the interval element's normals and
+    spectrum, the extreme point's normals and rank, and the positive
+    matrix's normals: five generator calls, written into preallocated
+    arrays, the same numbers as drawing the samples one at a time.  The
+    Ginibre matrices, the products G G* and each kind's unitaries (one
+    batched QR) are then formed on the stacks.
     """
     n = sf.dim
-    draws = [
-        (*_interval_draw(n, rng), *_extreme_draw(n, rng), random_psd(n, rng))
-        for _ in range(count)
-    ]
-    shapes = ((count, n, n), (count, n), (count, n, n), (count,), (count, n, n))
-    G_i, spectra, G_e, ranks, psd = (
-        np.reshape([d[j] for d in draws], shape) for j, shape in enumerate(shapes)
+    Z = np.empty((count, 3, 2, n, n))
+    spectra = np.empty((count, n))
+    ranks = np.empty(count, dtype=int)
+    for i in range(count):
+        rng.standard_normal(out=Z[i, 0])
+        spectra[i] = rng.uniform(0.0, 1.0, size=n)
+        rng.standard_normal(out=Z[i, 1])
+        ranks[i] = rng.integers(1, n + 1)
+        rng.standard_normal(out=Z[i, 2])
+    G = ginibre_from_normals(Z)
+    del Z
+    return (
+        _interval_elements(sf, G[:, 0], spectra),
+        _extreme_elements(sf, G[:, 1], ranks),
+        psd_from_ginibre(G[:, 2]),
     )
-    return _interval_elements(sf, G_i, spectra), _extreme_elements(sf, G_e, ranks), psd
 
 
 def markovianity_report(sf, probe):
     """Sampled sub-Markovianity of e^{-tH} plus the form-level criterion.
 
     At each probe time, ``probe.samples`` triples (an interval element,
-    an extreme point, a positive matrix) are drawn one triple at a time
-    from the seeded stream and then checked as stacks: T_t maps each
-    stack in one product, and one batched eigenvalue call gives every
-    margin, min(T eta, xi0 - T eta) for the interval kinds and T p for
-    positivity.  A margin below -``INTERVAL_TOL`` counts a violation.
-    After all times the form criterion draws ``probe.samples``
-    Hermitian eta, projects them onto [0, xi0] in one stacked call, and
-    compares E[eta_I] with E[eta].  Witnesses keep the first ten
+    an extreme point, a positive matrix) are drawn from the seeded stream
+    into preallocated arrays (see :func:`_probe_draws`) and checked as
+    stacks: T_t maps each stack in one product, and one batched
+    eigenvalue call gives every margin, min(T eta, xi0 - T eta) for the
+    interval kinds and T p for positivity.  A margin below
+    -``INTERVAL_TOL`` counts a violation.  After all times the form
+    criterion draws ``probe.samples`` Hermitian eta as one Ginibre
+    block, projects them onto [0, xi0] in one stacked call, and compares
+    E[eta_I] with E[eta].  Witnesses keep the first ten
     violations in sampling order: by time, by sample, then interval,
     extreme, positivity; form violations come last.
     """
@@ -258,7 +266,7 @@ def markovianity_report(sf, probe):
 
     # form-level criterion, time-independent: projecting onto the order
     # interval may never increase the energy
-    etas = np.reshape([random_hermitian(sf.dim, rng) for _ in range(N)], (N, sf.dim, sf.dim))
+    etas = hermitian_from_ginibre(ginibre(sf.dim, rng, (N,)))
     etas_i = project_order_interval(sf, etas)
     gaps = np.real(hs_inner(etas_i, H.apply(etas_i))) - np.real(hs_inner(etas, H.apply(etas)))
     form_bad = np.flatnonzero(gaps > INTERVAL_TOL)

@@ -16,7 +16,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mdf import EngineDisagreement, SchemaError, SuperOperator, cli, dirichlet, lindblad
+from mdf import (
+    EngineDisagreement,
+    QuadratureNotConverged,
+    SchemaError,
+    SuperOperator,
+    cli,
+    dirichlet,
+    kernels,
+    lindblad,
+)
 from mdf.cli import (
     SUITES,
     Scenario,
@@ -333,17 +342,29 @@ def _corpus_object(name):
         return json.load(fh)
 
 
-@pytest.mark.parametrize("base, kernel, suites, failing, detail", [
+def _fail_pole_tails(monkeypatch):
+    """Every analytic pole tail raises, as a quadrature oracle that cannot converge."""
+    def failing(kappa, radius, poles):
+        raise QuadratureNotConverged("forced pole tail failure")
+
+    monkeypatch.setattr(kernels, "_pole_tail", failing)
+
+
+@pytest.mark.parametrize("base, kernel, suites, failing, detail, forced", [
     # f0 cos(100 t) has a transform near e^{-25}: panel refinement cannot reach 1e-9 of it
     ("nonmarkovian_control", {"signed_f0": {"alpha": 100.0}}, ["modular"],
-     {"modular": ["smear_exact_vs_quadrature"]}, "panel refinement"),
-    # e^{-k b} at pole b = -1000 overflows the tail formula of every quadrature oracle
+     {"modular": ["smear_exact_vs_quadrature"]}, "panel refinement", False),
+    # a failing pole tail fails every quadrature oracle of a Cauchy scenario
     ("balanced_pair_cauchy", {"cauchy": {"scale": 1000.0}}, None,
      {"modular": ["smear_exact_vs_quadrature"],
       "dirichlet": ["boundary_shift_identity", "engine_crosscheck"],
-      "proof_regression": ["boundary_shift_identity"]}, "pole tail factor overflows"),
+      "proof_regression": ["boundary_shift_identity"]}, "forced pole tail failure", True),
 ], ids=["control_alpha_100", "cauchy_scale_1000"])
-def test_a_failed_oracle_is_recorded_in_the_report(tmp_path, base, kernel, suites, failing, detail):
+def test_a_failed_oracle_is_recorded_in_the_report(
+    tmp_path, monkeypatch, base, kernel, suites, failing, detail, forced
+):
+    if forced:
+        _fail_pole_tails(monkeypatch)
     obj = _corpus_object(base)
     obj["kernel"] = kernel
     p, out = tmp_path / "s.json", tmp_path / "r.json"
@@ -359,8 +380,19 @@ def test_a_failed_oracle_is_recorded_in_the_report(tmp_path, base, kernel, suite
         assert all(detail in v["detail"] for v in data.get("violations", [])), name
 
 
+def test_the_cauchy_file_at_scale_1000_passes_every_suite(tmp_path):
+    # k s passes 700 on its frequency grid: the pole tails switch to the scaled e^w E1(w)
+    obj = _corpus_object("balanced_pair_cauchy")
+    obj["kernel"] = {"cauchy": {"scale": 1000.0}}
+    p, out = tmp_path / "s.json", tmp_path / "r.json"
+    p.write_text(json.dumps(obj))
+    assert main(["run", str(p), "--out", str(out)]) == 0
+    assert sorted(json.loads(out.read_text())["suites"]) == sorted(SUITES)
+
+
 def test_a_failed_boundary_shift_is_computed_once_per_scenario(monkeypatch):
     # dirichlet and proof_regression both gate the oracle; a failure is shared like a value
+    _fail_pole_tails(monkeypatch)
     calls = []
     real = cli.verify_boundary_shift
 

@@ -8,7 +8,9 @@ node, and one transform call per grid entry.  ``smear_quadrature`` and
 ``superop_smear_quadrature`` are multipliers by ``hat_quadrature``, so
 they share its refinement check and its memory bound; the analytic tail
 past the truncation radius is the one pole formula, checked against the
-partial fractions it reads and against the arctan tail masses at kappa = 0.
+partial fractions it reads, against the arctan tail masses at kappa = 0,
+and, where k |b| passes 700 and it switches to the scaled e^w E1(w),
+against the closed-form transforms.
 """
 
 import tracemalloc
@@ -225,3 +227,25 @@ def test_pole_tail_at_kappa_zero_is_the_tail_mass(scale, radius):
         assert at0 == pytest.approx(expected, rel=1e-12, abs=0)
         # continuous at 0: the step is the kink of the transform, d hat / d|kappa| at 0+
         assert (near0 - at0) / 1e-9 == pytest.approx(slope, rel=1e-5)
+
+
+@pytest.mark.parametrize("kernel", [CauchyKernel(1000.0), BoundaryCombination(CauchyKernel(1000.0))],
+                         ids=["cauchy_1000", "boundary_1000"])
+def test_hat_quadrature_is_finite_past_the_pole_exponent(kernel):
+    # k s crosses 700 at kappa = 0.7; past it e^{-k b} alone over- or underflows
+    kappa = np.concatenate([np.linspace(0.0, 3.0, 61), 0.7 * (1 + np.array([-1e-9, 1e-9]))])
+    gap = kernel.hat_quadrature(kappa) - kernel.hat(kappa)
+    np.testing.assert_allclose(gap, 0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("scale", [0.26, 1.0, 1000.0])
+def test_pole_tail_keeps_the_plain_formula_below_the_pole_exponent(scale):
+    from scipy.special import exp1
+
+    T = 64.0
+    poles = BoundaryCombination(CauchyKernel(scale)).poles
+    k = np.geomspace(1e-6, 650.0 / (scale + 0.25), 50)
+    one_sided = sum(c * np.exp(-k * b) * exp1(-1j * k * (T - 1j * b)) for b, c in poles)
+    np.testing.assert_array_equal(
+        kernels._pole_tail(k, T, poles), 2 * np.real(one_sided / (2j * np.pi))
+    )

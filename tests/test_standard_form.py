@@ -209,7 +209,7 @@ def test_psd_clip_and_dagger_act_on_each_member_of_a_stack(rng):
 
 
 def test_projection_agrees_with_convex_solver(sf2, rng):
-    """Dykstra against an independent SDP formulation of the projection.
+    """The semismooth Newton projection against an independent SDP formulation of it.
 
     The default conic solver only locates the argmin to ~1e-5 even when
     its objective is 1e-10-accurate, so the oracle runs SCS at a tight
