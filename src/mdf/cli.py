@@ -92,7 +92,6 @@ from .semigroup import (
     INTERVAL_TOL,
     SemigroupProbe,
     markovianity_report,
-    semigroup_operator,
     spectral_gap,
 )
 from .standard_form import (
@@ -674,6 +673,8 @@ def _suite_semigroup(ctx):
     H = ctx.H
     probe = SemigroupProbe(H=H, times=PROBE_TIMES, samples=SUITE_SAMPLES, seed=ctx.seed)
     rep = markovianity_report(ctx.sf, probe)
+    # every check below reads T_t from H's factors: bound its error first, at t = 1.2
+    rec.gate("semigroup_factor_error", rep.certificate.bounds(1.2)[0], "<", 1e-9)
     for field in _VIOLATION_COUNTS:
         rec.gate(field, getattr(rep, field), "==", 0, markov=True)
     for field in ("worst_interval_margin", "worst_positivity_margin", "worst_form_gap"):
@@ -686,13 +687,6 @@ def _suite_semigroup(ctx):
     gap, kernel_dim = spectral_gap(H)
     rec.info("spectral_gap", gap)
     rec.info("kernel_dimension", kernel_dim)
-    # semigroup law and symmetry at one time pair
-    rng = np.random.default_rng(ctx.seed)
-    Ts, Tt, Tst = (semigroup_operator(H, t) for t in (0.3, 0.9, 1.2))
-    rec.gate("semigroup_law", (Tst - Ts @ Tt).hs_norm(), "<", 1e-9)
-    a, b = ginibre(ctx.sf.dim, rng, (2,))
-    symmetry = abs(complex(hs_inner(Ts.apply(a), b)) - complex(hs_inner(a, Ts.apply(b))))
-    rec.gate("semigroup_symmetry", symmetry, "<", 1e-9)
     if ctx.negative_control:
         if not any(getattr(rep, field) for field in _VIOLATION_COUNTS):
             notes.append("negative control FAILED to produce any violation")

@@ -178,15 +178,15 @@ def induced_adjoint_shifted(sf, spec):
     return _sandwich_sum(pairs)
 
 
-def build_Q(sf, xs, f=None, central_offset=0.0):
+def build_Q(sf, xs, f=None):
     """Drift matrix from the couplings by a weighted flow average.
 
     For each coupling, Q_k = i * int sigma_t( x* sigma_{-i/2}(x)
     - sigma_{i/2}(x*) x ) f(t) dt, evaluated by the exact smearing
     engine; the total is the sum.  The integrand matrix is
-    anti-Hermitian, so Q comes out Hermitian.  A central offset c adds
-    c*I, which provably changes neither L nor H (the generator only
-    sees Q through commutators); it exists so tests can assert that.
+    anti-Hermitian, so Q comes out Hermitian.  Q is fixed only up to a
+    central c*I, which changes neither L nor H (the generator only sees
+    Q through commutators).
     """
     if f is None:
         f = F0Kernel()
@@ -196,7 +196,7 @@ def build_Q(sf, xs, f=None, central_offset=0.0):
         x = check_square(np.asarray(x, dtype=complex), n, "coupling")
         m0 = dagger(x) @ sigma(sf, x, -0.5j) - sigma(sf, dagger(x), 0.5j) @ x
         Q = Q + 1j * smear(sf, m0, f)
-    return Q + float(central_offset) * np.eye(n)
+    return Q
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Symmetric semigroups T_t = e^{-tH} and sampled Markovianity probes.
 
-The semigroup of a Dirichlet operator should preserve the positive
-cone, keep the order interval [0, xi0] invariant, fix xi0, and commute
-with the modular conjugation.  None of these can be certified
-universally by sampling, so the report counts violations over seeded
-random families plus a structured sweep over the extreme points of the
-interval (embedded projections), and ships with a negative control
-(:func:`nonmarkovian_control`) that provably trips the checks — the
-suite is known to be able to fail.
+Every route to T_t goes through H's clamped spectral factors (w, V), and
+:func:`factor_certificate` bounds how far that T_t is from e^{-tH} by the
+factors' backward error.  The semigroup of a Dirichlet operator should
+preserve the positive cone, keep the order interval [0, xi0] invariant,
+fix xi0, and commute with the modular conjugation.  None of these can be
+certified universally by sampling, so the report counts violations over
+seeded random families plus a structured sweep over the extreme points
+of the interval (embedded projections), and ships with a negative
+control (:func:`nonmarkovian_control`) that provably trips the checks —
+the suite is known to be able to fail.
 """
 
 from dataclasses import dataclass
@@ -18,7 +20,7 @@ from .dirichlet import ENGINE_EXACT, DirichletSpec, dirichlet_operator
 from .errors import NotSelfAdjoint
 from .kernels import CosineModulatedF0
 from .linalg import (
-    check_square,
+    check_square_or_stack,
     dagger,
     ginibre,
     ginibre_from_normals,
@@ -28,8 +30,6 @@ from .linalg import (
     min_eigenvalue,
     psd_from_ginibre,
     unitary_from_ginibre,
-    unvec,
-    vec,
 )
 from .standard_form import SuperOperator, project_order_interval, symmetric_embed
 
@@ -49,50 +49,74 @@ GAP_THRESHOLD = 1e-10
 CLAMP_EPS = 1e-9
 
 
-def _require_selfadjoint(H):
+def _factors(H):
+    """H's spectral factors (w, V), cached on H, with w in (-CLAMP_EPS, 0) set to 0."""
     defect = H.selfadjoint_defect()
     if defect > SELFADJOINT_GATE:
-        raise NotSelfAdjoint(
-            f"operator is {defect:.3e} from self-adjoint; refusing to "
-            "exponentiate a one-sided spectral decomposition"
-        )
-
-
-def _clamped_eigs(H):
+        raise NotSelfAdjoint(f"operator is {defect:.3e} from self-adjoint; refusing to "
+                             "exponentiate a one-sided spectral decomposition")
     w, V = H.eigh()
-    w = np.where((w > -CLAMP_EPS) & (w < 0.0), 0.0, w)
-    return w, V
+    return np.where((w > -CLAMP_EPS) & (w < 0.0), 0.0, w), V
 
 
 def semigroup_operator(H, t):
-    """Dense e^{-tH} from the (cached) eigendecomposition of H."""
-    _require_selfadjoint(H)
+    """Dense T_t = V e^{-tw} V* from H's spectral factors."""
+    w, V = _factors(H)
     if t < 0:
         raise ValueError("semigroup is defined for t >= 0")
-    w, V = _clamped_eigs(H)
-    mat = (V * np.exp(-t * w)) @ dagger(V)
-    return SuperOperator(mat, H.dim)
+    return SuperOperator((V * np.exp(-t * w)) @ dagger(V), H.dim)
 
 
 def evolve(H, xi, t):
-    """T_t xi = e^{-tH} xi for a self-adjoint H."""
-    _require_selfadjoint(H)
+    """T_t xi = V (e^{-tw} * V* vec xi); a stack (k, n, n) is mapped in two products."""
+    w, V = _factors(H)
     if t < 0:
         raise ValueError("semigroup is defined for t >= 0")
-    xi = check_square(xi, H.dim, "vector")
-    w, V = _clamped_eigs(H)
-    coeff = dagger(V) @ vec(xi)
-    return unvec(V @ (np.exp(-t * w) * coeff), H.dim)
+    xi = check_square_or_stack(xi, H.dim, "vector")
+    coeff = xi.reshape(-1, w.size) @ V.conj()
+    return ((coeff * np.exp(-t * w)) @ V.T).reshape(xi.shape)
+
+
+@dataclass(frozen=True)
+class FactorCertificate:
+    """Bounds on the computed T_t = V e^{-tW} V* from the backward error of H's factors.
+
+    W = diag(w) holds the clamped eigenvalues, H_h = (H + H*)/2, ``residual`` r =
+    ||R||_HS with R = H_h V - V W, and ``orthogonality`` f = ||V*V - I||_HS.  H_h is
+    similar through V to W + V^{-1} R, ||V^{-1}|| <= 1/sqrt(1 - f), so by Bauer-Fike
+    e^{-sH_h} and e^{-sW} have norm at most e^{s mu}, ``mu`` = max(0, r/sqrt(1 - f)
+    - min w) (inf if f >= 1).  Integrating d/ds e^{-(t-s)H_h} V e^{-sW} V* over [0, t]
+    and adding e^{-tH_h}(VV* - I) gives delta_t = e^{t mu} (t r sqrt(1 + f) + f) >=
+    ||T_t - e^{-tH_h}||_HS (Higham, *Functions of Matrices*, SIAM 2008, ch. 10).  The
+    same Duhamel step on J e^{-tH_h} J = e^{-t JH_hJ} bounds ||T_t - J T_t J||_HS by
+    t e^{t mu} ``j_defect`` + 2 delta_t, with ``j_defect`` = ||H - JHJ||_HS.
+    """
+
+    residual: float
+    orthogonality: float
+    mu: float
+    j_defect: float
+
+    def bounds(self, t):
+        """(delta_t, the bound on T_t's J-defect) at time t."""
+        b = t * self.residual * np.sqrt(1.0 + self.orthogonality) + self.orthogonality
+        growth = np.exp(t * self.mu) if t else 1.0
+        return float(growth * b), float(growth * (t * self.j_defect + 2.0 * b))
+
+
+def factor_certificate(H):
+    """The :class:`FactorCertificate` of H's spectral factors: two n^2 x n^2 products."""
+    w, V = _factors(H)
+    Hh = 0.5 * (H.mat + dagger(H.mat))
+    r = hs_norm(Hh @ V - V * w)
+    f = hs_norm(dagger(V) @ V - np.eye(w.size))
+    mu = max(0.0, r / np.sqrt(1.0 - f) - w.min()) if f < 1.0 else np.inf
+    return FactorCertificate(r, f, mu, H.j_real_defect())
 
 
 def spectral_gap(H):
-    """(smallest eigenvalue above the kernel, kernel dimension).
-
-    The kernel is everything below ``GAP_THRESHOLD`` in absolute value;
-    for H = 0 (or an all-kernel operator) the gap is None.
-    """
-    _require_selfadjoint(H)
-    w, _ = H.eigh()
+    """(smallest eigenvalue above the kernel |w| <= ``GAP_THRESHOLD`` or None, kernel dim)."""
+    w, _ = _factors(H)
     above = w[np.abs(w) > GAP_THRESHOLD]
     kernel_dim = int(w.size - above.size)
     gap = float(above.min()) if above.size else None
@@ -117,7 +141,7 @@ class SemigroupProbe:
         if any(not np.isfinite(t) or t < 0 for t in times):
             raise ValueError("probe times must be finite and nonnegative")
         object.__setattr__(self, "times", times)
-        _require_selfadjoint(self.H)
+        _factors(self.H)
 
 
 def _interval_elements(sf, G, spectrum):
@@ -156,7 +180,7 @@ class MarkovianityReport:
     eigenvalue encountered (>= -INTERVAL_TOL passes), for the form
     projection the largest E[eta_I] - E[eta] (<= INTERVAL_TOL passes).
     ``witnesses`` carries up to ten (check, t, sample, margin) tuples
-    for replay.
+    for replay.  ``j_real_max`` is the largest J bound of ``certificate``.
     """
 
     times: tuple
@@ -172,17 +196,13 @@ class MarkovianityReport:
     xi0_invariance_max: float
     j_real_max: float
     witnesses: tuple
+    certificate: FactorCertificate
 
     @property
     def markovian(self):
-        return (
-            self.interval_violations == 0
-            and self.extreme_violations == 0
-            and self.positivity_violations == 0
-            and self.form_violations == 0
-            and self.xi0_invariance_max < INTERVAL_TOL
-            and self.j_real_max < INTERVAL_TOL
-        )
+        counts = (self.interval_violations, self.extreme_violations,
+                  self.positivity_violations, self.form_violations)
+        return not any(counts) and max(self.xi0_invariance_max, self.j_real_max) < INTERVAL_TOL
 
 
 #: the sampled membership checks, in the order each sample runs them
@@ -192,12 +212,10 @@ _PROBE_KINDS = ("interval", "extreme", "positivity")
 def _probe_draws(sf, rng, count):
     """``count`` (interval, extreme, positivity) samples as three stacks (count, n, n).
 
-    Each sample draws, in order, the interval element's normals and
-    spectrum, the extreme point's normals and rank, and the positive
-    matrix's normals: five generator calls, written into preallocated
-    arrays, the same numbers as drawing the samples one at a time.  The
-    Ginibre matrices, the products G G* and each kind's unitaries (one
-    batched QR) are then formed on the stacks.
+    Each sample makes five generator calls into preallocated arrays, the
+    same numbers as drawing the samples one at a time: the interval
+    element's normals and spectrum, the extreme point's normals and rank,
+    the positive matrix's normals.  The rest is formed on the stacks.
     """
     n = sf.dim
     Z = np.empty((count, 3, 2, n, n))
@@ -223,56 +241,41 @@ def markovianity_report(sf, probe):
 
     At each probe time, ``probe.samples`` triples (an interval element,
     an extreme point, a positive matrix) are drawn from the seeded stream
-    into preallocated arrays (see :func:`_probe_draws`) and checked as
-    stacks: T_t maps each stack in one product, and one batched
-    eigenvalue call gives every margin, min(T eta, xi0 - T eta) for the
-    interval kinds and T p for positivity.  A margin below
-    -``INTERVAL_TOL`` counts a violation.  After all times the form
-    criterion draws ``probe.samples`` Hermitian eta as one Ginibre
-    block, projects them onto [0, xi0] in one stacked call, and compares
-    E[eta_I] with E[eta].  Witnesses keep the first ten
+    into preallocated arrays (see :func:`_probe_draws`) and mapped with
+    xi0 by one :func:`evolve` call.  One batched eigenvalue call gives
+    every margin, min(T eta, xi0 - T eta) for the interval kinds and T p
+    for positivity.  A margin below -``INTERVAL_TOL`` counts a violation.
+    After all times the form criterion draws ``probe.samples`` Hermitian
+    eta as one Ginibre block, projects them onto [0, xi0] in one stacked
+    call, and compares E[eta_I] with E[eta].  Witnesses keep the first ten
     violations in sampling order: by time, by sample, then interval,
     extreme, positivity; form violations come last.
     """
     H = probe.H
     rng = np.random.default_rng(probe.seed)
-    xi0 = sf.xi0
-    N = probe.samples
-    witnesses = []
-    counts = np.zeros(len(_PROBE_KINDS), dtype=int)
-    worst_interval = np.inf
-    worst_positivity = np.inf
+    xi0, N, n = sf.xi0, probe.samples, sf.dim
+    margins = np.empty((len(probe.times), N, len(_PROBE_KINDS)))
     xi0_max = 0.0
-    j_real_max = 0.0
-
-    def note(kind, t, index, margin):
-        if len(witnesses) < 10:
-            witnesses.append((kind, float(t), int(index), float(margin)))
-
-    for t in probe.times:
-        Tt = semigroup_operator(H, t)
-        xi0_max = max(xi0_max, hs_norm(Tt.apply(xi0) - xi0))
-        j_real_max = max(j_real_max, Tt.j_real_defect())
-        out_i, out_e, out_p = (Tt.apply(x) for x in _probe_draws(sf, rng, N))
+    for t, margin in zip(probe.times, margins):
+        out = evolve(H, np.concatenate([xi0[None], *_probe_draws(sf, rng, N)]), t)
+        xi0_max = max(xi0_max, hs_norm(out[0] - xi0))
+        out_i, out_e, out_p = out[1:].reshape(3, N, n, n)
         low = min_eigenvalue(np.concatenate([out_i, xi0 - out_i, out_e, xi0 - out_e, out_p]))
         low = low.reshape(5, N)
-        margins = np.stack([np.minimum(low[0], low[1]), np.minimum(low[2], low[3]), low[4]], 1)
-        worst_interval = min(worst_interval, margins[:, :2].min(initial=np.inf))
-        worst_positivity = min(worst_positivity, margins[:, 2].min(initial=np.inf))
-        bad = margins < -INTERVAL_TOL
-        counts += bad.sum(axis=0)
-        for i, kind in np.argwhere(bad)[: 10 - len(witnesses)]:
-            note(_PROBE_KINDS[kind], t, i, margins[i, kind])
+        margin[:] = np.stack([np.minimum(low[0], low[1]), np.minimum(low[2], low[3]), low[4]], 1)
+    bad = margins < -INTERVAL_TOL
+    witnesses = [(_PROBE_KINDS[k], probe.times[j], int(i), float(margins[j, i, k]))
+                 for j, i, k in np.argwhere(bad)[:10]]
 
     # form-level criterion, time-independent: projecting onto the order
     # interval may never increase the energy
-    etas = hermitian_from_ginibre(ginibre(sf.dim, rng, (N,)))
+    etas = hermitian_from_ginibre(ginibre(n, rng, (N,)))
     etas_i = project_order_interval(sf, etas)
     gaps = np.real(hs_inner(etas_i, H.apply(etas_i))) - np.real(hs_inner(etas, H.apply(etas)))
     form_bad = np.flatnonzero(gaps > INTERVAL_TOL)
-    for i in form_bad:
-        note("form", 0.0, i, gaps[i])
-
+    witnesses += [("form", 0.0, int(i), float(gaps[i])) for i in form_bad[: 10 - len(witnesses)]]
+    certificate = factor_certificate(H)
+    counts = bad.sum(axis=(0, 1))
     return MarkovianityReport(
         times=probe.times,
         samples=N,
@@ -281,12 +284,13 @@ def markovianity_report(sf, probe):
         extreme_violations=int(counts[1]),
         positivity_violations=int(counts[2]),
         form_violations=int(form_bad.size),
-        worst_interval_margin=float(worst_interval),
-        worst_positivity_margin=float(worst_positivity),
+        worst_interval_margin=float(margins[..., :2].min(initial=np.inf)),
+        worst_positivity_margin=float(margins[..., 2].min(initial=np.inf)),
         worst_form_gap=float(gaps.max(initial=-np.inf)),
         xi0_invariance_max=float(xi0_max),
-        j_real_max=float(j_real_max),
+        j_real_max=max((certificate.bounds(t)[1] for t in probe.times), default=0.0),
         witnesses=tuple(witnesses),
+        certificate=certificate,
     )
 
 

@@ -554,7 +554,7 @@ _SHARED = (
 
 def test_assembly_never_composes_dense_superoperators(monkeypatch):
     # the embedding conjugation is four n x n contractions and G0 a sandwich
-    # sum, so no suite but the semigroup law multiplies two n^2 x n^2 matrices
+    # sum, so no assembly suite multiplies two n^2 x n^2 operators
     calls = []
     matmul = SuperOperator.__matmul__
 
@@ -773,6 +773,26 @@ def test_the_shipped_control_passes_with_violations():
     assert suite["notes"] == ["negative control produced violations as designed"]
     assert suite["gates"]["xi0_invariance"] == ["<", 1e-8]
     assert suite["residuals"]["xi0_invariance"] < 1e-12 and suite["residuals"]["j_real"] < 1e-12
+
+
+@pytest.mark.parametrize("fault", ["eigenvectors", "eigenvalue"])
+def test_perturbed_spectral_factors_fail_the_factor_certificate(monkeypatch, fault):
+    """V off by 1e-8 Ginibre, or one eigenvalue off by 1e-8: every T_t the
+    suite reads is then that far from e^{-tH}, and the certificate says so."""
+    eigh = SuperOperator.eigh
+
+    def perturbed(self):
+        w, V = eigh(self)
+        if fault == "eigenvectors":
+            return w, V + 1e-8 * ginibre(len(w), np.random.default_rng(0))
+        return w + 1e-8 * (np.arange(len(w)) == len(w) - 1), V
+
+    monkeypatch.setattr(SuperOperator, "eigh", perturbed)
+    suites = run_scenario_object(
+        replace(_corpus_scenario("balanced_pair_cauchy"), suites=("semigroup",)))["suites"]
+    assert suites["semigroup"]["residuals"]["semigroup_factor_error"] > 1e-9
+    (line,) = _summary(suites)
+    assert line.startswith("  [FAIL] semigroup  failing semigroup_factor_error = ")
 
 
 def test_import_does_not_load_scipy():

@@ -108,7 +108,7 @@ def test_drift_vanishes_for_hermitian_coupling_at_trace(rng):
 def test_central_drift_offset_does_not_move_the_generator(sf3, rng):
     xs = [ginibre(3, rng)]
     spec_a = spec_from_couplings(sf3, xs, Q="auto")
-    q_shift = build_Q(sf3, xs, central_offset=2.7)
+    q_shift = build_Q(sf3, xs) + 2.7 * np.eye(3)
     spec_b = LindbladSpec(ys=spec_a.ys, Q=q_shift)
     La, Lb = lindblad_superop(spec_a), lindblad_superop(spec_b)
     assert (La - Lb).norm() < 1e-12

@@ -1,15 +1,21 @@
-"""Markovian semigroups: law, symmetry, contraction, and the order interval."""
+"""Markovian semigroups: law, symmetry, contraction, the certificate of the
+spectral factors, and the order interval."""
+
+import functools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from mdf import (
     NotSelfAdjoint,
     SemigroupProbe,
     SuperOperator,
     build_standard_form,
+    cli,
     dirichlet_operator,
     evolve,
     markovianity_report,
@@ -18,8 +24,8 @@ from mdf import (
     spectral_gap,
     tracial_state,
 )
-from mdf.linalg import ginibre, hs_inner, hs_norm, random_hermitian
-from mdf.semigroup import extreme_interval_element, random_interval_element
+from mdf.linalg import dagger, ginibre, hs_inner, hs_norm, random_hermitian
+from mdf.semigroup import extreme_interval_element, factor_certificate, random_interval_element
 
 
 @pytest.fixture
@@ -54,10 +60,9 @@ def test_contraction(H3, rng):
 
 
 def test_evolve_matches_operator(H3, rng):
-    xi = ginibre(3, rng)
-    np.testing.assert_allclose(
-        evolve(H3, xi, 0.7), semigroup_operator(H3, 0.7).apply(xi), atol=1e-13
-    )
+    T = semigroup_operator(H3, 0.7)
+    for xi in (ginibre(3, rng), ginibre(3, rng, (5,))):
+        np.testing.assert_allclose(evolve(H3, xi, 0.7), T.apply(xi), atol=1e-13)
 
 
 def test_cyclic_vector_is_stationary(sf3, H3):
@@ -82,6 +87,48 @@ def test_tiny_negative_eigenvalues_are_clamped():
     H = SuperOperator(base - 5e-10 * np.eye(4), 2)
     T = semigroup_operator(H, 50.0)
     assert T.norm() <= 1.0 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the certificate of the spectral factors
+# ---------------------------------------------------------------------------
+
+def _corpus_operator(name):
+    (path,) = [p for p in cli.corpus_paths() if p.endswith(f"{name}.json")]
+    with open(path, "r", encoding="utf-8") as fh:
+        return cli.ScenarioContext(cli.parse_scenario(json.load(fh)), 0).H
+
+
+CERTIFIED = {
+    **{name: functools.partial(_corpus_operator, name) for name in (
+        "tracial_double_commutator", "gibbs_two_level", "gibbs_three_level_degenerate",
+        "balanced_pair_cauchy", "unbalanced_single", "nonmarkovian_control")},
+    "generated_n8": lambda: cli.ScenarioContext(
+        cli.parse_scenario(cli.generate_scenario(1, 8, "balanced_pair")), 0).H,
+    "signed_control": lambda: nonmarkovian_control(
+        build_standard_form(np.diag([0.9, 0.1])), random_hermitian(2, np.random.default_rng(0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_the_factor_certificate_bounds_the_computed_semigroup(name):
+    H = CERTIFIED[name]()
+    cert = factor_certificate(H)
+    Hh = 0.5 * (H.mat + dagger(H.mat))
+    for t in cli.PROBE_TIMES:
+        T = semigroup_operator(H, t)
+        delta, j_bound = cert.bounds(t)
+        assert delta >= hs_norm(T.mat - expm(-t * Hh)), t
+        assert j_bound >= T.j_real_defect(), t
+
+
+def test_the_certificate_is_infinite_without_near_orthonormal_factors():
+    H = SuperOperator(np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex), 2)
+    H._eig = (np.arange(4.0), 2.0 * np.eye(4))
+    cert = factor_certificate(H)
+    assert cert.mu == np.inf
+    assert cert.bounds(0.0) == (6.0, 12.0) and cert.orthogonality == 6.0  # ||3 I||_HS on C^4
+    assert cert.bounds(1.0) == (np.inf, np.inf)
 
 
 # ---------------------------------------------------------------------------

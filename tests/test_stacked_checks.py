@@ -1,11 +1,14 @@
 """Stacked sampled checks against their per-sample references.
 
-``markovianity_report`` and ``verify_dirichlet`` draw their samples one
-at a time from the seeded stream and evaluate them as stacks.  The
-references below are the per-sample loops they replaced, kept verbatim
-(samplers included), so the stacked versions must reproduce their
-counts and witnesses exactly and their margins and residuals to
-rounding.
+``markovianity_report`` and ``verify_dirichlet`` draw their samples from
+the seeded stream in blocks and preallocated arrays, the same numbers as
+drawing them one at a time, and evaluate them as stacks.  The references
+below are the per-sample loops they replaced, kept verbatim (samplers and
+a dense T_t per time included), so the stacked versions must reproduce
+their counts and witnesses exactly and their margins and residuals to
+rounding.  ``j_real_max`` is a bound on T_t's J-defect, not a
+measurement; on these operators it stays within rounding of the
+reference's dense value.
 """
 
 import numpy as np
