@@ -8,6 +8,8 @@ from ``hat_quadrature`` instead of the closed form.
 The same mechanism lifts to superoperators, whose double-index entries
 pick up the transform at differences of the exponents; that lift is
 what makes the exact spectral engine of the Dirichlet module possible.
+Superoperator smears and quarter-shift maps are such multipliers; the
+flow's multiplier factors, so it is the sandwich Delta^{iz} K Delta^{-iz}.
 """
 
 import numpy as np
@@ -146,10 +148,11 @@ def superop_smear(sf, K, f):
 
 
 def superop_sigma(sf, K, z):
-    """Flow conjugation of a superoperator at complex time z."""
+    """Flow conjugation Delta^{iz} K Delta^{-iz}: one sandwich by rho^{iz} and rho^{-iz}."""
     z = complex(z)
-    _guard_exponent(sf.superop_frequencies, z.imag)
-    return sf.superop_multiplier(K, np.exp(1j * z * sf.superop_frequencies))
+    _guard_exponent(sf.kappa, 2 * z.imag)  # max|nu_a - nu_b| = 2 max|kappa|
+    r, r_inv = sf.rho_power(1j * z), sf.rho_power(-1j * z)
+    return K.sandwiched(r, r_inv, r_inv, r)
 
 
 def superop_modular_map(sf, K, which):

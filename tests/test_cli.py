@@ -795,6 +795,18 @@ def test_perturbed_spectral_factors_fail_the_factor_certificate(monkeypatch, fau
     assert line.startswith("  [FAIL] semigroup  failing semigroup_factor_error = ")
 
 
+def test_flow_at_the_conjugate_time_fails_the_commutant_check(monkeypatch):
+    """sigma_z(j(x)) = j(sigma_{conj z}(x)) pins the time the flow runs at:
+    a superoperator flow at conj(z) fails it, and the summary says so."""
+    flow = cli.superop_sigma
+    monkeypatch.setattr(cli, "superop_sigma", lambda sf, K, z: flow(sf, K, np.conj(z)))
+    suites = run_scenario_object(
+        replace(_corpus_scenario("balanced_pair_cauchy"), suites=("modular",)))["suites"]
+    assert suites["modular"]["residuals"]["flow_commutant_compatibility"] > 1e-10
+    (line,) = _summary(suites)
+    assert line.startswith("  [FAIL] modular  failing flow_commutant_compatibility = ")
+
+
 def test_import_does_not_load_scipy():
     """scipy serves only the Cauchy pole tails and is imported on first use."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

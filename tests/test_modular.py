@@ -311,6 +311,10 @@ def test_overflow_guard_trips():
     sf = build_standard_form(np.diag([1.0 - 2e-8, 2e-8]))
     with pytest.raises(Overflow):
         sigma(sf, np.eye(2), 50.0j)
+    # |Im z| max|kappa| = 443 passes the guard, but the superoperator flow
+    # reaches |Im z| max|nu_a - nu_b| = 886
+    with pytest.raises(Overflow):
+        superop_sigma(sf, SuperOperator.left_mult(np.eye(2)), 25j)
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +370,21 @@ def test_superop_frequencies_is_one_read_only_grid(sf3):
 def test_superop_flow_conjugates_sandwiches(sf3, rng):
     A, B, X = (ginibre(3, rng) for _ in range(3))
     K = SuperOperator.sandwich(A, B)
-    t = 0.62
-    lhs = superop_sigma(sf3, K, t)
-    rhs = SuperOperator.sandwich(sigma(sf3, A, t), sigma(sf3, B, t))
-    assert (lhs - rhs).norm() < 1e-12
-    # and the conjugation formula itself
-    np.testing.assert_allclose(
-        lhs.apply(X), sigma(sf3, K.apply(sigma(sf3, X, -t)), t), atol=1e-12
-    )
+    G = SuperOperator(ginibre(9, rng), 3)
+    for t in (0.62, 0.62 - 0.1j):
+        lhs = superop_sigma(sf3, K, t)
+        rhs = SuperOperator.sandwich(sigma(sf3, A, t), sigma(sf3, B, t))
+        assert (lhs - rhs).norm() < 1e-12
+        # and the conjugation formula itself
+        np.testing.assert_allclose(
+            lhs.apply(X), sigma(sf3, K.apply(sigma(sf3, X, -t)), t), atol=1e-12
+        )
+        # the entrywise multiplier e^{it(nu_a - nu_b)} in eigenbasis
+        # coordinates is the same flow along an independent route, on a
+        # sandwich and on a general dense superoperator
+        for M in (K, G):
+            multiplier = sf3.superop_multiplier(M, np.exp(1j * t * sf3.superop_frequencies))
+            assert (superop_sigma(sf3, M, t) - multiplier).norm() < 1e-12
 
 
 def test_superop_quarter_shift_on_one_sided_multipliers(sf3, rng):
@@ -387,6 +398,10 @@ def test_superop_quarter_shift_on_one_sided_multipliers(sf3, rng):
     lhs = superop_modular_map(sf3, SuperOperator.right_mult(A), D_PLUS_QUARTER)
     rhs = SuperOperator.right_mult(sigma(sf3, A, -0.25j))
     assert (lhs - rhs).norm() < 1e-12
+    # the quarter shifts are the flow continued to z = -+i/4
+    K = SuperOperator.sandwich(A, ginibre(3, rng))
+    for z, which in ((-0.25j, D_PLUS_QUARTER), (0.25j, D_MINUS_QUARTER)):
+        assert (superop_sigma(sf3, K, z) - superop_modular_map(sf3, K, which)).norm() < 1e-12
 
 
 @pytest.mark.parametrize("make_kernel", [F0Kernel, lambda: CauchyKernel(scale=1.0)])
