@@ -307,7 +307,9 @@ class DirichletReport:
     <= 0 up to noise); ``jordan_negativity_max`` records the worst
     value.  ``cone_form_residual`` is the largest |E(xi, xi0)| over
     sampled positive vectors, ``conj_form_residual`` the largest gap in
-    E(J xi, J xi) = conj(E(xi, xi)) over general samples.
+    E(J xi, J xi) = conj(E(xi, xi)) over general samples.  ``psd_min_eig``
+    is lambda_min((R + R^T)/2) - d from H's real form (R, d), by Weyl's
+    inequality a lower bound on the lowest eigenvalue of (H + H*)/2.
     """
 
     h_xi0_residual: float
@@ -335,8 +337,8 @@ def verify_dirichlet(sf, H, samples=100, seed=0):
     n = sf.dim
     rng = np.random.default_rng(seed)
     h_xi0 = H.apply(sf.xi0)
-    herm = (H.mat + dagger(H.mat)) / 2.0
-    psd_min_eig = float(np.linalg.eigvalsh(herm)[0])
+    R, d = H.real_form()
+    psd_min_eig = float(np.linalg.eigvalsh((R + R.T) / 2.0)[0]) - d
     G = ginibre(n, rng, (samples, 3))
     xi, psd, g = hermitian_from_ginibre(G[:, 0]), psd_from_ginibre(G[:, 1]), G[:, 2]
     plus, minus = jordan_decompose(sf, xi)

@@ -207,8 +207,9 @@ def build_Q(sf, xs, f=None):
 class BalanceReport:
     """Residuals of the two equivalent balance statements.
 
-    ``condition_residual`` is the operator norm of the map
-    X -> sum x_k X x_k* - x_k* X x_k; ``lemma_residual`` the
+    ``condition_residual`` bounds the operator norm of the J-real map
+    Phi: X -> sum x_k X x_k* - x_k* X x_k from above by ||R||_2 + d, from
+    its real form (R, d) (:meth:`SuperOperator.real_form`); ``lemma_residual`` the
     Hilbert-Schmidt norm of its quarter-shifted counterpart
     X -> sum sigma_{i/4}(x_k) X sigma_{-i/4}(x_k*) - sigma_{i/4}(x_k*) X sigma_{-i/4}(x_k).
     ``equivalent`` records that the two verdicts agree — their
@@ -233,7 +234,8 @@ def check_balance_condition(sf, xs):
         cond += [(x, xd), (-xd, x)]
         dressed += [(sigma(sf, x, 0.25j), sigma(sf, xd, -0.25j)),
                     (-sigma(sf, xd, 0.25j), sigma(sf, x, -0.25j))]
-    cond_res = _sandwich_sum(cond).norm()
+    R, d = _sandwich_sum(cond).real_form()
+    cond_res = float(np.sqrt(np.linalg.eigvalsh(R.T @ R)[-1])) + d  # ||R||_2 + d
     lemma_res = _sandwich_sum(dressed).hs_norm()
     equivalent = (cond_res < BALANCE_TOL) == (lemma_res < BALANCE_TOL)
     return BalanceReport(

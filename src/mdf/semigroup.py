@@ -50,11 +50,12 @@ CLAMP_EPS = 1e-9
 
 
 def _factors(H):
-    """H's spectral factors (w, V), cached on H, with w in (-CLAMP_EPS, 0) set to 0."""
-    defect = H.selfadjoint_defect()
-    if defect > SELFADJOINT_GATE:
-        raise NotSelfAdjoint(f"operator is {defect:.3e} from self-adjoint; refusing to "
-                             "exponentiate a one-sided spectral decomposition")
+    """H's spectral factors (w, V), cached, w in (-CLAMP_EPS, 0) set to 0; H = H* checked once."""
+    if H._eig is None:
+        defect = H.selfadjoint_defect()
+        if defect > SELFADJOINT_GATE:
+            raise NotSelfAdjoint(f"operator is {defect:.3e} from self-adjoint; refusing to "
+                                 "exponentiate a one-sided spectral decomposition")
     w, V = H.eigh()
     return np.where((w > -CLAMP_EPS) & (w < 0.0), 0.0, w), V
 
@@ -180,7 +181,8 @@ class MarkovianityReport:
     eigenvalue encountered (>= -INTERVAL_TOL passes), for the form
     projection the largest E[eta_I] - E[eta] (<= INTERVAL_TOL passes).
     ``witnesses`` carries up to ten (check, t, sample, margin) tuples
-    for replay.  ``j_real_max`` is the largest J bound of ``certificate``.
+    for replay.  ``xi0_invariance_max`` and ``j_real_max`` (the J bound of
+    ``certificate``) are relative to ||T_t||_2 = e^{-t min(0, min w)}, 1 if contractive.
     """
 
     times: tuple
@@ -256,9 +258,11 @@ def markovianity_report(sf, probe):
     xi0, N, n = sf.xi0, probe.samples, sf.dim
     margins = np.empty((len(probe.times), N, len(_PROBE_KINDS)))
     xi0_max = 0.0
+    # 1 / ||e^{-tW}||_2: the xi0 and J residuals are measured relative to ||T_t||
+    w_low = min(0.0, float(_factors(H)[0].min()))
     for t, margin in zip(probe.times, margins):
         out = evolve(H, np.concatenate([xi0[None], *_probe_draws(sf, rng, N)]), t)
-        xi0_max = max(xi0_max, hs_norm(out[0] - xi0))
+        xi0_max = max(xi0_max, hs_norm(out[0] - xi0) * np.exp(t * w_low))
         out_i, out_e, out_p = out[1:].reshape(3, N, n, n)
         low = min_eigenvalue(np.concatenate([out_i, xi0 - out_i, out_e, xi0 - out_e, out_p]))
         low = low.reshape(5, N)
@@ -288,7 +292,8 @@ def markovianity_report(sf, probe):
         worst_positivity_margin=float(margins[..., 2].min(initial=np.inf)),
         worst_form_gap=float(gaps.max(initial=-np.inf)),
         xi0_invariance_max=float(xi0_max),
-        j_real_max=max((certificate.bounds(t)[1] for t in probe.times), default=0.0),
+        j_real_max=max((certificate.bounds(t)[1] * float(np.exp(t * w_low)) for t in probe.times),
+                       default=0.0),
         witnesses=tuple(witnesses),
         certificate=certificate,
     )

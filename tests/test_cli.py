@@ -775,6 +775,26 @@ def test_the_shipped_control_passes_with_violations():
     assert suite["residuals"]["xi0_invariance"] < 1e-12 and suite["residuals"]["j_real"] < 1e-12
 
 
+def _signed_control(n):
+    """The generated n-level balanced pair under the signed weight at alpha = 6, as a control."""
+    signed = {"kernel": {"signed_f0": {"alpha": 6.0}}, "negative_control": True}
+    return parse_scenario({**generate_scenario(1, n, "balanced_pair"), **signed})
+
+
+@pytest.mark.parametrize("n", [6, 8, 12, pytest.param(16, marks=pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 5: semigroup_factor_error reads 4.5e-6 against 1e-9, "
+    "an absolute bound on a T_t of norm e^{1.2 |min w|}"))])
+def test_generated_signed_controls_pass_every_suite(n):
+    """xi0 and J are measured relative to ||T_t||: rounding that the control's
+    growing modes amplify (xi0_invariance 37.5, j_real 1.3e5 at n = 8) fails no gate."""
+    report = run_scenario_object(_signed_control(n))
+    failing = {name: [k for k, gate in data["gates"].items() if not cli._holds(
+        data["residuals"][k], *gate)] for name, data in report["suites"].items()}
+    assert report["passed"], failing
+    notes = report["suites"]["semigroup"]["notes"]
+    assert notes == ["negative control produced violations as designed"]
+
+
 @pytest.mark.parametrize("fault", ["eigenvectors", "eigenvalue"])
 def test_perturbed_spectral_factors_fail_the_factor_certificate(monkeypatch, fault):
     """V off by 1e-8 Ginibre, or one eigenvalue off by 1e-8: every T_t the
@@ -793,6 +813,32 @@ def test_perturbed_spectral_factors_fail_the_factor_certificate(monkeypatch, fau
     assert suites["semigroup"]["residuals"]["semigroup_factor_error"] > 1e-9
     (line,) = _summary(suites)
     assert line.startswith("  [FAIL] semigroup  failing semigroup_factor_error = ")
+
+
+def test_a_complex_kernel_mode_fails_the_psd_gate_through_the_weyl_term(monkeypatch):
+    """H_0 - c uu*, u = (a + ib)/sqrt 2 for orthonormal J-real kernel vectors a, b of
+    the tracial double commutator, c = 1.5e-9: its lowest eigenvalue is -c, the real
+    part of its real form reads only -c/2, and the Weyl term -d carries it past -1e-9."""
+    init = ScenarioContext.__init__
+    faulted = []
+
+    def fault(self, scenario, seed):
+        init(self, scenario, seed)
+        w, V = self.parts[0].eigh()
+        assert np.abs(w[:2]).max() < 1e-12 < w[2]  # the two-dimensional kernel
+        u = (V[:, 0] + 1j * V[:, 1]) / np.sqrt(2.0)
+        self.parts[0] = self.parts[0] - SuperOperator(1.5e-9 * np.outer(u, u.conj()), 2)
+        faulted.append(self.parts[0])
+
+    monkeypatch.setattr(ScenarioContext, "__init__", fault)
+    suites = run_scenario_object(
+        replace(_corpus_scenario("tracial_double_commutator"), suites=("dirichlet",)))["suites"]
+    R, d = faulted[0].real_form()
+    real_part = np.linalg.eigvalsh((R + R.T) / 2.0)[0]
+    assert real_part > -1e-9  # the real part alone would pass the gate
+    assert suites["dirichlet"]["residuals"]["x0_psd_min_eig"] == real_part - d < -1e-9
+    (line,) = _summary(suites)
+    assert line.startswith("  [FAIL] dirichlet  failing x0_psd_min_eig = ")
 
 
 def test_flow_at_the_conjugate_time_fails_the_commutant_check(monkeypatch):

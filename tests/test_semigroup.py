@@ -82,8 +82,9 @@ def test_non_selfadjoint_generator_rejected(rng):
 
 
 def test_tiny_negative_eigenvalues_are_clamped():
-    # eigenvalues in (-1e-9, 0) are numerical zeros: no exponential growth
-    base = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
+    # eigenvalues in (-1e-9, 0) are numerical zeros: no exponential growth;
+    # entries (0, 1) and (1, 0) share a factor, so H is J-real
+    base = np.diag([0.0, 1.0, 1.0, 3.0]).astype(complex)
     H = SuperOperator(base - 5e-10 * np.eye(4), 2)
     T = semigroup_operator(H, 50.0)
     assert T.norm() <= 1.0 + 1e-12

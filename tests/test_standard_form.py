@@ -1,5 +1,7 @@
 """Standard-form construction, the positive cone, and superoperators."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from mdf import (
     NotJReal,
     SuperOperator,
     build_standard_form,
+    cli,
     gibbs_state,
     jordan_decompose,
     left_act,
@@ -33,6 +36,7 @@ from mdf.linalg import (
     unvec,
     vec,
 )
+from mdf.lindblad import check_balance_condition
 
 
 # ---------------------------------------------------------------------------
@@ -348,3 +352,60 @@ def test_hs_residuals_are_never_below_the_spectral_ones(rng):
     assert K.hs_norm() >= K.norm()
     assert K.selfadjoint_defect() >= np.linalg.norm(K.mat - dagger(K.mat), 2)
     assert K.j_real_defect() >= np.linalg.norm(K.mat - S @ K.mat.conj() @ S, 2)
+
+
+# ---------------------------------------------------------------------------
+# the real form on the J-fixed subspace H^J
+# ---------------------------------------------------------------------------
+
+def _corpus_parts():
+    for path in cli.corpus_paths():
+        with open(path, "r", encoding="utf-8") as fh:
+            ctx = cli.ScenarioContext(cli.parse_scenario(json.load(fh)), 0)
+        yield from ctx.parts
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_real_form_discards_exactly_half_the_j_defect(n, rng):
+    K = SuperOperator(ginibre(n * n, rng), n)
+    R, d = K.real_form()
+    assert R.dtype == np.float64
+    assert abs(2.0 * d - K.j_real_defect()) <= 1e-12 * K.j_real_defect()
+
+
+def test_real_form_spectrum_matches_the_complex_one_on_the_corpus():
+    for H in _corpus_parts():
+        R, d = H.real_form()
+        herm = (H.mat + dagger(H.mat)) / 2.0
+        gap = np.abs(np.linalg.eigvalsh((R + R.T) / 2.0) - np.linalg.eigvalsh(herm)).max()
+        assert gap <= 1e-12 * max(H.norm(), 1.0)
+        assert d <= 1e-12 * max(H.norm(), 1.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_real_eigh_factors_are_unitary_and_hermitian(n, rng):
+    a, b = ginibre(n, rng), ginibre(n, rng)
+    H = SuperOperator.sandwich([a, b], [dagger(a), dagger(b)])  # X -> a X a* + b X b*
+    H = H + H.adjoint()
+    w, V = H.eigh()
+    assert hs_norm(dagger(V) @ V - np.eye(n * n)) <= 1e-12
+    assert hs_norm(H.mat @ V - V * w) <= 1e-12 * H.hs_norm()
+    cols = V.T.reshape(-1, n, n)
+    assert np.abs(cols - dagger(cols)).max() == 0.0  # each column is in H^J
+
+
+def test_real_eigh_refuses_an_operator_that_is_not_j_real(rng):
+    K = SuperOperator(ginibre(9, rng), 3)
+    with pytest.raises(NotJReal):
+        (K + K.adjoint()).eigh()
+
+
+def test_real_form_balance_residual_bounds_the_complex_norm(rng):
+    sf = _random_state(3, rng)
+    for x in (ginibre(3, rng), random_hermitian(3, rng), np.diag([1.0, 2.0, 3.0])):
+        phi = SuperOperator.sandwich([x, -dagger(x)], [dagger(x), x])
+        # equal up to rounding, since phi is J-real
+        assert check_balance_condition(sf, [x]).condition_residual >= phi.norm() * (1 - 1e-13)
+    K = SuperOperator(ginibre(16, rng), 4)  # no J-symmetry: the d term is what makes it a bound
+    R, d = K.real_form()
+    assert np.linalg.norm(R, 2) < K.norm() <= np.linalg.norm(R, 2) + d
