@@ -36,7 +36,7 @@ from mdf.cli import (
     matrix_from_json,
     matrix_to_json,
     parse_scenario,
-    resolve_coefficients,
+    run_scenario,
     run_scenario_object,
 )
 from mdf.linalg import dagger, ginibre
@@ -112,11 +112,12 @@ def test_parse_accepts_the_minimal_scenario():
         ({"coefficients": {"random": {"kind": "magic"}}}, "coefficients.random.kind"),
         ({"kernel": {"sinc": {}}}, "kernel"),
         ({"suites": ["dirichlet", "nonsense"]}, "suites"),
-        ({"tolerances": {"algebraic": -1}}, "tolerances.algebraic"),
-        ({"tolerances": {"bogus": 1e-8}}, "tolerances.bogus"),
+        ({"tolerances": {"algebraic": 1}}, "tolerances"),
+        ({"negative_control": 1}, "negative_control"),
         ({"unexpected": 1}, "unexpected"),
-        ({"tolerances": {"interval": 1e-8}}, "tolerances.interval"),
-        ({"tolerances": {"negativity": 1e-9}}, "tolerances.negativity"),
+        ({"coefficients": {"random": {"kind": "hermitian", "count": 0}}},
+         "coefficients.random.count"),
+        ({"state": {"density": matrix_to_json(np.eye(3) / 3)}}, "state.density"),
         ({"kernel": {"cauchy": {"scale": "abc"}}}, "kernel.cauchy.scale"),
         ({"kernel": {"cauchy": 5}}, "kernel.cauchy"),
         (
@@ -131,7 +132,6 @@ def test_parse_accepts_the_minimal_scenario():
                                  "beta": float("inf")}}},
             "state.gibbs.beta",
         ),
-        ({"tolerances": {"algebraic": float("inf")}}, "tolerances.algebraic"),
     ],
 )
 def test_parse_rejections_point_at_the_key(patch, key, tmp_path, capsys):
@@ -144,10 +144,15 @@ def test_parse_rejections_point_at_the_key(patch, key, tmp_path, capsys):
     assert re.search(pattern, capsys.readouterr().err)
 
 
-def test_signed_kernel_requires_the_control_flag(tmp_path, capsys):
+def test_signed_kernel_requires_the_control_flag(tmp_path, capsys, monkeypatch):
     signed = _minimal(kernel={"signed_f0": {"alpha": 6.0}})
+    certified = []
+    cls = type(kernels.kernel_from_descriptor(signed["kernel"]))
+    certify = cls.certificate
+    monkeypatch.setattr(cls, "certificate", lambda self: (certified.append(self), certify(self))[1])
     with pytest.raises(SchemaError, match="positivity.* failed; .*negative_control: true"):
         parse_scenario(signed)
+    assert len(certified) == 1  # the rejection reads one certificate
     p = tmp_path / "signed.json"
     p.write_text(json.dumps(signed))
     assert main(["run", str(p)]) == 2
@@ -169,21 +174,56 @@ def test_wide_cauchy_scenario_runs(tmp_path):
 
 
 def test_dim_cap_env_override(monkeypatch):
-    big = _minimal(dim=40, coefficients={"random": {"kind": "hermitian", "count": 1, "seed": 0}})
-    with pytest.raises(SchemaError, match="MDF_MAX_DIM"):
-        parse_scenario(big)
+    """The documented ceiling n <= 32 is pinned: MDF_MAX_DIM no longer lifts it."""
     monkeypatch.setenv("MDF_MAX_DIM", "64")
-    parse_scenario(big)  # parsing only; nothing heavy runs
-    monkeypatch.setenv("MDF_MAX_DIM", "8")
-    with pytest.raises(SchemaError):
+    big = _minimal(dim=33, coefficients={"random": {"kind": "hermitian", "count": 1, "seed": 0}})
+    with pytest.raises(SchemaError, match="dim: 33 exceeds the maximum 32"):
         parse_scenario(big)
+    with pytest.raises(SchemaError, match="dim: 33 exceeds the maximum 32"):
+        generate_scenario(1, 33, "hermitian")
+    with pytest.raises(SchemaError, match="dim: expected an integer >= 2"):
+        generate_scenario(1, 1, "hermitian")
+
+
+@pytest.mark.parametrize("patch, flags, key", [
+    ({"seed": -1}, [], "seed"),
+    ({"coefficients": {"random": {"kind": "hermitian", "seed": -5}}}, [],
+     "coefficients.random.seed"),
+    ({}, ["--seed", "-3"], "--seed"),
+    (None, ["--seed", "-1"], "seed"),
+], ids=["seed_key", "random_seed_key", "run_flag", "generate_flag"])
+def test_a_negative_seed_exits_two_naming_the_key(tmp_path, capsys, patch, flags, key):
+    p = tmp_path / "s.json"
+    if patch is None:
+        argv = ["generate", "--dim", "2", "--kind", "hermitian", "--out", str(p)] + flags
+    else:
+        p.write_text(json.dumps(_minimal(**patch)))
+        argv = ["run", str(p)] + flags
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert re.match(rf"error: (s\.json: )?{re.escape(key)}: expected an integer >= 0$", err), err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ([] if patch is None else ["s.json"])
+
+
+def test_each_matrix_is_decoded_and_the_kernel_built_once(monkeypatch, tmp_path):
+    decoded, built = [], []
+    decode, build = cli.matrix_from_json, cli.kernel_from_descriptor
+    monkeypatch.setattr(cli, "matrix_from_json", lambda obj, path, n=None: (
+        decoded.append(path), decode(obj, path, n))[1])
+    monkeypatch.setattr(cli, "kernel_from_descriptor", lambda desc: (
+        built.append(desc), build(desc))[1])
+    (path,) = [p for p in corpus_paths() if p.endswith("balanced_pair_cauchy.json")]
+    _, code = run_scenario(path, out=str(tmp_path / "r.json"))
+    assert code == 0
+    assert decoded == ["state.density"]
+    assert built == [{"cauchy": {"scale": 1.0}}]
 
 
 def test_balanced_pair_resolves_to_adjoint_pairs():
     s = parse_scenario(
         _minimal(coefficients={"random": {"kind": "balanced_pair", "count": 2, "seed": 5}})
     )
-    xs = resolve_coefficients(s)
+    xs = s.xs
     assert len(xs) == 4
     np.testing.assert_allclose(xs[1], dagger(xs[0]), atol=0)
     np.testing.assert_allclose(xs[3], dagger(xs[2]), atol=0)
@@ -247,13 +287,10 @@ def test_run_default_report_path(tmp_path):
     assert (tmp_path / "scenario.report.json").exists()
 
 
-def test_run_exits_one_on_failing_suite(tmp_path):
+def test_run_exits_one_on_failing_suite(tmp_path, monkeypatch):
+    monkeypatch.setitem(cli.TOLERANCES, "algebraic", 1e-300)  # jordan_split reads 1.4e-15
     p = tmp_path / "tight.json"
-    p.write_text(
-        json.dumps(
-            _minimal(suites=["standard_form"], tolerances={"algebraic": 1e-300})
-        )
-    )
+    p.write_text(json.dumps(_minimal(suites=["standard_form"])))
     assert main(["run", str(p)]) == 1
 
 
@@ -424,6 +461,7 @@ def test_the_two_level_gibbs_state_at_beta_14_passes_every_suite(tmp_path):
 
 @pytest.mark.parametrize("tolerance, passed", [(None, False), (1e-3, True)])
 def test_the_engine_crosscheck_reads_the_scenario_bar(monkeypatch, tolerance, passed):
+    """The pinned cross_engine bar (1e-7) fails a 1e-5 engine gap; patched to 1e-3, it passes."""
     real = dirichlet.dirichlet_operator
 
     def skewed(sf, spec, kernel=None, engine=dirichlet.ENGINE_EXACT, check_kernel=True):
@@ -431,8 +469,9 @@ def test_the_engine_crosscheck_reads_the_scenario_bar(monkeypatch, tolerance, pa
         return (1 + 1e-5) * H if engine == dirichlet.ENGINE_QUADRATURE else H
 
     monkeypatch.setattr(dirichlet, "dirichlet_operator", skewed)  # a 1e-5 engine gap
-    tolerances = {} if tolerance is None else {"cross_engine": tolerance}
-    scenario = parse_scenario(_minimal(suites=["dirichlet"], tolerances=tolerances))
+    if tolerance is not None:
+        monkeypatch.setitem(cli.TOLERANCES, "cross_engine", tolerance)
+    scenario = parse_scenario(_minimal(suites=["dirichlet"]))
     suite = run_scenario_object(scenario)["suites"]["dirichlet"]
     assert suite["passed"] == passed
     if passed:
@@ -452,7 +491,8 @@ def test_the_consistency_gate_reads_the_integral_bar(monkeypatch):
         return real(criterion, H, tol)
 
     monkeypatch.setattr(cli, "selfadjointness_residual", spy)
-    scenario = parse_scenario(_minimal(suites=["lindblad"], tolerances={"integral": 1e-6}))
+    monkeypatch.setitem(cli.TOLERANCES, "integral", 1e-6)
+    scenario = parse_scenario(_minimal(suites=["lindblad"]))
     assert run_scenario_object(scenario)["suites"]["lindblad"]["passed"]
     assert bars == [1e-6]
 
@@ -487,9 +527,8 @@ def test_generated_scenario_runs_green(tmp_path):
 def test_generate_scenario_object_shape():
     s = generate_scenario(3, 2, "ginibre")
     parsed = parse_scenario(s)
-    assert parsed.dim == 2
-    xs = resolve_coefficients(parsed)
-    assert len(xs) == 1
+    assert parsed.sf.dim == 2
+    assert len(parsed.xs) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +547,10 @@ def test_corpus_is_complete():
     }
 
 
-def test_corpus_runs_green(tmp_path):
+def test_corpus_runs_green(tmp_path, capsys):
     assert main(["corpus", "--out-dir", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert not [line for line in lines if "[ok ]" in line and "failing" in line]
     # the tracial scenario pins the spectral gap of the double commutator
     tracial = json.loads((tmp_path / "tracial_double_commutator.report.json").read_text())
     gap = tracial["suites"]["semigroup"]["residuals"]["spectral_gap"]
@@ -604,7 +645,7 @@ def test_full_run_builds_each_shared_operator_once(monkeypatch):
 
     report = run_scenario_object(scenario)
     assert report["passed"]
-    xs = resolve_coefficients(scenario)
+    xs = scenario.xs
     assert len(xs) == 2 and np.array_equal(xs[1], dagger(xs[0]))
     builds = [key for name, _, key, _ in calls if name == "dirichlet_operator"]
     for x in xs:
@@ -650,7 +691,7 @@ def test_suites_leave_the_shared_operators_untouched():
 
 def test_criterion_and_balance_are_built_once(monkeypatch):
     scenario = _corpus_scenario("balanced_pair_cauchy")
-    xs = resolve_coefficients(scenario)
+    xs = scenario.xs
     calls = []
 
     def counted(name, fn):
@@ -676,9 +717,8 @@ def test_criterion_and_balance_are_built_once(monkeypatch):
 # gates: each residual recorded with its bound, one verdict rule
 # ---------------------------------------------------------------------------
 
-def _recorder(negative_control=False, judges_control=False, **tol):
-    ctx = SimpleNamespace(tol={**cli.DEFAULT_TOLERANCES, **tol}, negative_control=negative_control)
-    return cli._Gates(ctx, judges_control=judges_control)
+def _recorder(negative_control=False, judges_control=False):
+    return cli._Gates(SimpleNamespace(negative_control=negative_control), judges_control)
 
 
 @pytest.mark.parametrize(
@@ -711,15 +751,19 @@ def test_info_records_without_gating():
     assert "violations" not in rec.report([])
 
 
-def test_tolerance_key_bound_follows_the_scenario_override():
-    rec = _recorder(integral=3e-4)
+def test_tolerance_key_bound_reads_the_pinned_table(monkeypatch):
+    assert cli.TOLERANCES == {"algebraic": 1e-10, "integral": 1e-8, "cross_engine": 1e-7,
+                              "decomposition": 1e-7, "psd": 1e-9}
+    monkeypatch.setitem(cli.TOLERANCES, "integral", 3e-4)
+    rec = _recorder()
     rec.gate("r", 2e-4, "<", "integral")
     assert rec.report([])["gates"] == {"r": ("<", 3e-4)} and rec.report([])["passed"]
-    s = parse_scenario(_minimal(suites=["standard_form"], tolerances={"algebraic": 2.5e-3}))
-    suite = run_scenario_object(s)["suites"]["standard_form"]
-    assert suite["gates"]["j_fixes_xi0"] == ["<", 2.5e-3]
-    assert suite["gates"]["embedding_roundtrip"] == ["<", cli.DEFAULT_TOLERANCES["integral"]]
-    assert suite["gates"]["state_min_eigenvalue"] == [">", 0.0]
+    monkeypatch.setitem(cli.TOLERANCES, "algebraic", 2.5e-3)
+    suite = run_scenario_object(parse_scenario(_minimal(suites=["standard_form"])))
+    gates = suite["suites"]["standard_form"]["gates"]
+    assert gates["j_fixes_xi0"] == ["<", 2.5e-3]
+    assert gates["embedding_roundtrip"] == ["<", 3e-4]
+    assert gates["state_min_eigenvalue"] == [">", 0.0]
 
 
 @pytest.mark.parametrize("markov_holds", [True, False])
@@ -853,6 +897,24 @@ def test_flow_at_the_conjugate_time_fails_the_commutant_check(monkeypatch):
     assert line.startswith("  [FAIL] modular  failing flow_commutant_compatibility = ")
 
 
+@pytest.mark.parametrize("fault", [None, "xi0_invariance"])
+def test_a_control_summary_names_only_a_gate_that_broke_its_verdict(monkeypatch, fault):
+    """The n = 4 signed control must fail its violation counts: a passing one
+    prints no failing gate, a failing one names the structure gate it lost."""
+    if fault:
+        real = cli.markovianity_report
+        monkeypatch.setattr(cli, "markovianity_report",
+                            lambda sf, probe: replace(real(sf, probe), xi0_invariance_max=1e-3))
+    report = run_scenario_object(replace(_signed_control(4), suites=("semigroup",)))
+    assert report["suites"]["semigroup"]["residuals"]["interval_violations"] > 0
+    (line, note) = _summary(report["suites"], report["scenario"])
+    if fault:
+        assert line == "  [FAIL] semigroup  failing xi0_invariance = 1.000e-03 (< 1.000e-08)"
+    else:
+        assert line.startswith("  [ok ] semigroup  tightest ")
+    assert note == "        note: negative control produced violations as designed"
+
+
 def test_import_does_not_load_scipy():
     """scipy serves only the Cauchy pole tails and is imported on first use."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -905,8 +967,9 @@ def test_engine_disagreement_fails_the_dirichlet_suite(monkeypatch):
     assert not suite["passed"]
 
 
-def _summary(suites):
-    report = {"scenario": {"name": "s"}, "passed": False, "wall_clock_s": 0.0, "suites": suites}
+def _summary(suites, scenario=None):
+    report = {"scenario": scenario or {"name": "s"}, "passed": False, "wall_clock_s": 0.0,
+              "suites": suites}
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         cli.print_summary(report, "out.json")
