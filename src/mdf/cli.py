@@ -305,6 +305,8 @@ class ScenarioContext:
     ``parts``, the Dirichlet operators H_k of the couplings, is built up
     front: a coupling whose operator overflows is a ``SchemaError``,
     whatever the suites.  Every other member is built on first use.
+    The kernel was certified once by :func:`parse_scenario` (or is a
+    negative control), so no build here certifies it again.
     ``boundary_shift`` caches a failed oracle too, and raises that one
     failure on every use.  Suites never mutate a member.
     """
@@ -313,11 +315,9 @@ class ScenarioContext:
         self.sf, self.xs, self.kernel = scenario.sf, scenario.xs, scenario.kernel
         self.seed = seed
         self.negative_control = scenario.negative_control
-        check = not self.negative_control
         with np.errstate(over="ignore", invalid="ignore"):
-            self.parts = [
-                dirichlet_operator(self.sf, x, self.kernel, check_kernel=check) for x in self.xs
-            ]
+            self.parts = [dirichlet_operator(self.sf, x, self.kernel, check_kernel=False)
+                          for x in self.xs]
         for i, Hk in enumerate(self.parts):
             if not np.isfinite(Hk.mat).all():
                 raise SchemaError(f"coefficients[{i}]: too large, its Dirichlet operator overflows")
@@ -390,7 +390,7 @@ class ScenarioContext:
     @cached_property
     def general_weight_embedding(self):
         return max(
-            general_f_embedding_residual(self.sf, x, self.kernel, Hk)
+            general_f_embedding_residual(self.sf, x, self.kernel, Hk, check_kernel=False)
             for x, Hk in zip(self.xs, self.parts)
         )
 
@@ -539,7 +539,6 @@ def _suite_dirichlet(ctx):
     notes = []
     violations = []
     rec = _Gates(ctx)
-    check_kernel = not ctx.negative_control
     for i, Hk in enumerate(ctx.parts):
         rep = verify_dirichlet(sf, Hk, samples=SUITE_SAMPLES, seed=ctx.seed + i)
         for field in ("h_xi0_residual", "j_real_residual", "conj_form_residual",
@@ -555,14 +554,14 @@ def _suite_dirichlet(ctx):
     worst_split = 0.0
     for x, Hk in zip(xs, ctx.parts):
         x1, x2 = split_self_adjoint(x)
-        H1 = dirichlet_operator(sf, x1, kernel, check_kernel=check_kernel)
-        H2 = dirichlet_operator(sf, x2, kernel, check_kernel=check_kernel)
+        H1 = dirichlet_operator(sf, x1, kernel, check_kernel=False)
+        H2 = dirichlet_operator(sf, x2, kernel, check_kernel=False)
         worst_split = max(worst_split, (Hk - 0.5 * (H1 + H2)).hs_norm())
     rec.gate("split_identity", worst_split, "<", "integral")
     if sf.dim <= 4:
         rtol = TOLERANCES["cross_engine"]
         _gate_oracle(rec, violations, "engine_crosscheck", lambda: max(
-            crosscheck_engines(sf, Hk, x, kernel, rtol=rtol, check_kernel=check_kernel)
+            crosscheck_engines(sf, Hk, x, kernel, rtol=rtol, check_kernel=False)
             for x, Hk in zip(xs, ctx.parts)
         ), "cross_engine")
     else:

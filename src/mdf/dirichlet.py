@@ -28,11 +28,17 @@ back-transform to the working basis.
 ``quadrature``
     Builds the flow orbits of the coupling literally at every node of a
     fixed panel rule and accumulates f(t) d(t)* d(t), adding G0 times
-    the weight's analytic tail beyond the truncation radius.  d(t)* d(t)
-    is expanded into the same sandwich sum, one per chunk of nodes, so
-    the m nodes cost O(m n^4) and no n^2 x n^2 derivation is formed.
-    Serves as the oracle route for cross-checking the spectral engine
-    and is priced for small dims.
+    the weight's analytic tail beyond the truncation radius.  The flow
+    at node t is rho^{it} ( . ) rho^{-it}, entry (j, k) times u_j conj(u_k)
+    with u = e^{i t log p}.  d(t)* d(t) is expanded into the sandwich sum
+    of ``exact_spectral``, and the nodes go in cache-sized blocks that
+    add to three raw sums: sum w A* A and sum w B B* (n x n), and the
+    sandwich matrix sum w vec(A*) vec(B)^T, one (n^2 x m)(m x n^2)
+    product per block, added up in groups so that the result does not
+    drift with the block size.  The superoperator K + K* and the tail
+    are formed once per build, so the m nodes cost O(m n^4) and no n^2 x n^2
+    derivation is formed.  Serves as the oracle route for cross-checking
+    the spectral engine and is priced for small dims.
 
 The two must agree to ``ENGINE_AGREEMENT_RTOL`` in relative spectral
 norm; :func:`crosscheck_engines` raises ``EngineDisagreement`` otherwise.
@@ -172,23 +178,87 @@ def split_self_adjoint(x):
     return x1, x2
 
 
-def _orbit_chunks(sf, x, kernel):
-    """The panel rule of ``kernel`` over the literal flow orbits, in node chunks.
+def _flow_phases(sf, ts):
+    """e^{i t kappa_jk} at each time t, as u_j conj(u_k) with u = e^{i t log p}: (n, n, m).
 
-    Yields (fw, A, B) for y = x and y = x* over each chunk of nodes t:
-    the weights f(t) w, and A = sigma_{t-i/4}(y), B = sigma_{t+i/4}(y)
-    as (m, n, n) stacks in rho-eigenbasis coordinates, the shifted
-    couplings times the phases e^{i t kappa_jk}.  A chunk is sized so
-    that eight (m, n, n) stacks hold ``_CHUNK_ENTRIES`` entries in all.
+    That is the flow rho^{it} ( . ) rho^{-it} in eigenbasis coordinates,
+    with m n complex exponentials instead of m n^2.
+    """
+    u = np.exp(1j * np.multiply.outer(np.log(sf.eigenvalues), ts))
+    return u[:, None] * u.conj()
+
+
+def _orbit_blocks(sf, x, kernel):
+    """The panel rule of ``kernel`` over the literal flow orbits, in blocks of nodes.
+
+    Yields (fw, A, B) for each block of m nodes t: A = sigma_{t-i/4}(y)
+    and B = sigma_{t+i/4}(y) for y = x and y = x* as (n, n, 2m) stacks in
+    rho-eigenbasis coordinates, the shifted couplings times
+    :func:`_flow_phases`, with the coupling and the node on the last
+    axis, and fw the weights f(t) w on that axis.  A block is sized so
+    that eight (n, n, m) stacks hold ``_CHUNK_ENTRIES`` entries in all.
     """
     ts, ws = _panel_rule(kernel.quadrature_radius(), PANEL_WIDTH, PANEL_NODES)
     fw = ws * kernel.eval(ts)
-    shifted = list(zip(*_shifted_couplings(sf, x)))
-    chunk = max(1, _CHUNK_ENTRIES // (8 * sf.dim**2))
-    for lo in range(0, ts.size, chunk):
-        phases = np.exp(1j * np.multiply.outer(ts[lo : lo + chunk], sf.kappa))
-        for a, b in shifted:
-            yield fw[lo : lo + chunk], phases * a, phases * b
+    n = sf.dim
+    a, b = (np.ascontiguousarray(y.transpose(1, 2, 0))[..., None]
+            for y in _shifted_couplings(sf, x))
+    block = max(1, _CHUNK_ENTRIES // (8 * n * n))
+    for lo in range(0, ts.size, block):
+        flow = _flow_phases(sf, ts[lo : lo + block])[:, :, None]
+        yield (np.tile(fw[lo : lo + block], 2),
+               (a * flow).reshape(n, n, -1), (b * flow).reshape(n, n, -1))
+
+
+class _GroupedSum:
+    """Running sum of arrays, added up in groups of about sqrt(count) terms.
+
+    Each addition to a running total rounds at the total's scale, so a
+    plain running sum drifts with the number of terms; summing groups
+    first and then the group sums keeps the sum of a rule nearly
+    independent of the blocks it is cut into.
+    """
+
+    def __init__(self):
+        self.count = self.in_group = 0
+        self.group = self.sum = 0
+
+    def add(self, term):
+        self.group += term
+        self.count += 1
+        self.in_group += 1
+        if self.in_group**2 >= self.count:
+            self.sum += self.group
+            self.group, self.in_group = 0, 0
+
+    def total(self):
+        return self.sum + self.group
+
+
+def _quadrature_quadratic(sf, x, kernel):
+    """sum_t f(t) w d(t)* d(t) over the panel rule, in eigenbasis coordinates.
+
+    Each block of nodes adds to three raw sums, with S(a, b): X -> a X b:
+    sum w A* A, sum w B B* and the matrix of sum w S(A*, B), which is
+    sum w vec(A*) vec(B)^T.  d* d = K + K* is then formed once from
+    K = L(sum w A* A / 2) + R(sum w B B* / 2) - sum w S(A*, B).
+    """
+    n = sf.dim
+    left, right, cross = _GroupedSum(), _GroupedSum(), _GroupedSum()
+    for fw, A, B in _orbit_blocks(sf, x, kernel):
+        wAc = A * fw
+        np.conjugate(wAc, out=wAc)
+        wBc = B * fw
+        np.conjugate(wBc, out=wBc)
+        left.add((wAc @ A.transpose(0, 2, 1)).sum(axis=0))
+        right.add((B.transpose(1, 0, 2) @ wBc.transpose(1, 2, 0)).sum(axis=0))
+        cross.add(wAc.reshape(n * n, -1) @ B.reshape(n * n, -1).T)
+    left, right, cross = left.total(), right.total(), cross.total()
+    eye = np.eye(n)
+    K = SuperOperator.sandwich([left / 2, eye], [eye, right / 2])
+    # cross[(p, j), (q, k)] is the (j, k), (p, q) entry of sum w S(A*, B)
+    K.mat -= cross.reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(n * n, n * n)
+    return K + K.adjoint()
 
 
 def _structured_tail(sf, G0, kernel):
@@ -222,10 +292,9 @@ def dirichlet_operator(sf, spec, kernel=None, engine=ENGINE_EXACT, check_kernel=
     if spec.engine == ENGINE_EXACT:
         G0.mat *= spec.kernel.hat(sf.superop_frequencies)
         return sf.superop_from_eigenbasis(G0)
-    K = _structured_tail(sf, G0, spec.kernel)
-    for chunk in _orbit_chunks(sf, x, spec.kernel):
-        K.mat += _derivation_quadratic(*chunk).mat
-    return sf.superop_from_eigenbasis(K)
+    H = _quadrature_quadratic(sf, x, spec.kernel)
+    H.mat += _structured_tail(sf, G0, spec.kernel).mat
+    return sf.superop_from_eigenbasis(H)
 
 
 def form_eval(sf, spec, eta, xi, kernel=None, engine=ENGINE_EXACT, check_kernel=True):
@@ -246,10 +315,10 @@ def form_eval(sf, spec, eta, xi, kernel=None, engine=ENGINE_EXACT, check_kernel=
     # the orbits and the tail are in eigenbasis coordinates, and the form is unitarily invariant
     eta_eig, xi_eig = sf.to_eigenbasis(eta), sf.to_eigenbasis(xi)
     total = 0j
-    for fw, A, B in _orbit_chunks(sf, x, spec.kernel):
-        d_eta = A @ eta_eig - eta_eig @ B
-        d_xi = A @ xi_eig - xi_eig @ B
-        total += np.einsum("k,kij,kij->", fw, d_eta.conj(), d_xi)
+    for fw, A, B in _orbit_blocks(sf, x, spec.kernel):
+        d_eta = np.einsum("ilm,lj->ijm", A, eta_eig) - np.einsum("il,ljm->ijm", eta_eig, B)
+        d_xi = np.einsum("ilm,lj->ijm", A, xi_eig) - np.einsum("il,ljm->ijm", xi_eig, B)
+        total += np.einsum("m,ijm,ijm->", fw, d_eta.conj(), d_xi)
     tail = _structured_tail(sf, _base_quadratic(sf, x), spec.kernel)
     return complex(total + hs_inner(eta_eig, tail.apply(xi_eig)))
 

@@ -11,7 +11,11 @@ extends analytically to the strip |Im z| <= 1/4.  Each kernel exposes
 Two routes to ``hat`` exist: a closed form where available, and a
 composite Gauss-Legendre quadrature (64 nodes per panel, panel width
 1/2, symmetric truncation at ``quadrature_radius()``, plus an analytic
-tail correction for slowly decaying kernels).  The quadrature route is
+tail correction for slowly decaying kernels).  Its integrand is even in
+t, so it is evaluated on the rule's positive half with doubled weights.
+Integrands over many nodes, here and in the quadrature engine of
+``dirichlet``, go in blocks of ``_CHUNK_ENTRIES`` (~256K) entries, small
+enough that a block's temporaries stay in cache.  The quadrature route is
 deliberately independent so it can serve as an oracle for the closed
 forms, and vice versa; the smear oracles of ``modular`` are multipliers
 by ``hat_quadrature``.  The tail has one formula, :func:`_pole_tail`, read
@@ -34,8 +38,9 @@ PANEL_NODES = 64
 
 QUAD_REL_TARGET = 1e-9
 
-#: node-chunked integrands are sized to hold ~4M entries at a time
-_CHUNK_ENTRIES = 1 << 22
+#: node-chunked integrands are sized to hold ~256K entries (4 MiB complex) at a time,
+#: a block that stays in cache
+_CHUNK_ENTRIES = 1 << 18
 
 
 @lru_cache(maxsize=32)
@@ -87,10 +92,13 @@ class KernelFunction:
 
         Integrates f(t) cos(kappa t) over [-T, T] with the fixed panel
         rule and adds the kernel's analytic tail when it has one; for a
-        real, even f that is the whole transform.  The transform is even
-        in kappa, so each distinct |kappa| is integrated once, in chunks
-        of ``_CHUNK_ENTRIES`` integrand entries.  The panel width is
-        halved once as a convergence check.
+        real, even f that is the whole transform.  The integrand is even
+        in t and the rule symmetric, so it runs over the rule's nodes in
+        (0, T] with doubled weights, far nodes first: the small terms are
+        summed before the large ones.  The transform is even in kappa, so
+        each distinct |kappa| is integrated once, in chunks of
+        ``_CHUNK_ENTRIES`` integrand entries.  The panel width is halved
+        once as a convergence check.
         """
         kappa = np.asarray(kappa, dtype=float)
         T = self.quadrature_radius()
@@ -98,7 +106,9 @@ class KernelFunction:
 
         def run(width):
             t, wt = _panel_rule(T, float(width), PANEL_NODES)
-            wf = wt * self.eval(t)
+            far_first = np.flatnonzero(t > 0)[::-1]
+            t = t[far_first]
+            wf = 2 * wt[far_first] * self.eval(t)
             step = max(1, _CHUNK_ENTRIES // t.size)
             return np.concatenate(
                 [wf @ np.cos(np.outer(t, k[lo : lo + step])) for lo in range(0, k.size, step)]

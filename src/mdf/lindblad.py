@@ -394,7 +394,7 @@ def kms_symmetry_residual(sf, L):
 # General-weight generator (single coupling)
 # ---------------------------------------------------------------------------
 
-def general_f_generator(sf, x, f, _left_coefficient_both_adjoint=False):
+def general_f_generator(sf, x, f, _left_coefficient_both_adjoint=False, check_kernel=True):
     """Generator for one coupling under a general admissible weight.
 
     Each half carries boundary-weight-smeared coefficients
@@ -411,10 +411,12 @@ def general_f_generator(sf, x, f, _left_coefficient_both_adjoint=False):
     Raises
     ------
     NotAdmissible
-        For weights without a certificate.
+        For weights without a certificate, unless ``check_kernel`` is off
+        (for a weight its caller has certified already).
     """
     x = check_square(np.asarray(x, dtype=complex), sf.dim, "coupling")
-    ensure_admissible(f)
+    if check_kernel:
+        ensure_admissible(f)
     xd = dagger(x)
     eye = np.eye(sf.dim)
     coefficients, sandwiches = [], []
@@ -435,14 +437,15 @@ def general_f_generator(sf, x, f, _left_coefficient_both_adjoint=False):
     return _sandwich_sum(coefficients) - k
 
 
-def general_f_embedding_residual(sf, x, f, H, _left_coefficient_both_adjoint=False):
+def general_f_embedding_residual(sf, x, f, H, _left_coefficient_both_adjoint=False,
+                                 check_kernel=True):
     """||e0 L - H e0||_HS for  i0(L(A)) = H i0(A),  e0 = S(rho^{1/4}, rho^{1/4}).
 
     L is :func:`general_f_generator` of (x, f) and H the Dirichlet
     operator of (x, f).
     """
     r, eye = sf.rho_power(0.25), np.eye(sf.dim)
-    L = general_f_generator(sf, x, f, _left_coefficient_both_adjoint)
+    L = general_f_generator(sf, x, f, _left_coefficient_both_adjoint, check_kernel)
     return (L.sandwiched(r, r, eye, eye) - H.sandwiched(eye, eye, r, r)).hs_norm()
 
 

@@ -219,6 +219,32 @@ def test_each_matrix_is_decoded_and_the_kernel_built_once(monkeypatch, tmp_path)
     assert built == [{"cauchy": {"scale": 1.0}}]
 
 
+def _count_certificates(monkeypatch, cls):
+    calls = []
+    certify = cls.certificate
+    monkeypatch.setattr(cls, "certificate",
+                        lambda self: (calls.append(self.name), certify(self))[1])
+    return calls
+
+
+def test_one_run_certifies_the_kernel_once(monkeypatch, tmp_path):
+    # parse_scenario certifies; the parts, the split check, the engine
+    # cross-check and the general-weight embedding reuse that certificate
+    calls = _count_certificates(monkeypatch, kernels.CauchyKernel)
+    (path,) = [p for p in corpus_paths() if p.endswith("balanced_pair_cauchy.json")]
+    _, code = run_scenario(path, out=str(tmp_path / "r.json"))
+    assert code == 0
+    assert calls == ["cauchy"]
+
+
+def test_a_negative_control_run_certifies_nothing(monkeypatch, tmp_path):
+    calls = _count_certificates(monkeypatch, kernels.KernelFunction)
+    (path,) = [p for p in corpus_paths() if p.endswith("nonmarkovian_control.json")]
+    report, code = run_scenario(path, out=str(tmp_path / "r.json"))
+    assert code == 0 and report["scenario"]["negative_control"] is True
+    assert calls == []
+
+
 def test_balanced_pair_resolves_to_adjoint_pairs():
     s = parse_scenario(
         _minimal(coefficients={"random": {"kind": "balanced_pair", "count": 2, "seed": 5}})

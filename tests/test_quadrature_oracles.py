@@ -1,10 +1,12 @@
 """The t-quadrature oracles against their literal per-node forms.
 
 The quadrature engine of :func:`dirichlet_operator` expands d(t)* d(t)
-instead of forming d(t) at every node, and ``hat_quadrature`` integrates
-each distinct |kappa| once.  The references below are the literal
+into raw sums over blocks of nodes instead of forming d(t) at every
+node, and ``hat_quadrature`` integrates each distinct |kappa| once, on
+the positive half of its rule.  The references below are the literal
 routes: the dense n^2 x n^2 derivation D(t) = L(A) - R(B) at every
-node, and one transform call per grid entry.  ``smear_quadrature`` and
+node, the transform on the whole rule over [-T, T] for every grid
+entry, and one transform call per grid entry.  ``smear_quadrature`` and
 ``superop_smear_quadrature`` are multipliers by ``hat_quadrature``, so
 they share its refinement check and its memory bound; the analytic tail
 past the truncation radius is the one pole formula, checked against the
@@ -13,6 +15,7 @@ and, where k |b| passes 700 and it switches to the scaled e^w E1(w),
 against the closed-form transforms.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -33,7 +36,7 @@ from mdf import (
 )
 from mdf import dirichlet, kernels
 from mdf.dirichlet import ENGINE_QUADRATURE, coupling_quadratic, form_eval
-from mdf.kernels import PANEL_NODES, PANEL_WIDTH, _panel_rule
+from mdf.kernels import PANEL_NODES, PANEL_WIDTH, QUAD_REL_TARGET, _panel_rule
 from mdf.linalg import dagger, ginibre, hs_inner, hs_norm
 
 
@@ -106,16 +109,30 @@ def test_quadrature_engine_matches_the_dense_reference(n, name):
 
 
 def test_quadrature_engine_does_not_depend_on_the_node_chunks(monkeypatch, sf3, rng):
+    # blocks of one node, of seven (no divisor of the 16,384 Cauchy nodes) and the whole rule
     x, kernel = ginibre(3, rng), CauchyKernel(scale=1.0)
-    whole = dirichlet_operator(sf3, x, kernel, ENGINE_QUADRATURE)
-    monkeypatch.setattr(dirichlet, "_CHUNK_ENTRIES", 8 * 9 * 1000)  # 1000 nodes per chunk
-    chunked = dirichlet_operator(sf3, x, kernel, ENGINE_QUADRATURE)
-    assert _rel_gap(chunked, whole, x) <= 1e-13
+    builds = []
+    for nodes in (1, 7, 16384):
+        monkeypatch.setattr(dirichlet, "_CHUNK_ENTRIES", 8 * 9 * nodes)
+        builds.append(dirichlet_operator(sf3, x, kernel, ENGINE_QUADRATURE))
+    for H, ref in itertools.combinations(builds, 2):
+        assert _rel_gap(H, ref, x) <= 1e-15
+
+
+def test_flow_phases_are_the_modular_exponents_far_out():
+    # p_min = 1.2e-8 (the faithfulness floor is 1e-8): at |t| = 64, t log p is near 1200 rad
+    U = _state(3, seed=3).eigenvectors
+    sf = build_standard_form(U @ np.diag([1.0 - 1e-3 - 1.2e-8, 1e-3, 1.2e-8]) @ dagger(U))
+    assert sf.eigenvalues.min() == pytest.approx(1.2e-8, rel=1e-6)
+    ts = np.array([-64.0, -63.99, -1.0, 0.0, 0.5, 63.99, 64.0])
+    phases = np.moveaxis(dirichlet._flow_phases(sf, ts), -1, 0)
+    expected = np.exp(1j * np.multiply.outer(ts, sf.kappa))
+    np.testing.assert_allclose(phases, expected, rtol=0, atol=1e-12)
 
 
 def test_quadrature_engine_memory_stays_bounded():
-    # 16,384 Cauchy nodes at n = 8: the node chunks keep the live orbit
-    # stacks near 64 MiB in all (the dense route peaked at 259 MiB)
+    # 16,384 Cauchy nodes at n = 8: the node blocks keep the live orbit
+    # stacks near 4 MiB in all (the dense route peaked at 259 MiB)
     sf = _state(8, seed=18)
     x = ginibre(8, np.random.default_rng(28))
     tracemalloc.start()
@@ -125,6 +142,20 @@ def test_quadrature_engine_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 100 * 2**20
+
+
+def test_quadrature_engine_forms_its_superoperator_once():
+    # n = 16 Cauchy: three raw sums over the node blocks and one K + K* per build
+    # (a superoperator per block of nodes peaked at 66 MiB)
+    sf = _state(16, seed=16)
+    x = ginibre(16, np.random.default_rng(26))
+    tracemalloc.start()
+    try:
+        dirichlet_operator(sf, x, CauchyKernel(scale=1.0), ENGINE_QUADRATURE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 def test_quadrature_form_value_memory_stays_bounded():
@@ -168,6 +199,39 @@ def test_hat_quadrature_matches_per_entry_calls(kernel):
     single = np.array([kernel.hat_quadrature(np.array([k]))[0] for k in _GRID.reshape(-1)])
     np.testing.assert_allclose(grid.reshape(-1), single, rtol=0, atol=1e-14)
     assert kernel.hat_quadrature(1.5) == pytest.approx(grid[0, 1], abs=1e-14)
+
+
+def full_line_hat_reference(kernel, kappa):
+    """``hat_quadrature`` on the whole rule over [-T, T], integrated for every grid entry.
+
+    Each node sum is numpy's pairwise sum along the contiguous axis, so its
+    rounding stays near log2(nodes) ulps.
+    """
+    T = kernel.quadrature_radius()
+    k = np.asarray(kappa, dtype=float).reshape(-1)
+
+    def run(width):
+        t, wt = _panel_rule(T, width, PANEL_NODES)
+        wf = wt * kernel.eval(t)
+        return np.concatenate([np.sum(wf * np.cos(np.outer(k[lo : lo + 16], t)), axis=1)
+                               for lo in range(0, k.size, 16)])
+
+    coarse, fine = run(PANEL_WIDTH), run(PANEL_WIDTH / 2)
+    assert np.max(np.abs(fine - coarse) / np.maximum(np.abs(fine), 1e-30)) <= QUAD_REL_TARGET
+    tail = kernel.tail_hat(k, T)
+    return (fine if tail is None else fine + tail).reshape(np.shape(kappa))
+
+
+_HALF_LINE_KERNELS = {**KERNELS, "boundary_cauchy_1": BoundaryCombination(CauchyKernel(1.0))}
+
+
+@pytest.mark.parametrize("name", sorted(_HALF_LINE_KERNELS))
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_half_line_transform_matches_the_full_line(n, name):
+    kernel = _HALF_LINE_KERNELS[name]
+    grid = _state(n, seed=30 + n).superop_frequencies
+    np.testing.assert_allclose(kernel.hat_quadrature(grid), full_line_hat_reference(kernel, grid),
+                               rtol=0, atol=1e-14)
 
 
 def test_hat_quadrature_does_not_depend_on_the_column_chunks(monkeypatch):
