@@ -4,7 +4,8 @@ A scenario file pins a state, a coupling family, and a weight kernel;
 the runner executes the requested verification suites in dependency
 order and writes a machine-readable report next to the input.  Exit
 code 0 means every suite passed, 1 means at least one suite recorded a
-failure, 2 means the input could not be used at all.
+failure, 2 means the input could not be used at all or the output could
+not be written.
 
 Scenario schema (JSON object):
 
@@ -33,13 +34,14 @@ scenario + seed, so a corpus can be farmed out or diffed freely.
 """
 
 import argparse
+import ctypes
 import json
 import operator
 import os
 import sys
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -508,16 +510,11 @@ def _suite_modular(ctx):
     worst_star = float((_hs_norms(star) / norms).max())
     inverse = modular_map(sf, apply_I0(sf, a), T_MAP) - a
     worst_inverse = float((_hs_norms(inverse) / norms).max())
-    # the dense check loops over its n^2 x n^2 operators; each member's
-    # stay alive until the next member's are built, so malloc reuses the
-    # blocks (freed within one expression they went back to the OS and
-    # page-faulted in again, 7x the faults and +20 % wall time at n = 16)
-    worst_j = 0.0
-    for x, z, y, norm in zip(a, z_t, sigma(sf, a, z_t.conj()), norms):
-        K = SuperOperator.commutant_j(x)
-        lhs_op = superop_sigma(sf, K, z)
-        rhs_op = SuperOperator.commutant_j(y)
-        worst_j = max(worst_j, float((lhs_op - rhs_op).hs_norm() / norm))
+    worst_j = float(max(
+        (superop_sigma(sf, SuperOperator.commutant_j(x), z)
+         - SuperOperator.commutant_j(y)).hs_norm() / norm
+        for x, z, y, norm in zip(a, z_t, sigma(sf, a, z_t.conj()), norms)
+    ))
     rec.gate("flow_group_law", worst_group, "<", "algebraic")
     rec.gate("flow_star_compatibility", worst_star, "<", "algebraic")
     rec.gate("smear_inverts_T", worst_inverse, "<", "algebraic")
@@ -698,8 +695,35 @@ def run_scenario_object(scenario, seed=None):
     return _plain(report)
 
 
+#: mallopt(3) parameters of glibc's malloc.h
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@cache
+def _keep_freed_superoperators():
+    """Keep freed n^2 x n^2 buffers in the process: pin glibc's mmap and trim thresholds.
+
+    A dense superoperator is 1 MiB at n = 16 and 16 MiB at n = 32, and most
+    live for one expression.  Under glibc's dynamic thresholds such a
+    buffer is mapped and unmapped, or the heap top trimmed, so the same
+    pages fault in again all run long.  32 MiB is glibc's own 64-bit
+    ceiling for the mmap threshold; 1 GiB of trim slack is above the peak
+    heap of any run up to n = 32 (about 290 MB).  Both are set, since
+    setting either one stops glibc adjusting the other up from 128 KiB.
+    Process-wide, once per process; a no-op where there is no mallopt.
+    """
+    libc = ctypes.CDLL(None) if os.name == "posix" else None
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 def run_scenario(path, out=None, seed=None, suites=None):
     """File-level runner: parse, execute, write report. Returns (report, exit code)."""
+    _keep_freed_superoperators()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -718,9 +742,18 @@ def run_scenario(path, out=None, seed=None, suites=None):
         print(f"error: {os.path.basename(str(path))}: {exc}", file=sys.stderr)
         return None, 2
     out_path = out or default_report_path(path)
-    write_report(report, out_path)
+    try:
+        write_report(report, out_path)
+    except OSError as exc:
+        return None, _cannot_write(out_path, exc)
     print_summary(report, out_path)
     return report, 0 if report["passed"] else 1
+
+
+def _cannot_write(path, exc):
+    """Report an output that could not be written; returns exit code 2."""
+    print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+    return 2
 
 
 def default_report_path(path):
@@ -833,7 +866,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.command == "run":
-        suites = args.suites.split(",") if args.suites else None
+        suites = None if args.suites is None else args.suites.split(",")
         _, code = run_scenario(args.file, out=args.out, seed=args.seed, suites=suites)
         return code
 
@@ -844,16 +877,22 @@ def main(argv=None):
             print(f"error: {exc}", file=sys.stderr)
             return 2
         out = args.out or f"{scenario['name']}.json"
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(scenario, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                json.dump(scenario, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            return _cannot_write(out, exc)
         print(f"wrote {out}")
         return 0
 
     # corpus
     out_dir = args.out_dir
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            return _cannot_write(out_dir, exc)
     worst = 0
     for path in corpus_paths():
         out = None

@@ -515,14 +515,6 @@ class SuperOperator:
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def zero(cls, n):
-        return cls(np.zeros((n * n, n * n), dtype=complex), n)
-
-    @classmethod
-    def identity(cls, n):
-        return cls(np.eye(n * n, dtype=complex), n)
-
-    @classmethod
     def sandwich(cls, A, B):
         """X -> A X B; for stacks (r, n, n) the sandwich sum X -> sum_r A_r X B_r.
 

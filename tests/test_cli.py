@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -523,14 +524,34 @@ def test_the_consistency_gate_reads_the_integral_bar(monkeypatch):
     assert bars == [1e-6]
 
 
-def test_suites_flag_filters_and_validates(tmp_path):
+def test_suites_flag_filters_and_validates(tmp_path, capsys):
     p = tmp_path / "s.json"
     p.write_text(json.dumps(_minimal()))
     out = tmp_path / "r.json"
     assert main(["run", str(p), "--suites", "standard_form", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert list(report["suites"]) == ["standard_form"]
-    assert main(["run", str(p), "--suites", "bogus"]) == 2
+    capsys.readouterr()
+    for bad in ("bogus", "modular,", ""):
+        assert main(["run", str(p), "--suites", bad]) == 2, bad
+        assert "--suites: unknown suite" in capsys.readouterr().err, bad
+
+
+@pytest.mark.parametrize("command", ["run", "generate", "corpus"])
+def test_an_unwritable_output_exits_two_naming_the_path(tmp_path, capsys, command):
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(_minimal(suites=["standard_form"])))
+    missing = tmp_path / "missing" / "out.json"
+    a_file = tmp_path / "reports"
+    a_file.write_text("")
+    target, args = {
+        "run": (missing, ["run", str(scenario), "--out", str(missing)]),
+        "generate": (missing, ["generate", "--seed", "1", "--dim", "2", "--kind", "hermitian",
+                               "--out", str(missing)]),
+        "corpus": (a_file, ["corpus", "--out-dir", str(a_file)]),
+    }[command]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
 
 
 def test_generate_is_byte_stable(tmp_path):
@@ -947,6 +968,33 @@ def test_import_does_not_load_scipy():
     code = "import mdf, mdf.cli, sys; assert 'scipy' not in sys.modules, 'scipy loaded'"
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is glibc's mallopt")
+def test_a_repeated_run_faults_in_almost_no_pages(tmp_path):
+    """The runner keeps freed n^2 x n^2 buffers, so a second run reuses their pages."""
+    path = tmp_path / "n12.json"
+    obj = generate_scenario(1, 12, "balanced_pair")
+    path.write_text(json.dumps({**obj, "suites": ["modular", "dirichlet", "lindblad"]}))
+    code = (
+        "import resource, sys\n"
+        "from mdf.cli import run_scenario\n"
+        "run_scenario(sys.argv[1], out=sys.argv[2])\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "run_scenario(sys.argv[1], out=sys.argv[2])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path / "r.json")],
+                          check=True, env=env, capture_output=True, text=True, timeout=120)
+    faults = int(proc.stdout.splitlines()[-1])
+    assert faults < 300, faults  # 2,000 to 3,000 under glibc's dynamic thresholds
+
+
+def test_the_allocator_policy_does_nothing_without_mallopt(monkeypatch):
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace())
+    assert cli._keep_freed_superoperators.__wrapped__() is None
 
 
 #: residuals that no gate reads, per suite
