@@ -52,9 +52,7 @@ from .standard_form import (
     build_standard_form,
     gibbs_state,
     jordan_decompose,
-    left_act,
     project_order_interval,
-    right_j_act,
     symmetric_embed,
     symmetric_unembed,
     tracial_state,
@@ -65,7 +63,6 @@ from .modular import (
     S_MAP,
     T_MAP,
     apply_I0,
-    boundary_combination_smear,
     modular_map,
     sigma,
     smear,
@@ -82,7 +79,6 @@ from .dirichlet import (
     crosscheck_engines,
     dirichlet_operator,
     ensure_admissible,
-    form_eval,
     split_self_adjoint,
     verify_boundary_shift,
     verify_dirichlet,
@@ -91,12 +87,9 @@ from .lindblad import (
     BalanceReport,
     LindbladSpec,
     SelfAdjointnessReport,
-    TracialReport,
     build_Q,
     check_balance_condition,
-    couplings_of,
     criterion_matches_adjoint_gap,
-    decompose_H,
     decomposition_residual,
     drift_criterion,
     general_f_embedding_residual,
@@ -105,13 +98,10 @@ from .lindblad import (
     induced_operator,
     induced_operator_shifted,
     kms_symmetry_residual,
-    lindblad_apply,
     lindblad_superop,
     selfadjoint_component_decomposition,
     selfadjointness_residual,
     spec_from_couplings,
-    tracial_symmetric_generator,
-    verify_tracial_case,
     y_reconstruction_residual,
 )
 from .semigroup import (
@@ -157,8 +147,6 @@ __all__ = [
     "build_standard_form",
     "tracial_state",
     "gibbs_state",
-    "left_act",
-    "right_j_act",
     "jordan_decompose",
     "project_order_interval",
     "symmetric_embed",
@@ -169,7 +157,6 @@ __all__ = [
     "apply_I0",
     "smear",
     "smear_quadrature",
-    "boundary_combination_smear",
     "superop_sigma",
     "superop_smear",
     "superop_smear_quadrature",
@@ -182,7 +169,6 @@ __all__ = [
     "DirichletSpec",
     "DirichletReport",
     "dirichlet_operator",
-    "form_eval",
     "coupling_quadratic",
     "split_self_adjoint",
     "crosscheck_engines",
@@ -193,28 +179,22 @@ __all__ = [
     "LindbladSpec",
     "BalanceReport",
     "SelfAdjointnessReport",
-    "TracialReport",
     "lindblad_superop",
-    "lindblad_apply",
     "induced_operator",
     "induced_operator_shifted",
     "induced_adjoint_shifted",
     "build_Q",
-    "couplings_of",
     "spec_from_couplings",
     "check_balance_condition",
     "drift_criterion",
     "selfadjointness_residual",
     "criterion_matches_adjoint_gap",
-    "decompose_H",
     "decomposition_residual",
     "selfadjoint_component_decomposition",
     "y_reconstruction_residual",
     "kms_symmetry_residual",
     "general_f_generator",
     "general_f_embedding_residual",
-    "tracial_symmetric_generator",
-    "verify_tracial_case",
     # semigroup
     "SemigroupProbe",
     "MarkovianityReport",

@@ -34,6 +34,7 @@ scenario + seed, so a corpus can be farmed out or diffed freely.
 """
 
 import argparse
+import contextlib
 import ctypes
 import json
 import operator
@@ -330,7 +331,7 @@ class ScenarioContext:
 
     @cached_property
     def spec(self):
-        return spec_from_couplings(self.sf, self.xs, Q="auto")
+        return spec_from_couplings(self.sf, self.xs)
 
     @cached_property
     def generator(self):
@@ -730,7 +731,7 @@ def run_scenario(path, out=None, seed=None, suites=None):
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None, 2
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # a non-UTF-8 file counts as invalid JSON
         print(f"error: {path} is not valid JSON: {exc}", file=sys.stderr)
         return None, 2
     try:
@@ -762,12 +763,17 @@ def default_report_path(path):
 
 
 def write_report(report, out_path):
-    """Write atomically so a crashed run never leaves a half report."""
+    """Write atomically so a crashed run never leaves a half report, nor its temporary file."""
     tmp = f"{out_path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, out_path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, out_path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def print_summary(report, out_path):

@@ -95,8 +95,10 @@ def ensure_admissible(f):
 class DirichletSpec:
     """Inputs of one Dirichlet-operator build.
 
-    ``check_kernel=False`` skips the admissibility gate; that is the
-    switch for deliberately signed weights used as negative controls.
+    ``check_kernel=False`` skips the admissibility gate: for deliberately
+    signed weights used as negative controls, and for a weight its caller
+    has certified already (the scenario runner certifies each kernel once,
+    when it parses the scenario).
     A granted certificate includes strip decay; the quadrature engine
     still refuses a weight that no radius up to 1024 truncates (see
     :meth:`KernelFunction.quadrature_radius`).
@@ -295,32 +297,6 @@ def dirichlet_operator(sf, spec, kernel=None, engine=ENGINE_EXACT, check_kernel=
     H = _quadrature_quadratic(sf, x, spec.kernel)
     H.mat += _structured_tail(sf, G0, spec.kernel).mat
     return sf.superop_from_eigenbasis(H)
-
-
-def form_eval(sf, spec, eta, xi, kernel=None, engine=ENGINE_EXACT, check_kernel=True):
-    """Energy form E(eta, xi), conjugate-linear in eta.
-
-    The exact engine evaluates <eta, H xi> through the assembled
-    operator; the quadrature engine accumulates the two derivation
-    inner products f(t) <d(t) eta, d(t) xi> node by node at the matrix
-    level (never forming H), plus the structured tail.
-    """
-    spec = _resolve_spec(spec, kernel, engine, check_kernel)
-    eta = check_square(eta, sf.dim, "vector")
-    xi = check_square(xi, sf.dim, "vector")
-    if spec.engine == ENGINE_EXACT:
-        H = dirichlet_operator(sf, spec)
-        return complex(hs_inner(eta, H.apply(xi)))
-    x = check_square(spec.x, sf.dim, "coupling")
-    # the orbits and the tail are in eigenbasis coordinates, and the form is unitarily invariant
-    eta_eig, xi_eig = sf.to_eigenbasis(eta), sf.to_eigenbasis(xi)
-    total = 0j
-    for fw, A, B in _orbit_blocks(sf, x, spec.kernel):
-        d_eta = np.einsum("ilm,lj->ijm", A, eta_eig) - np.einsum("il,ljm->ijm", eta_eig, B)
-        d_xi = np.einsum("ilm,lj->ijm", A, xi_eig) - np.einsum("il,ljm->ijm", xi_eig, B)
-        total += np.einsum("m,ijm,ijm->", fw, d_eta.conj(), d_xi)
-    tail = _structured_tail(sf, _base_quadratic(sf, x), spec.kernel)
-    return complex(total + hs_inner(eta_eig, tail.apply(xi_eig)))
 
 
 def crosscheck_engines(sf, He, x, kernel=None, rtol=ENGINE_AGREEMENT_RTOL, check_kernel=True):

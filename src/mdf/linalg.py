@@ -151,11 +151,6 @@ def random_hermitian(n, rng):
     return hermitian_from_ginibre(ginibre(n, rng))
 
 
-def random_psd(n, rng):
-    """Random positive semidefinite matrix G G*."""
-    return psd_from_ginibre(ginibre(n, rng))
-
-
 def haar_unitary(n, rng):
     """Haar-distributed unitary via QR of a Ginibre matrix."""
     return unitary_from_ginibre(ginibre(n, rng))

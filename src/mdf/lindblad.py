@@ -28,20 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet import dirichlet_operator, ensure_admissible, split_self_adjoint
+from .dirichlet import ensure_admissible, split_self_adjoint
 from .errors import BalanceViolated, NotSelfAdjoint
 from .kernels import BoundaryCombination, F0Kernel
 from .linalg import check_square, dagger, hermitian_defect
-from .modular import (
-    S_MAP,
-    T_MAP,
-    boundary_combination_smear,
-    modular_map,
-    sigma,
-    smear,
-    superop_smear,
-)
-from .standard_form import SuperOperator, tracial_state
+from .modular import S_MAP, T_MAP, modular_map, sigma, smear, superop_smear
+from .standard_form import SuperOperator
 
 #: balance-condition residual above this blocks the decomposition paths
 BALANCE_TOL = 1e-8
@@ -56,7 +48,7 @@ class LindbladSpec:
 
     The couplings x_k = sigma_{i/4}(y_k) are derived, not stored: the
     conversion depends on the state, so it lives in
-    :func:`couplings_of` / :func:`spec_from_couplings`.
+    :func:`spec_from_couplings`.
     """
 
     ys: tuple
@@ -85,20 +77,11 @@ class LindbladSpec:
         return self.ys[0].shape[0]
 
 
-def couplings_of(sf, spec):
-    """The derived couplings x_k = sigma_{i/4}(y_k)."""
-    return [sigma(sf, y, 0.25j) for y in spec.ys]
-
-
-def spec_from_couplings(sf, xs, Q="auto", f=None):
-    """Spec with y_k = sigma_{-i/4}(x_k); Q='auto' computes the drift."""
+def spec_from_couplings(sf, xs):
+    """Spec with y_k = sigma_{-i/4}(x_k) and the ``auto`` drift :func:`build_Q` of the xs."""
     xs = [check_square(np.asarray(x, dtype=complex), sf.dim, "coupling") for x in xs]
     ys = [sigma(sf, x, -0.25j) for x in xs]
-    if isinstance(Q, str):
-        if Q != "auto":
-            raise ValueError(f"unknown drift mode {Q!r}")
-        Q = build_Q(sf, xs, f)
-    return LindbladSpec(ys=tuple(ys), Q=Q)
+    return LindbladSpec(ys=tuple(ys), Q=build_Q(sf, xs))
 
 
 def _sandwich_sum(pairs):
@@ -119,18 +102,6 @@ def _lindblad_pairs(spec):
 def lindblad_superop(spec):
     """Dense matrix of L (pure algebra, no state involved)."""
     return _sandwich_sum(_lindblad_pairs(spec))
-
-
-def lindblad_apply(spec, A):
-    """L(A) evaluated termwise (conservative: L(I) = 0; *-preserving)."""
-    A = check_square(A, spec.dim, "operator")
-    out = np.zeros_like(A)
-    for y in spec.ys:
-        yd = dagger(y)
-        w = yd @ y
-        out += w @ A - 2.0 * (yd @ A @ y) + A @ w
-    out += 1j * (spec.Q @ A - A @ spec.Q)
-    return out
 
 
 def induced_operator(sf, L):
@@ -313,24 +284,14 @@ def _require_balanced(report):
         )
 
 
-def decompose_H(sf, xs, f=None):
-    """Dirichlet operators [H_k] of the couplings; their sum is H.
-
-    Requires balance; the comparison of sum(H_k) with the induced
-    operator of the drift-completed spec is the caller's (the sum is
-    returned piecewise so tests can also inspect the parts).
-    """
-    _require_balanced(check_balance_condition(sf, xs))
-    return [dirichlet_operator(sf, x, f) for x in xs]  # f=None is f0
-
-
 def decomposition_residual(H, total):
     """|| induced H  -  sum_k H_k || for a balanced family.
 
     H is the induced operator of the ``auto``-drift spec, ``total`` the
-    sum of :func:`decompose_H`.  Pinned to the distinguished weight: only
-    there does the plain generator shape correspond to the Dirichlet sum
-    (the boundary combination degenerates to a delta).
+    sum of the f0 Dirichlet operators of the couplings.  Pinned to the
+    distinguished weight: only there does the plain generator shape
+    correspond to the Dirichlet sum (the boundary combination
+    degenerates to a delta).
     """
     return (H - total).hs_norm()
 
@@ -351,7 +312,7 @@ def selfadjoint_component_decomposition(sf, xs, L, balance):
         x1, x2 = split_self_adjoint(x)
         components.extend([x2, x1])
     half = _sandwich_sum(
-        [p for c in components for p in _lindblad_pairs(spec_from_couplings(sf, [c], Q="auto"))]
+        [p for c in components for p in _lindblad_pairs(spec_from_couplings(sf, [c]))]
     )
     residual = (L - 0.5 * half).hs_norm()
     return components, residual
@@ -394,7 +355,7 @@ def kms_symmetry_residual(sf, L):
 # General-weight generator (single coupling)
 # ---------------------------------------------------------------------------
 
-def general_f_generator(sf, x, f, _left_coefficient_both_adjoint=False, check_kernel=True):
+def general_f_generator(sf, x, f, check_kernel=True):
     """Generator for one coupling under a general admissible weight.
 
     Each half carries boundary-weight-smeared coefficients
@@ -402,11 +363,9 @@ def general_f_generator(sf, x, f, _left_coefficient_both_adjoint=False, check_ke
         L1(A) = 1/2 [ C1 A + A C1 - 2 * smeared sandwich ] + (i/2)[Q1, A],
 
     with C1 the flow average of sigma_{i/4}(x*) sigma_{-i/4}(x) against
-    f(t+i/4) + f(t-i/4), and L2 the same with x and x* exchanged.  The
-    diagnostic flag assembles a deliberately wrong variant whose left
-    coefficient uses the adjoint coupling in both factors — the
-    embedding identity detects the difference for non-normal couplings,
-    which is how tests pin the correct combination.
+    the boundary weight f(t+i/4) + f(t-i/4), and L2 the same with x and
+    x* exchanged.  The boundary weight of f0 is a delta, so there the
+    flow averages are the identity.
 
     Raises
     ------
@@ -419,92 +378,30 @@ def general_f_generator(sf, x, f, _left_coefficient_both_adjoint=False, check_ke
         ensure_admissible(f)
     xd = dagger(x)
     eye = np.eye(sf.dim)
+    boundary = None if isinstance(f, F0Kernel) else BoundaryCombination(f)
     coefficients, sandwiches = [], []
     for a, b in ((xd, x), (x, xd)):
         # coefficient sigma_{i/4}(a) sigma_{-i/4}(b), flow-averaged
         # against the boundary weight
-        left_pair = (a, a) if _left_coefficient_both_adjoint else (a, b)
-        p_left = sigma(sf, left_pair[0], 0.25j) @ sigma(sf, left_pair[1], -0.25j)
-        p = sigma(sf, a, 0.25j) @ sigma(sf, b, -0.25j)
-        c_left = boundary_combination_smear(sf, p_left, f)
-        c_right = boundary_combination_smear(sf, p, f)
+        c = sigma(sf, a, 0.25j) @ sigma(sf, b, -0.25j)
+        if boundary is not None:
+            c = smear(sf, c, boundary)
         q1 = build_Q(sf, [b], f)
-        coefficients += [(0.5 * c_left + 0.5j * q1, eye), (eye, 0.5 * c_right - 0.5j * q1)]
+        coefficients += [(0.5 * c + 0.5j * q1, eye), (eye, 0.5 * c - 0.5j * q1)]
         sandwiches.append((sigma(sf, a, 0.25j), sigma(sf, b, -0.25j)))
     k = _sandwich_sum(sandwiches)
-    if not isinstance(f, F0Kernel):  # the boundary weight of f0 is a delta
-        k = superop_smear(sf, k, BoundaryCombination(f))
+    if boundary is not None:
+        k = superop_smear(sf, k, boundary)
     return _sandwich_sum(coefficients) - k
 
 
-def general_f_embedding_residual(sf, x, f, H, _left_coefficient_both_adjoint=False,
-                                 check_kernel=True):
+def general_f_embedding_residual(sf, x, f, H, check_kernel=True):
     """||e0 L - H e0||_HS for  i0(L(A)) = H i0(A),  e0 = S(rho^{1/4}, rho^{1/4}).
 
     L is :func:`general_f_generator` of (x, f) and H the Dirichlet
     operator of (x, f).
     """
     r, eye = sf.rho_power(0.25), np.eye(sf.dim)
-    L = general_f_generator(sf, x, f, _left_coefficient_both_adjoint, check_kernel)
+    L = general_f_generator(sf, x, f, check_kernel)
     return (L.sandwiched(r, r, eye, eye) - H.sandwiched(eye, eye, r, r)).hs_norm()
 
-
-# ---------------------------------------------------------------------------
-# Tracial state
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TracialReport:
-    """Checks specific to rho = I/n, where the flow is trivial.
-
-    ``q_norm`` must be exactly zero (the drift integrand cancels
-    algebraically); ``identity_residual`` measures i[Q, .] against the
-    sandwich-difference map it must equal; the symmetrized generator
-    (couplings and adjoints weighted half each) is self-adjoint
-    unconditionally and coincides with the plain one exactly for
-    balanced families.
-    """
-
-    q_norm: float
-    balance_residual: float
-    identity_residual: float
-    sym_selfadjoint_defect: float
-    plain_vs_sym: float
-    sym_vs_dirichlet: float
-
-
-def tracial_symmetric_generator(ys):
-    """The symmetrized generator: half the coupling terms plus half the adjoint terms."""
-    ys = tuple(np.asarray(y, dtype=complex) for y in ys)
-    eye = np.eye(ys[0].shape[0])
-    pairs = []
-    for y in ys:
-        for a in (y, dagger(y)):
-            w = dagger(a) @ a
-            pairs += [(0.5 * w, eye), (eye, 0.5 * w), (-dagger(a), a)]
-    return _sandwich_sum(pairs)
-
-
-def verify_tracial_case(xs):
-    """Run the trivial-flow checks for a coupling family at rho = I/n."""
-    xs = [np.asarray(x, dtype=complex) for x in xs]
-    n = xs[0].shape[0]
-    sf = tracial_state(n)
-    q = build_Q(sf, xs)
-    balance = check_balance_condition(sf, xs)
-    spec = LindbladSpec(ys=tuple(xs), Q=q)  # flow is trivial: y_k = x_k
-    plain = lindblad_superop(spec)
-    sym = tracial_symmetric_generator(xs)
-    eye = np.eye(n)
-    ident = _sandwich_sum([(1j * q, eye), (eye, -1j * q)]
-                          + [(-dagger(y), y) for y in xs] + [(y, dagger(y)) for y in xs])
-    parts = [dirichlet_operator(sf, x) for x in xs]
-    dirich = sum(parts[1:], parts[0])
-    return TracialReport(
-        q_norm=float(np.linalg.norm(q, 2)),
-        balance_residual=balance.condition_residual,
-        identity_residual=ident.norm(),
-        sym_selfadjoint_defect=sym.selfadjoint_defect(),
-        plain_vs_sym=(plain - sym).hs_norm(),
-        sym_vs_dirichlet=(sym - dirich).hs_norm(),
-    )

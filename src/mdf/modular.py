@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import Overflow
 from .kernels import F0Kernel
-from .linalg import check_square, check_square_or_stack
+from .linalg import check_square_or_stack
 
 OVERFLOW_EXPONENT = 700.0
 
@@ -117,21 +117,6 @@ def smear_quadrature(sf, A, f):
     ``QuadratureNotConverged`` when panel refinement moves the transform.
     """
     return _multiply_entrywise(sf, A, f.hat_quadrature(sf.kappa))
-
-
-def boundary_combination_smear(sf, A, f):
-    """Flow average against the boundary combination f(t+i/4) + f(t-i/4).
-
-    By a contour shift this equals T applied to the plain smear, i.e.
-    the entrywise factor (e^{kappa/4} + e^{-kappa/4}) hat_f(kappa).  For
-    f0 the boundary combination is the Dirac delta and the result is A
-    itself, returned exactly.
-    """
-    if isinstance(f, F0Kernel):
-        return check_square(A, sf.dim, "operator").copy()
-    _guard_exponent(sf.kappa, 0.25)
-    factors = _quarter_shift_factors(sf.kappa, T_MAP) * f.hat(sf.kappa)
-    return _multiply_entrywise(sf, A, factors)
 
 
 # ---------------------------------------------------------------------------

@@ -157,22 +157,6 @@ def _extreme_elements(sf, G, rank):
     return _interval_elements(sf, G, keep.astype(float))
 
 
-def random_interval_element(sf, rng):
-    """A random element of [0, xi0]: the embedding of a contraction 0 <= M <= I.
-
-    Draws a Ginibre matrix, then a spectrum in [0, 1].
-    """
-    return _interval_elements(sf, ginibre(sf.dim, rng), rng.uniform(0.0, 1.0, size=sf.dim))
-
-
-def extreme_interval_element(sf, rng):
-    """An extreme point of [0, xi0]: the embedding of a projection.
-
-    Draws a Ginibre matrix, then a rank 1 <= k <= n.
-    """
-    return _extreme_elements(sf, ginibre(sf.dim, rng), int(rng.integers(1, sf.dim + 1)))
-
-
 @dataclass(frozen=True)
 class MarkovianityReport:
     """Violation counts and worst margins of the sampled semigroup probes.

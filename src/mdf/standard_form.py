@@ -210,22 +210,8 @@ def gibbs_state(h, beta=1.0):
 
 
 # ---------------------------------------------------------------------------
-# Algebra and commutant actions
+# Order structure: Jordan split, order interval, symmetric embedding
 # ---------------------------------------------------------------------------
-
-def left_act(sf, A, X):
-    """GNS action of the algebra: pi(A) X = A X."""
-    A = check_square(A, sf.dim, "operator")
-    X = check_square(X, sf.dim, "vector")
-    return A @ X
-
-
-def right_j_act(sf, A, X):
-    """Commutant action j(A) X = X A* (with J X = X*)."""
-    A = check_square(A, sf.dim, "operator")
-    X = check_square(X, sf.dim, "vector")
-    return X @ dagger(A)
-
 
 def _j_real_stack(sf, xi, what):
     """(symmetrized stack (k, n, n), input shape) of one vector or a stack of them.
@@ -527,11 +513,6 @@ class SuperOperator:
             raise DimMismatch(f"sandwich of {len(A)} left and {len(B)} right factors")
         mat = np.einsum("rjp,rqk->jkpq", A, B, optimize=True)
         return cls(mat.reshape(n * n, n * n), n)
-
-    @classmethod
-    def left_mult(cls, A):
-        """X -> A X."""
-        return cls.sandwich(A, np.eye(np.shape(A)[-1]))
 
     @classmethod
     def right_mult(cls, B):

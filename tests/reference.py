@@ -1,0 +1,131 @@
+"""Independent routes the tests hold the package against.
+
+Each one computes, by a different road, something the package computes:
+the energy form node by node instead of through the assembled operator,
+the generator term by term instead of as a sandwich sum, and the checks
+of the tracial state, where the flow is trivial and the decomposition
+identities hold by pure algebra. It also holds the left multiplier
+X -> A X, which the package only forms as a sandwich.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from mdf.dirichlet import (
+    ENGINE_EXACT,
+    _base_quadratic,
+    _orbit_blocks,
+    _resolve_spec,
+    _structured_tail,
+    dirichlet_operator,
+)
+from mdf.linalg import check_square, dagger, hs_inner
+from mdf.lindblad import (
+    LindbladSpec,
+    _sandwich_sum,
+    build_Q,
+    check_balance_condition,
+    lindblad_superop,
+)
+from mdf.standard_form import SuperOperator, tracial_state
+
+
+def left_mult(A):
+    """The left multiplier X -> A X: the GNS action pi(A)."""
+    return SuperOperator.sandwich(A, np.eye(len(A)))
+
+
+def form_eval(sf, spec, eta, xi, kernel=None, engine=ENGINE_EXACT, check_kernel=True):
+    """Energy form E(eta, xi), conjugate-linear in eta.
+
+    The exact engine evaluates <eta, H xi> through the assembled
+    operator; the quadrature engine accumulates the two derivation
+    inner products f(t) <d(t) eta, d(t) xi> node by node at the matrix
+    level (never forming H), plus the structured tail.
+    """
+    spec = _resolve_spec(spec, kernel, engine, check_kernel)
+    eta = check_square(eta, sf.dim, "vector")
+    xi = check_square(xi, sf.dim, "vector")
+    if spec.engine == ENGINE_EXACT:
+        H = dirichlet_operator(sf, spec)
+        return complex(hs_inner(eta, H.apply(xi)))
+    x = check_square(spec.x, sf.dim, "coupling")
+    # the orbits and the tail are in eigenbasis coordinates, and the form is unitarily invariant
+    eta_eig, xi_eig = sf.to_eigenbasis(eta), sf.to_eigenbasis(xi)
+    total = 0j
+    for fw, A, B in _orbit_blocks(sf, x, spec.kernel):
+        d_eta = np.einsum("ilm,lj->ijm", A, eta_eig) - np.einsum("il,ljm->ijm", eta_eig, B)
+        d_xi = np.einsum("ilm,lj->ijm", A, xi_eig) - np.einsum("il,ljm->ijm", xi_eig, B)
+        total += np.einsum("m,ijm,ijm->", fw, d_eta.conj(), d_xi)
+    tail = _structured_tail(sf, _base_quadratic(sf, x), spec.kernel)
+    return complex(total + hs_inner(eta_eig, tail.apply(xi_eig)))
+
+
+def lindblad_apply(spec, A):
+    """L(A) evaluated termwise (conservative: L(I) = 0; *-preserving)."""
+    A = check_square(A, spec.dim, "operator")
+    out = np.zeros_like(A)
+    for y in spec.ys:
+        yd = dagger(y)
+        w = yd @ y
+        out += w @ A - 2.0 * (yd @ A @ y) + A @ w
+    out += 1j * (spec.Q @ A - A @ spec.Q)
+    return out
+
+
+@dataclass(frozen=True)
+class TracialReport:
+    """Checks specific to rho = I/n, where the flow is trivial.
+
+    ``q_norm`` must be exactly zero (the drift integrand cancels
+    algebraically); ``identity_residual`` measures i[Q, .] against the
+    sandwich-difference map it must equal; the symmetrized generator
+    (couplings and adjoints weighted half each) is self-adjoint
+    unconditionally and coincides with the plain one exactly for
+    balanced families.
+    """
+
+    q_norm: float
+    balance_residual: float
+    identity_residual: float
+    sym_selfadjoint_defect: float
+    plain_vs_sym: float
+    sym_vs_dirichlet: float
+
+
+def tracial_symmetric_generator(ys):
+    """The symmetrized generator: half the coupling terms plus half the adjoint terms."""
+    ys = tuple(np.asarray(y, dtype=complex) for y in ys)
+    eye = np.eye(ys[0].shape[0])
+    pairs = []
+    for y in ys:
+        for a in (y, dagger(y)):
+            w = dagger(a) @ a
+            pairs += [(0.5 * w, eye), (eye, 0.5 * w), (-dagger(a), a)]
+    return _sandwich_sum(pairs)
+
+
+def verify_tracial_case(xs):
+    """Run the trivial-flow checks for a coupling family at rho = I/n."""
+    xs = [np.asarray(x, dtype=complex) for x in xs]
+    n = xs[0].shape[0]
+    sf = tracial_state(n)
+    q = build_Q(sf, xs)
+    balance = check_balance_condition(sf, xs)
+    spec = LindbladSpec(ys=tuple(xs), Q=q)  # flow is trivial: y_k = x_k
+    plain = lindblad_superop(spec)
+    sym = tracial_symmetric_generator(xs)
+    eye = np.eye(n)
+    ident = _sandwich_sum([(1j * q, eye), (eye, -1j * q)]
+                          + [(-dagger(y), y) for y in xs] + [(y, dagger(y)) for y in xs])
+    parts = [dirichlet_operator(sf, x) for x in xs]
+    dirich = sum(parts[1:], parts[0])
+    return TracialReport(
+        q_norm=float(np.linalg.norm(q, 2)),
+        balance_residual=balance.condition_residual,
+        identity_residual=ident.norm(),
+        sym_selfadjoint_defect=sym.selfadjoint_defect(),
+        plain_vs_sym=(plain - sym).hs_norm(),
+        sym_vs_dirichlet=(sym - dirich).hs_norm(),
+    )

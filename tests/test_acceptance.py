@@ -19,8 +19,8 @@ from mdf import (
     apply_I0,
     build_Q,
     build_standard_form,
+    check_balance_condition,
     crosscheck_engines,
-    decompose_H,
     dirichlet_operator,
     drift_criterion,
     general_f_embedding_residual,
@@ -35,17 +35,17 @@ from mdf import (
     selfadjointness_residual,
     spec_from_couplings,
     tracial_state,
-    verify_tracial_case,
 )
 from mdf.linalg import (
     dagger,
     ginibre,
     hs_inner,
     hs_norm,
+    psd_from_ginibre,
     random_hermitian,
-    random_psd,
 )
 from mdf.semigroup import SemigroupProbe
+from reference import tracial_symmetric_generator, verify_tracial_case
 
 
 def _state(n, seed):
@@ -119,7 +119,7 @@ def test_dirichlet_operator_suite():
                     plus, minus = jordan_decompose(sf, h)
                     e = complex(hs_inner(plus, H.apply(minus)))
                     worst["jordan"] = max(worst["jordan"], e.real)
-                    p = random_psd(n, rng)
+                    p = psd_from_ginibre(ginibre(n, rng))
                     worst["cone"] = max(
                         worst["cone"], abs(complex(hs_inner(p, H.apply(sf.xi0))))
                     )
@@ -162,13 +162,14 @@ def test_detailed_balance_and_decomposition():
         g = ginibre(n, rng)
         families = [[random_hermitian(n, rng)], [g, dagger(g)]]
         for xs in families:
-            spec = spec_from_couplings(sf, xs, Q="auto")
+            spec = spec_from_couplings(sf, xs)
             H = induced_operator(sf, lindblad_superop(spec))
             worst_sa = max(
                 worst_sa, selfadjointness_residual(drift_criterion(sf, spec), H).operator_residual
             )
 
-            parts = decompose_H(sf, xs)
+            assert check_balance_condition(sf, xs).balanced
+            parts = [dirichlet_operator(sf, x) for x in xs]
             total = parts[0]
             for p in parts[1:]:
                 total = total + p
@@ -223,8 +224,6 @@ def test_tracial_reduction():
         assert rep.plain_vs_sym < 1e-9
 
     # symmetrized generator against the Dirichlet sum, applied to 50 inputs
-    from mdf import tracial_symmetric_generator
-
     xs = [g, dagger(g)]
     sym = tracial_symmetric_generator(xs)
     total = None

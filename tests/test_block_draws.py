@@ -24,7 +24,6 @@ from mdf.linalg import (
     hs_norm,
     psd_from_ginibre,
     random_hermitian,
-    random_psd,
 )
 from mdf.modular import T_MAP
 
@@ -48,7 +47,7 @@ def test_stacked_hermitian_and_psd_parts_equal_the_samplers():
     ref_rng = np.random.default_rng(2)
     for g in G:
         np.testing.assert_array_equal(hermitian_from_ginibre(g[0]), random_hermitian(3, ref_rng))
-        np.testing.assert_array_equal(psd_from_ginibre(g[1]), random_psd(3, ref_rng))
+        np.testing.assert_array_equal(psd_from_ginibre(g[1]), psd_from_ginibre(ginibre(3, ref_rng)))
     np.testing.assert_array_equal(
         hermitian_from_ginibre(G[:, 0]), [hermitian_from_ginibre(g) for g in G[:, 0]]
     )

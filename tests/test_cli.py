@@ -554,6 +554,25 @@ def test_an_unwritable_output_exits_two_naming_the_path(tmp_path, capsys, comman
     assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
 
 
+def test_a_failed_report_write_leaves_no_temporary_file(tmp_path, capsys):
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(_minimal(suites=["standard_form"])))
+    target = tmp_path / "adir"
+    target.mkdir()
+    assert main(["run", str(scenario), "--out", str(target)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
+    assert list(tmp_path.glob("adir.tmp.*")) == []
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe\x00bad", b'{"seed": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"],
+                         ids=["not_utf8", "nested_too_deep"])
+def test_an_undecodable_scenario_exits_two_as_invalid_json(tmp_path, capsys, content):
+    scenario = tmp_path / "s.json"
+    scenario.write_bytes(content)
+    assert main(["run", str(scenario)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {scenario} is not valid JSON: ")
+
+
 def test_generate_is_byte_stable(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -1,5 +1,6 @@
 """Static checks: every module of the package and of the tests uses what it
-imports, and every private module-level name of the package is read.
+imports, every private module-level name of the package is read, and every
+public module-level function or class of the package has a user.
 
 ``mdf/__init__.py`` is left out of the import check: importing is how it
 re-exports the API.  No linter is a dependency, so the checks are walks
@@ -8,6 +9,7 @@ over the standard library's ``ast``.
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -81,3 +83,58 @@ def test_the_private_name_check_flags_what_is_never_read():
         "b": "from a import _C\nimport a\na._f()\n",
     }
     assert unread_private_names(sources) == ["a:_Y"]
+
+
+def unread_public_names(sources, docs="", bench=""):
+    """'module:name' for each public module-level ``def`` or ``class`` that nothing uses.
+
+    ``sources`` maps a module name to its source; ``__init__`` is left
+    out as a reader, since re-exporting a name is not using it.  A name is
+    used when another definition of the sources loads it (a loaded name or
+    an attribute of that name), when ``docs`` names it inside backticks (an
+    inline span or a fenced block), or when ``bench`` mentions it as a word.
+    """
+    defined, read = set(), set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    defined.add((module, node.name))
+        if module == "__init__":
+            continue
+        for top in tree.body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    read.add(name)
+    spans = re.findall(r"```(.*?)```|`([^`]+)`", docs, re.DOTALL)
+    read.update(w for span in spans for w in re.findall(r"\w+", "".join(span)))
+    read.update(re.findall(r"\w+", bench))
+    return sorted(f"{module}:{name}" for module, name in defined if name not in read)
+
+
+def test_every_public_name_of_the_package_is_used():
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    bench = "".join(p.read_text() for p in sorted((ROOT / "perfbench").rglob("*"))
+                    if p.suffix in (".py", ".md"))
+    docs = (ROOT / "README.md").read_text()
+    assert unread_public_names(sources, docs, bench) == []
+
+
+def test_the_public_name_check_flags_what_is_never_used():
+    sources = {
+        "__init__": "from .a import f, g, h, k, C, D\n",
+        "a": "def f():\n    return f()\ndef g():\n    pass\nclass C:\n    pass\n"
+             "class D:\n    pass\ndef h():\n    pass\ndef k():\n    pass\n",
+        "b": "from a import C\nimport a\na.g()\nC()\n",
+    }
+    docs = "the class `D` is documented, k is not\n```python\nh(1)\n```\n"
+    assert unread_public_names(sources, docs, bench="f =") == ["a:k"]
+    assert unread_public_names(sources, docs) == ["a:f", "a:k"]

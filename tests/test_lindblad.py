@@ -5,6 +5,7 @@ import pytest
 
 from mdf import (
     BalanceViolated,
+    BoundaryCombination,
     build_standard_form,
     CauchyKernel,
     F0Kernel,
@@ -12,9 +13,7 @@ from mdf import (
     NotSelfAdjoint,
     build_Q,
     check_balance_condition,
-    couplings_of,
     criterion_matches_adjoint_gap,
-    decompose_H,
     decomposition_residual,
     dirichlet_operator,
     drift_criterion,
@@ -24,17 +23,18 @@ from mdf import (
     induced_operator,
     induced_operator_shifted,
     kms_symmetry_residual,
-    lindblad_apply,
     lindblad_superop,
     selfadjoint_component_decomposition,
     selfadjointness_residual,
+    sigma,
+    smear,
     spec_from_couplings,
     symmetric_embed,
     tracial_state,
-    verify_tracial_case,
     y_reconstruction_residual,
 )
 from mdf.linalg import dagger, ginibre, hs_inner, hs_norm, random_hermitian
+from reference import left_mult, lindblad_apply, verify_tracial_case
 
 
 def _e(i, j, n=2):
@@ -82,8 +82,8 @@ def test_spec_rejects_non_hermitian_drift(rng):
 
 def test_couplings_roundtrip(sf3, rng):
     xs = [ginibre(3, rng)]
-    spec = spec_from_couplings(sf3, xs, Q="auto")
-    back = couplings_of(sf3, spec)
+    spec = spec_from_couplings(sf3, xs)
+    back = [sigma(sf3, y, 0.25j) for y in spec.ys]
     np.testing.assert_allclose(back[0], xs[0], atol=1e-12)
 
 
@@ -107,7 +107,7 @@ def test_drift_vanishes_for_hermitian_coupling_at_trace(rng):
 
 def test_central_drift_offset_does_not_move_the_generator(sf3, rng):
     xs = [ginibre(3, rng)]
-    spec_a = spec_from_couplings(sf3, xs, Q="auto")
+    spec_a = spec_from_couplings(sf3, xs)
     q_shift = build_Q(sf3, xs) + 2.7 * np.eye(3)
     spec_b = LindbladSpec(ys=spec_a.ys, Q=q_shift)
     La, Lb = lindblad_superop(spec_a), lindblad_superop(spec_b)
@@ -163,13 +163,13 @@ def test_skew_root_of_central_element_is_balanced(sf2):
 
 def test_induced_operator_selfadjoint_iff_balanced(sf3, rng):
     g = ginibre(3, rng)
-    balanced = spec_from_couplings(sf3, [g, dagger(g)], Q="auto")
+    balanced = spec_from_couplings(sf3, [g, dagger(g)])
     H = induced_operator(sf3, lindblad_superop(balanced))
     rep = selfadjointness_residual(drift_criterion(sf3, balanced), H)
     assert rep.operator_residual < 1e-10
     assert rep.consistent
 
-    lone = spec_from_couplings(sf3, [g], Q="auto")
+    lone = spec_from_couplings(sf3, [g])
     H2 = induced_operator(sf3, lindblad_superop(lone))
     rep2 = selfadjointness_residual(drift_criterion(sf3, lone), H2)
     assert rep2.operator_residual > 1e-3
@@ -180,14 +180,14 @@ def test_criterion_tracks_adjoint_gap_exactly(sf3, rng):
     # LHS - RHS of the commutation criterion equals H - H* termwise,
     # balanced or not
     for xs in ([random_hermitian(3, rng)], [ginibre(3, rng)]):
-        spec = spec_from_couplings(sf3, xs, Q="auto")
+        spec = spec_from_couplings(sf3, xs)
         H, H_adj = induced_operator_shifted(sf3, spec), induced_adjoint_shifted(sf3, spec)
         assert criterion_matches_adjoint_gap(drift_criterion(sf3, spec), H, H_adj) < 1e-12
 
 
 def test_perturbed_drift_breaks_selfadjointness(sf3, rng):
     x = random_hermitian(3, rng)
-    spec = spec_from_couplings(sf3, [x], Q="auto")
+    spec = spec_from_couplings(sf3, [x])
     H = induced_operator(sf3, lindblad_superop(spec))
     assert selfadjointness_residual(drift_criterion(sf3, spec), H).operator_residual < 1e-10
     bad_q = spec.Q + 0.1 * (random_hermitian(3, rng) - np.trace(random_hermitian(3, rng)) / 3 * np.eye(3))
@@ -200,7 +200,7 @@ def test_hs_residuals_are_never_below_the_spectral_ones(sf3, rng):
     # an unbalanced coupling keeps every residual away from rounding, so
     # the comparison with the former spectral-norm residuals is meaningful
     x = ginibre(3, rng)
-    spec = spec_from_couplings(sf3, [x], Q="auto")
+    spec = spec_from_couplings(sf3, [x])
     H = induced_operator(sf3, lindblad_superop(spec))
     criterion = drift_criterion(sf3, spec)
     sa = selfadjointness_residual(criterion, H)
@@ -213,9 +213,9 @@ def test_hs_residuals_are_never_below_the_spectral_ones(sf3, rng):
 
 def test_kms_symmetry_matches_selfadjointness(sf3, rng):
     g = ginibre(3, rng)
-    spec = spec_from_couplings(sf3, [g, dagger(g)], Q="auto")
+    spec = spec_from_couplings(sf3, [g, dagger(g)])
     assert kms_symmetry_residual(sf3, lindblad_superop(spec)) < 1e-10
-    lone = spec_from_couplings(sf3, [g], Q="auto")
+    lone = spec_from_couplings(sf3, [g])
     assert kms_symmetry_residual(sf3, lindblad_superop(lone)) > 1e-3
 
 
@@ -226,25 +226,29 @@ def test_kms_symmetry_matches_selfadjointness(sf3, rng):
 def test_balanced_generator_decomposes_into_dirichlet_operators(sf3, rng):
     g = ginibre(3, rng)
     xs = [g, dagger(g)]
-    parts = decompose_H(sf3, xs)
+    parts = [dirichlet_operator(sf3, x) for x in xs]
     total = parts[0]
     for p in parts[1:]:
         total = total + p
-    H = induced_operator(sf3, lindblad_superop(spec_from_couplings(sf3, xs, Q="auto")))
+    H = induced_operator(sf3, lindblad_superop(spec_from_couplings(sf3, xs)))
     assert decomposition_residual(H, total) < 1e-10
     assert (total - H).norm() < 1e-10
 
 
 def test_decomposition_refuses_unbalanced_family(sf3, rng):
-    with pytest.raises(BalanceViolated):
-        decompose_H(sf3, [ginibre(3, rng)])
+    xs = [ginibre(3, rng)]
+    balance = check_balance_condition(sf3, xs)
+    with pytest.raises(BalanceViolated, match="unbalanced"):
+        selfadjoint_component_decomposition(
+            sf3, xs, lindblad_superop(spec_from_couplings(sf3, xs)), balance
+        )
 
 
 def test_component_decomposition(sf3, rng):
     g = ginibre(3, rng)
     xs = [g, dagger(g)]
     components, residual = selfadjoint_component_decomposition(
-        sf3, xs, lindblad_superop(spec_from_couplings(sf3, xs, Q="auto")),
+        sf3, xs, lindblad_superop(spec_from_couplings(sf3, xs)),
         check_balance_condition(sf3, xs),
     )
     assert len(components) == 4
@@ -265,7 +269,7 @@ def test_y_reconstruction(sf3, rng):
 def test_embedding_intertwines_generator_and_form_operator(sf3, rng):
     # rho^{1/4} L(a) rho^{1/4} = H rho^{1/4} a rho^{1/4}, unconditionally
     xs = [ginibre(3, rng)]
-    spec = spec_from_couplings(sf3, xs, Q="auto")
+    spec = spec_from_couplings(sf3, xs)
     L = lindblad_superop(spec)
     H = induced_operator(sf3, L)
     for _ in range(10):
@@ -277,7 +281,7 @@ def test_embedding_intertwines_generator_and_form_operator(sf3, rng):
 
 def test_hermitian_singleton_induces_its_dirichlet_operator(sf3, rng):
     x = random_hermitian(3, rng)
-    spec = spec_from_couplings(sf3, [x], Q="auto")
+    spec = spec_from_couplings(sf3, [x])
     H = induced_operator(sf3, lindblad_superop(spec))
     D = dirichlet_operator(sf3, x)
     assert (H - D).norm() < 1e-10
@@ -290,7 +294,7 @@ def test_hermitian_singleton_induces_its_dirichlet_operator(sf3, rng):
 def test_general_weight_generator_reduces_to_plain_at_f0(sf3, rng):
     x = random_hermitian(3, rng)
     L_gen = general_f_generator(sf3, x, F0Kernel())
-    L_plain = lindblad_superop(spec_from_couplings(sf3, [x], Q="auto"))
+    L_plain = lindblad_superop(spec_from_couplings(sf3, [x]))
     assert (L_gen - L_plain).norm() < 1e-12
 
 
@@ -301,23 +305,38 @@ def test_general_weight_embedding(sf3, rng):
         assert general_f_embedding_residual(sf3, x, f, H) < 1e-10
 
 
+def _wrong_generator(sf, x, f):
+    """The general-weight generator with each half's left coefficient built from one symbol.
+
+    Where the right generator flow-averages sigma_{i/4}(a) sigma_{-i/4}(b)
+    against the boundary weight, (a, b) = (x*, x) and (x, x*), this variant
+    uses sigma_{i/4}(a) sigma_{-i/4}(a) on the left; it is the right
+    generator plus half the smeared difference as a left multiplication.
+    """
+    xd = dagger(x)
+    diff = sum(sigma(sf, a, 0.25j) @ (sigma(sf, a, -0.25j) - sigma(sf, b, -0.25j))
+               for a, b in ((xd, x), (x, xd)))
+    left = 0.5 * smear(sf, diff, BoundaryCombination(f))
+    return general_f_generator(sf, x, f) + left_mult(left)
+
+
 def test_wrong_left_coefficient_variant_is_caught_by_embedding(sf3, rng):
     """The alternative assembly that uses the same symbol on both
     coefficients passes for Hermitian couplings but breaks the embedding
     identity for generic ones; keeping this pinned documents why the
     cross-symbol form is the correct one."""
     f = CauchyKernel(scale=1.0)
+    r = _rho_power(sf3, 0.25)
+    e0 = _kron_sandwich(r, r)
+
+    def wrong_gap(x):
+        L = _wrong_generator(sf3, x, f)
+        return np.linalg.norm(e0 @ L.mat - dirichlet_operator(sf3, x, f).mat @ e0)
+
     x = ginibre(3, rng)
-    H = dirichlet_operator(sf3, x, f)
-    good = general_f_embedding_residual(sf3, x, f, H)
-    bad = general_f_embedding_residual(sf3, x, f, H, _left_coefficient_both_adjoint=True)
-    assert good < 1e-10
-    assert bad > 1e-2
-    h = random_hermitian(3, rng)
-    bad_h = general_f_embedding_residual(
-        sf3, h, f, dirichlet_operator(sf3, h, f), _left_coefficient_both_adjoint=True
-    )
-    assert bad_h < 1e-10  # invisible on Hermitian couplings
+    assert general_f_embedding_residual(sf3, x, f, dirichlet_operator(sf3, x, f)) < 1e-10
+    assert wrong_gap(x) > 1e-2
+    assert wrong_gap(random_hermitian(3, rng)) < 1e-10  # invisible on Hermitian couplings
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +399,7 @@ def _sampled_norm(mat, n, samples=64, seed=0):
 @FAMILIES
 def test_kms_residual_is_the_exact_hs_defect(n, name):
     sf, xs = _family(n, name)
-    spec = spec_from_couplings(sf, xs, Q="auto")
+    spec = spec_from_couplings(sf, xs)
     eye = np.eye(n)
     L = 1j * (_kron_sandwich(spec.Q, eye) - _kron_sandwich(eye, spec.Q))
     for y in spec.ys:
@@ -422,14 +441,18 @@ def test_embedding_residual_is_the_exact_hs_gap(n, name):
     r = _rho_power(sf, 0.25)
     e0 = _kron_sandwich(r, r)
     for x in xs:
-        H = dirichlet_operator(sf, x, f)
-        for wrong in (False, True):
-            L = general_f_generator(sf, x, f, _left_coefficient_both_adjoint=wrong)
+        L = general_f_generator(sf, x, f)
+        # H of the same coupling under another kernel: a nonzero gap
+        for H, mismatched in ((dirichlet_operator(sf, x, f), False),
+                              (dirichlet_operator(sf, x, CauchyKernel(scale=0.5)), True)):
             gap = e0 @ L.mat - H.mat @ e0
-            exact = general_f_embedding_residual(sf, x, f, H, _left_coefficient_both_adjoint=wrong)
+            exact = general_f_embedding_residual(sf, x, f, H)
             assert abs(exact - np.linalg.norm(gap)) <= 1e-12 * np.linalg.norm(e0 @ L.mat)
-            if wrong and name != "hermitian":
+            if mismatched:
                 assert exact >= _sampled_norm(gap, n, samples=50) > 1e-3
+        if name != "hermitian":
+            wrong = e0 @ _wrong_generator(sf, x, f).mat - dirichlet_operator(sf, x, f).mat @ e0
+            assert np.linalg.norm(wrong) >= _sampled_norm(wrong, n, samples=50) > 1e-3
 
 
 # ---------------------------------------------------------------------------

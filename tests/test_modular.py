@@ -36,6 +36,7 @@ from mdf import (
 )
 from mdf.kernels import CLOSED_FORM
 from mdf.linalg import dagger, ginibre, hs_norm
+from reference import left_mult
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +315,7 @@ def test_overflow_guard_trips():
     # |Im z| max|kappa| = 443 passes the guard, but the superoperator flow
     # reaches |Im z| max|nu_a - nu_b| = 886
     with pytest.raises(Overflow):
-        superop_sigma(sf, SuperOperator.left_mult(np.eye(2)), 25j)
+        superop_sigma(sf, left_mult(np.eye(2)), 25j)
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +393,8 @@ def test_superop_quarter_shift_on_one_sided_multipliers(sf3, rng):
     # sigma_z . A X . sigma_{-z} = sigma_z(A) X  and likewise on the right,
     # so continuing to z = -i/4 shifts the symbol on either side
     A = ginibre(3, rng)
-    lhs = superop_modular_map(sf3, SuperOperator.left_mult(A), D_PLUS_QUARTER)
-    rhs = SuperOperator.left_mult(sigma(sf3, A, -0.25j))
+    lhs = superop_modular_map(sf3, left_mult(A), D_PLUS_QUARTER)
+    rhs = left_mult(sigma(sf3, A, -0.25j))
     assert (lhs - rhs).norm() < 1e-12
     lhs = superop_modular_map(sf3, SuperOperator.right_mult(A), D_PLUS_QUARTER)
     rhs = SuperOperator.right_mult(sigma(sf3, A, -0.25j))
@@ -408,7 +409,7 @@ def test_superop_quarter_shift_on_one_sided_multipliers(sf3, rng):
 def test_superop_smear_exact_vs_quadrature(sf2, rng, make_kernel):
     f = make_kernel()
     A, B = ginibre(2, rng), ginibre(2, rng)
-    K = SuperOperator.sandwich(A, B) + SuperOperator.left_mult(B)
+    K = SuperOperator.sandwich(A, B) + left_mult(B)
     exact = superop_smear(sf2, K, f)
     quad = superop_smear_quadrature(sf2, K, f)
     assert (exact - quad).norm() < 1e-8
@@ -418,11 +419,11 @@ def test_superop_smear_matches_matrix_smear_for_multipliers(sf3, rng):
     # smearing a left multiplier is the left multiplier of the smeared
     # symbol only when the symbol is shifted consistently; for sandwiches
     # with j-symbols the frequencies cancel.  The clean matrix-level
-    # anchor: K = left_mult(A) smeared equals int f(t) left_mult(sigma_t(A)) dt.
+    # anchor: K = L(A) smeared equals int f(t) L(sigma_t(A)) dt, L(A): X -> A X.
     f = F0Kernel()
     A = ginibre(3, rng)
-    lhs = superop_smear(sf3, SuperOperator.left_mult(A), f)
-    rhs = SuperOperator.left_mult(smear(sf3, A, f))
+    lhs = superop_smear(sf3, left_mult(A), f)
+    rhs = left_mult(smear(sf3, A, f))
     assert (lhs - rhs).norm() < 1e-12
 
 

@@ -35,9 +35,10 @@ from mdf import (
     tracial_state,
 )
 from mdf import dirichlet, kernels
-from mdf.dirichlet import ENGINE_QUADRATURE, coupling_quadratic, form_eval
+from mdf.dirichlet import ENGINE_QUADRATURE, coupling_quadratic
 from mdf.kernels import PANEL_NODES, PANEL_WIDTH, QUAD_REL_TARGET, _panel_rule
 from mdf.linalg import dagger, ginibre, hs_inner, hs_norm
+from reference import form_eval
 
 
 def _dense_orbit(sf, y, ts, shift):

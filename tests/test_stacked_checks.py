@@ -36,15 +36,11 @@ from mdf.linalg import (
     hs_inner,
     hs_norm,
     min_eigenvalue,
+    psd_from_ginibre,
     random_hermitian,
-    random_psd,
     unitary_from_ginibre,
 )
-from mdf.semigroup import (
-    INTERVAL_TOL,
-    extreme_interval_element,
-    random_interval_element,
-)
+from mdf.semigroup import INTERVAL_TOL, _probe_draws
 from mdf.standard_form import project_order_interval
 
 ATOL = 1e-12
@@ -103,7 +99,7 @@ def _reference_markovianity(sf, probe):
             worst_interval = min(worst_interval, margin)
             if margin < -INTERVAL_TOL:
                 note("extreme", t, i, margin)
-            margin = min_eigenvalue(Tt.apply(random_psd(sf.dim, rng)))
+            margin = min_eigenvalue(Tt.apply(psd_from_ginibre(ginibre(sf.dim, rng))))
             worst_positivity = min(worst_positivity, margin)
             if margin < -INTERVAL_TOL:
                 note("positivity", t, i, margin)
@@ -137,7 +133,7 @@ def _reference_verify(sf, H, samples, seed):
         neg_max = max(neg_max, val)
         if val > NEGATIVITY_TOL:
             violations += 1
-        psd = random_psd(sf.dim, rng)
+        psd = psd_from_ginibre(ginibre(sf.dim, rng))
         cone_max = max(cone_max, abs(complex(hs_inner(psd, H.apply(sf.xi0)))))
         g = ginibre(sf.dim, rng)
         e_g = complex(hs_inner(g, H.apply(g)))
@@ -207,11 +203,13 @@ def test_verify_dirichlet_matches_the_per_sample_loop(sf3, case, samples):
 
 def test_samplers_keep_their_draws(sf3):
     for seed in range(5):
-        for sampler, reference in ((random_interval_element, _reference_interval_element),
-                                   (extreme_interval_element, _reference_extreme_element)):
-            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            np.testing.assert_allclose(sampler(sf3, rng), reference(sf3, ref_rng), atol=ATOL)
-            assert rng.random() == ref_rng.random()
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for members in zip(*_probe_draws(sf3, rng, 3)):
+            reference = (_reference_interval_element(sf3, ref_rng),
+                         _reference_extreme_element(sf3, ref_rng),
+                         psd_from_ginibre(ginibre(3, ref_rng)))
+            np.testing.assert_allclose(members, reference, rtol=0, atol=ATOL)
+        assert rng.random() == ref_rng.random()
 
 
 # ---------------------------------------------------------------------------

