@@ -22,7 +22,6 @@ __version__ = "0.1.0"
 from .errors import (
     BalanceViolated,
     DimMismatch,
-    EngineDisagreement,
     MdfError,
     NoConvergence,
     NotAdmissible,
@@ -86,11 +85,8 @@ from .dirichlet import (
 from .lindblad import (
     BalanceReport,
     LindbladSpec,
-    SelfAdjointnessReport,
     build_Q,
     check_balance_condition,
-    criterion_matches_adjoint_gap,
-    decomposition_residual,
     drift_criterion,
     general_f_embedding_residual,
     general_f_generator,
@@ -100,7 +96,6 @@ from .lindblad import (
     kms_symmetry_residual,
     lindblad_superop,
     selfadjoint_component_decomposition,
-    selfadjointness_residual,
     spec_from_couplings,
     y_reconstruction_residual,
 )
@@ -125,7 +120,6 @@ __all__ = [
     "NoConvergence",
     "Overflow",
     "QuadratureNotConverged",
-    "EngineDisagreement",
     "BalanceViolated",
     "NotAdmissible",
     "NotSelfAdjoint",
@@ -178,7 +172,6 @@ __all__ = [
     # lindblad
     "LindbladSpec",
     "BalanceReport",
-    "SelfAdjointnessReport",
     "lindblad_superop",
     "induced_operator",
     "induced_operator_shifted",
@@ -187,9 +180,6 @@ __all__ = [
     "spec_from_couplings",
     "check_balance_condition",
     "drift_criterion",
-    "selfadjointness_residual",
-    "criterion_matches_adjoint_gap",
-    "decomposition_residual",
     "selfadjoint_component_decomposition",
     "y_reconstruction_residual",
     "kms_symmetry_residual",

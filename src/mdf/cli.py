@@ -55,7 +55,6 @@ from .dirichlet import (
     verify_dirichlet,
 )
 from .errors import (
-    EngineDisagreement,
     NotAdmissible,
     NotFaithful,
     NotAState,
@@ -76,8 +75,6 @@ from .linalg import (
 )
 from .lindblad import (
     check_balance_condition,
-    criterion_matches_adjoint_gap,
-    decomposition_residual,
     drift_criterion,
     general_f_embedding_residual,
     induced_adjoint_shifted,
@@ -86,7 +83,6 @@ from .lindblad import (
     kms_symmetry_residual,
     lindblad_superop,
     selfadjoint_component_decomposition,
-    selfadjointness_residual,
     spec_from_couplings,
     y_reconstruction_residual,
 )
@@ -363,22 +359,26 @@ class ScenarioContext:
 
     @cached_property
     def criterion_gap(self):
-        return criterion_matches_adjoint_gap(
-            self.criterion, self.induced_shifted, self.induced_adjoint
-        )
+        """The drift criterion against H - H* of the flow-shifted assemblies: zero to rounding."""
+        return (self.criterion - (self.induced_shifted - self.induced_adjoint)).hs_norm()
 
     @cached_property
     def decomposition(self):
-        if type(self.kernel) is F0Kernel:  # pinned to f0
-            return decomposition_residual(self.induced, self.H)
+        """|| induced H - sum_k H_k ||_HS, the H_k the f0 Dirichlet operators of the couplings.
+
+        Pinned to f0: only there does the plain generator shape match the
+        Dirichlet sum (the boundary combination degenerates to a delta).
+        """
+        if type(self.kernel) is F0Kernel:
+            return (self.induced - self.H).hs_norm()
         f0_parts = [dirichlet_operator(self.sf, x, F0Kernel()) for x in self.xs]
-        return decomposition_residual(self.induced, sum(f0_parts[1:], f0_parts[0]))
+        return (self.induced - sum(f0_parts[1:], f0_parts[0])).hs_norm()
 
     @cached_property
     def _boundary_shift_outcome(self):
         try:
             value = max(verify_boundary_shift(self.sf, x, self.kernel) for x in self.xs)
-        except tuple(_ORACLE_FAILURES) as exc:
+        except QuadratureNotConverged as exc:
             return None, exc
         return value, None
 
@@ -393,7 +393,7 @@ class ScenarioContext:
     @cached_property
     def general_weight_embedding(self):
         return max(
-            general_f_embedding_residual(self.sf, x, self.kernel, Hk, check_kernel=False)
+            general_f_embedding_residual(self.sf, x, self.kernel, Hk)
             for x, Hk in zip(self.xs, self.parts)
         )
 
@@ -447,17 +447,12 @@ class _Gates:
         return out
 
 
-#: the oracle failures recorded as data, by violation kind
-_ORACLE_FAILURES = {QuadratureNotConverged: "quadrature_not_converged",
-                    EngineDisagreement: "engine_disagreement"}
-
-
 def _gate_oracle(rec, violations, key, residual, bound):
-    """Gate ``residual()`` below ``bound``; a failed oracle is inf and a {kind, detail} entry."""
+    """Gate ``residual()`` below ``bound``; an unconverged quadrature is inf and a violation."""
     try:
         value = residual()
-    except tuple(_ORACLE_FAILURES) as exc:
-        violations.append({"kind": _ORACLE_FAILURES[type(exc)], "detail": str(exc)})
+    except QuadratureNotConverged as exc:
+        violations.append({"kind": "quadrature_not_converged", "detail": str(exc)})
         value = float("inf")
     rec.gate(key, value, "<", bound)
 
@@ -557,10 +552,8 @@ def _suite_dirichlet(ctx):
         worst_split = max(worst_split, (Hk - 0.5 * (H1 + H2)).hs_norm())
     rec.gate("split_identity", worst_split, "<", "integral")
     if sf.dim <= 4:
-        rtol = TOLERANCES["cross_engine"]
         _gate_oracle(rec, violations, "engine_crosscheck", lambda: max(
-            crosscheck_engines(sf, Hk, x, kernel, rtol=rtol, check_kernel=False)
-            for x, Hk in zip(xs, ctx.parts)
+            crosscheck_engines(sf, Hk, x, kernel) for x, Hk in zip(xs, ctx.parts)
         ), "cross_engine")
     else:
         notes.append("engine cross-check skipped (dim > 4: quadrature engine is priced out)")
@@ -582,23 +575,26 @@ def _suite_lindblad(ctx):
     rec.info("balance_condition", balance.condition_residual)
     rec.info("balance_lemma", balance.lemma_residual)
     rec.gate("balance_equivalent", balance.equivalent, "==", True)
-    sa = selfadjointness_residual(ctx.criterion, ctx.induced, tol=TOLERANCES["integral"])
-    rec.info("selfadjointness_criterion", sa.criterion_residual)
-    rec.gate("selfadjointness_consistent", sa.consistent, "==", True)
+    # ||H - H*|| and the drift criterion, and the KMS symmetry of L, must vanish together
+    integral = TOLERANCES["integral"]
+    operator_defect = ctx.induced.selfadjoint_defect()
+    criterion = ctx.criterion.hs_norm()
+    rec.info("selfadjointness_criterion", criterion)
+    rec.gate("selfadjointness_consistent",
+             (operator_defect < integral) == (criterion < integral), "==", True)
     rec.gate("criterion_matches_adjoint_gap", ctx.criterion_gap, "<", "algebraic")
     rec.gate("assembly_conjugation_vs_shifted", ctx.assembly_gap, "<", "algebraic")
     kms = kms_symmetry_residual(sf, ctx.generator)
     rec.info("kms_symmetry", kms)
-    integral = TOLERANCES["integral"]
-    rec.gate("kms_consistent", (kms < integral) == (sa.operator_residual < integral), "==", True)
+    rec.gate("kms_consistent", (kms < integral) == (operator_defect < integral), "==", True)
     if balance.balanced:
-        rec.gate("selfadjointness_operator", sa.operator_residual, "<", "integral")
+        rec.gate("selfadjointness_operator", operator_defect, "<", "integral")
         rec.gate("dirichlet_decomposition", ctx.decomposition, "<", "decomposition")
         _, comp_res = selfadjoint_component_decomposition(sf, xs, ctx.generator, balance)
         rec.gate("component_decomposition", comp_res, "<", "decomposition")
         rec.gate("y_reconstruction", y_reconstruction_residual(sf, xs), "<", "integral")
     else:
-        rec.info("selfadjointness_operator", sa.operator_residual)
+        rec.info("selfadjointness_operator", operator_defect)
         notes.append(
             "decomposition identities skipped: BalanceViolated "
             f"(condition residual {balance.condition_residual:.3e})"
@@ -763,7 +759,7 @@ def default_report_path(path):
 
 
 def write_report(report, out_path):
-    """Write atomically so a crashed run never leaves a half report, nor its temporary file."""
+    """Write a report or a scenario atomically: a crash leaves no half file, nor a temporary one."""
     tmp = f"{out_path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -884,9 +880,7 @@ def main(argv=None):
             return 2
         out = args.out or f"{scenario['name']}.json"
         try:
-            with open(out, "w", encoding="utf-8") as fh:
-                json.dump(scenario, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            write_report(scenario, out)
         except OSError as exc:
             return _cannot_write(out, exc)
         print(f"wrote {out}")

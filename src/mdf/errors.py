@@ -40,10 +40,6 @@ class QuadratureNotConverged(MdfError):
     """Adaptive quadrature failed to reach its relative target."""
 
 
-class EngineDisagreement(MdfError):
-    """The exact-spectral and quadrature engines disagree beyond tolerance."""
-
-
 class BalanceViolated(MdfError):
     """The coefficient family does not satisfy the balance condition."""
 

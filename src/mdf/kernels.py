@@ -26,6 +26,7 @@ theirs exactly from their parameters; every other kernel is certified by
 the sampled :func:`check_admissible`.
 """
 
+import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -542,7 +543,8 @@ def kernel_from_descriptor(desc):
     Raises ``SchemaError`` at the key path (``kernel.cauchy.scale``) for a
     parameter block that is not an object, an unknown parameter, or a value
     that is not a finite non-bool number; ``NotAdmissible`` for an unknown
-    descriptor or a parameter out of the kernel's range.
+    descriptor (echoed abridged, however deep or long) or a parameter out
+    of the kernel's range.
     """
     if desc == "f0":
         return F0Kernel()
@@ -557,4 +559,4 @@ def kernel_from_descriptor(desc):
                     raise SchemaError(f"kernel.{kind}.{key}: unknown parameter")
                 finite_number(value, f"kernel.{kind}.{key}")
             return cls(float(params.get(name, default)))
-    raise NotAdmissible(f"unknown kernel descriptor: {desc!r}")
+    raise NotAdmissible(f"unknown kernel descriptor: {reprlib.repr(desc)}")

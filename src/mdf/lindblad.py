@@ -214,26 +214,14 @@ def check_balance_condition(sf, xs):
     )
 
 
-@dataclass(frozen=True)
-class SelfAdjointnessReport:
-    """||H - H*|| next to the drift-criterion residual.
-
-    The criterion equation moves every Q-dependence of H - H* to one
-    side and every coupling-dependence to the other; its residual and
-    the operator residual must vanish together (``consistent``).
-    """
-
-    operator_residual: float
-    criterion_residual: float
-    consistent: bool
-
-
 def drift_criterion(sf, spec):
     """The drift criterion as one operator: its Q side minus its coupling side.
 
     The left side i[T(Q), .] carries every Q-dependence of H - H*, the
     right side every coupling-dependence; H is self-adjoint exactly
-    when the difference vanishes.
+    when the difference vanishes.  It equals H - H* for the flow-shifted
+    assemblies :func:`induced_operator_shifted` and
+    :func:`induced_adjoint_shifted`, balanced or not, with any drift.
     """
     eye = np.eye(sf.dim)
     tq = modular_map(sf, spec.Q, T_MAP)
@@ -247,30 +235,6 @@ def drift_criterion(sf, spec):
     return _sandwich_sum(pairs)
 
 
-def selfadjointness_residual(criterion, H, tol=1e-8):
-    """Self-adjointness of an induced operator H, measured two independent ways.
-
-    ``criterion`` is :func:`drift_criterion` of the spec that induced H.
-    """
-    op_res = H.selfadjoint_defect()
-    crit_res = criterion.hs_norm()
-    return SelfAdjointnessReport(
-        operator_residual=op_res,
-        criterion_residual=crit_res,
-        consistent=(op_res < tol) == (crit_res < tol),
-    )
-
-
-def criterion_matches_adjoint_gap(criterion, H, H_adj):
-    """Exact-identity residual: :func:`drift_criterion` == H - H*.
-
-    H and H_adj are the flow-shifted assemblies of the criterion's spec
-    and of its adjoint, so this should vanish to rounding regardless of
-    balance or drift.
-    """
-    return (criterion - (H - H_adj)).hs_norm()
-
-
 # ---------------------------------------------------------------------------
 # Decompositions
 # ---------------------------------------------------------------------------
@@ -282,18 +246,6 @@ def _require_balanced(report):
             f"{report.condition_residual:.3e}); the decomposition "
             "identities assume balance"
         )
-
-
-def decomposition_residual(H, total):
-    """|| induced H  -  sum_k H_k || for a balanced family.
-
-    H is the induced operator of the ``auto``-drift spec, ``total`` the
-    sum of the f0 Dirichlet operators of the couplings.  Pinned to the
-    distinguished weight: only there does the plain generator shape
-    correspond to the Dirichlet sum (the boundary combination
-    degenerates to a delta).
-    """
-    return (H - total).hs_norm()
 
 
 def selfadjoint_component_decomposition(sf, xs, L, balance):
@@ -395,13 +347,13 @@ def general_f_generator(sf, x, f, check_kernel=True):
     return _sandwich_sum(coefficients) - k
 
 
-def general_f_embedding_residual(sf, x, f, H, check_kernel=True):
+def general_f_embedding_residual(sf, x, f, H):
     """||e0 L - H e0||_HS for  i0(L(A)) = H i0(A),  e0 = S(rho^{1/4}, rho^{1/4}).
 
     L is :func:`general_f_generator` of (x, f) and H the Dirichlet
-    operator of (x, f).
+    operator of (x, f).  H was built from f, so L does not certify f again.
     """
     r, eye = sf.rho_power(0.25), np.eye(sf.dim)
-    L = general_f_generator(sf, x, f, check_kernel)
+    L = general_f_generator(sf, x, f, check_kernel=False)
     return (L.sandwiched(r, r, eye, eye) - H.sandwiched(eye, eye, r, r)).hs_norm()
 

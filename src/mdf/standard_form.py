@@ -612,16 +612,10 @@ class SuperOperator:
     def __sub__(self, other):
         return SuperOperator(self.mat - other.mat, self.dim)
 
-    def __neg__(self):
-        return SuperOperator(-self.mat, self.dim)
-
     def __mul__(self, scalar):
         return SuperOperator(self.mat * scalar, self.dim)
 
     __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return SuperOperator(self.mat @ other.mat, self.dim)
 
     def __repr__(self):
         return f"SuperOperator(dim={self.dim})"

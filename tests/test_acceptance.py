@@ -22,7 +22,6 @@ from mdf import (
     check_balance_condition,
     crosscheck_engines,
     dirichlet_operator,
-    drift_criterion,
     general_f_embedding_residual,
     induced_operator,
     induced_operator_shifted,
@@ -32,7 +31,6 @@ from mdf import (
     modular_map,
     nonmarkovian_control,
     project_order_interval,
-    selfadjointness_residual,
     spec_from_couplings,
     tracial_state,
 )
@@ -164,9 +162,7 @@ def test_detailed_balance_and_decomposition():
         for xs in families:
             spec = spec_from_couplings(sf, xs)
             H = induced_operator(sf, lindblad_superop(spec))
-            worst_sa = max(
-                worst_sa, selfadjointness_residual(drift_criterion(sf, spec), H).operator_residual
-            )
+            worst_sa = max(worst_sa, H.selfadjoint_defect())
 
             assert check_balance_condition(sf, xs).balanced
             parts = [dirichlet_operator(sf, x) for x in xs]
@@ -191,10 +187,7 @@ def test_detailed_balance_and_decomposition():
             p = 0.1 * p / hs_norm(p)
             bad = LindbladSpec(ys=spec.ys, Q=spec.Q + p)
             worst_control = min(
-                worst_control,
-                selfadjointness_residual(
-                    drift_criterion(sf, bad), induced_operator(sf, lindblad_superop(bad))
-                ).operator_residual,
+                worst_control, induced_operator(sf, lindblad_superop(bad)).selfadjoint_defect()
             )
     assert worst_sa < 1e-8
     assert worst_dec < 1e-7

@@ -13,8 +13,6 @@ from mdf import (
     NotSelfAdjoint,
     build_Q,
     check_balance_condition,
-    criterion_matches_adjoint_gap,
-    decomposition_residual,
     dirichlet_operator,
     drift_criterion,
     general_f_embedding_residual,
@@ -25,7 +23,6 @@ from mdf import (
     kms_symmetry_residual,
     lindblad_superop,
     selfadjoint_component_decomposition,
-    selfadjointness_residual,
     sigma,
     smear,
     spec_from_couplings,
@@ -165,15 +162,14 @@ def test_induced_operator_selfadjoint_iff_balanced(sf3, rng):
     g = ginibre(3, rng)
     balanced = spec_from_couplings(sf3, [g, dagger(g)])
     H = induced_operator(sf3, lindblad_superop(balanced))
-    rep = selfadjointness_residual(drift_criterion(sf3, balanced), H)
-    assert rep.operator_residual < 1e-10
-    assert rep.consistent
+    assert H.selfadjoint_defect() < 1e-10
+    assert drift_criterion(sf3, balanced).hs_norm() < 1e-10
 
     lone = spec_from_couplings(sf3, [g])
     H2 = induced_operator(sf3, lindblad_superop(lone))
-    rep2 = selfadjointness_residual(drift_criterion(sf3, lone), H2)
-    assert rep2.operator_residual > 1e-3
-    assert rep2.consistent  # criterion and operator agree on the verdict
+    # criterion and operator agree on the verdict
+    assert H2.selfadjoint_defect() > 1e-3
+    assert drift_criterion(sf3, lone).hs_norm() > 1e-3
 
 
 def test_criterion_tracks_adjoint_gap_exactly(sf3, rng):
@@ -182,18 +178,18 @@ def test_criterion_tracks_adjoint_gap_exactly(sf3, rng):
     for xs in ([random_hermitian(3, rng)], [ginibre(3, rng)]):
         spec = spec_from_couplings(sf3, xs)
         H, H_adj = induced_operator_shifted(sf3, spec), induced_adjoint_shifted(sf3, spec)
-        assert criterion_matches_adjoint_gap(drift_criterion(sf3, spec), H, H_adj) < 1e-12
+        assert (drift_criterion(sf3, spec) - (H - H_adj)).hs_norm() < 1e-12
 
 
 def test_perturbed_drift_breaks_selfadjointness(sf3, rng):
     x = random_hermitian(3, rng)
     spec = spec_from_couplings(sf3, [x])
     H = induced_operator(sf3, lindblad_superop(spec))
-    assert selfadjointness_residual(drift_criterion(sf3, spec), H).operator_residual < 1e-10
+    assert H.selfadjoint_defect() < 1e-10
     bad_q = spec.Q + 0.1 * (random_hermitian(3, rng) - np.trace(random_hermitian(3, rng)) / 3 * np.eye(3))
     bad = LindbladSpec(ys=spec.ys, Q=bad_q)
     bad_H = induced_operator(sf3, lindblad_superop(bad))
-    assert selfadjointness_residual(drift_criterion(sf3, bad), bad_H).operator_residual > 1e-4
+    assert bad_H.selfadjoint_defect() > 1e-4
 
 
 def test_hs_residuals_are_never_below_the_spectral_ones(sf3, rng):
@@ -203,9 +199,8 @@ def test_hs_residuals_are_never_below_the_spectral_ones(sf3, rng):
     spec = spec_from_couplings(sf3, [x])
     H = induced_operator(sf3, lindblad_superop(spec))
     criterion = drift_criterion(sf3, spec)
-    sa = selfadjointness_residual(criterion, H)
-    assert sa.operator_residual >= (H - H.adjoint()).norm() > 1e-3
-    assert sa.criterion_residual >= criterion.norm() > 1e-3
+    assert H.selfadjoint_defect() >= (H - H.adjoint()).norm() > 1e-3
+    assert criterion.hs_norm() >= criterion.norm() > 1e-3
     perturbed = induced_operator_shifted(sf3, LindbladSpec(ys=spec.ys))
     gap = H - perturbed
     assert gap.hs_norm() >= gap.norm() > 1e-3
@@ -231,7 +226,7 @@ def test_balanced_generator_decomposes_into_dirichlet_operators(sf3, rng):
     for p in parts[1:]:
         total = total + p
     H = induced_operator(sf3, lindblad_superop(spec_from_couplings(sf3, xs)))
-    assert decomposition_residual(H, total) < 1e-10
+    assert (H - total).hs_norm() < 1e-10
     assert (total - H).norm() < 1e-10
 
 

@@ -274,12 +274,6 @@ def test_superop_adjoint_is_the_hs_adjoint(rng):
     assert abs(lhs - rhs) < 1e-12
 
 
-def test_superop_composition_matches_matrix_product(rng):
-    A, B, X = (ginibre(2, rng) for _ in range(3))
-    K = left_mult(A) @ SuperOperator.right_mult(B)
-    np.testing.assert_allclose(K.apply(X), A @ X @ B, atol=1e-13)
-
-
 def test_vec_unvec_roundtrip(rng):
     X = ginibre(4, rng)
     np.testing.assert_allclose(unvec(vec(X), 4), X, atol=0)
