@@ -26,6 +26,10 @@ Scenario schema (JSON object):
 
     MATRIX        row-major nested lists of [re, im] pairs
 
+A file nested deeper than MAX_JSON_DEPTH = 32 arrays and objects is not
+valid JSON here, whoever calls the runner; the schema itself nests 6 deep
+(state.gibbs.hamiltonian).
+
 Every gate reads its bar from the pinned table TOLERANCES; no scenario
 key moves a bar or the dim ceiling.
 
@@ -39,6 +43,7 @@ import ctypes
 import json
 import operator
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -116,6 +121,9 @@ SUITES = (
 KINDS = ("hermitian", "ginibre", "balanced_pair")
 
 MAX_DIM = 32
+
+#: deepest nesting of arrays and objects a scenario file may have
+MAX_JSON_DEPTH = 32
 
 #: the gate bars a tolerance key names, pinned
 TOLERANCES = {
@@ -718,16 +726,32 @@ def _keep_freed_superoperators():
     mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
+_JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def _load_json(text):
+    """``json.loads`` of a text nested at most ``MAX_JSON_DEPTH`` deep, else ``ValueError``.
+
+    The depth is counted on the bytes, strings removed, before parsing:
+    ``json.loads`` would recurse and fail at a depth set by the caller's stack.
+    """
+    code = np.frombuffer(_JSON_STRING.sub("", text).encode(), np.uint8)
+    step = np.isin(code, (ord("["), ord("{"))).astype(int) - np.isin(code, (ord("]"), ord("}")))
+    if np.cumsum(step).max(initial=0) > MAX_JSON_DEPTH:
+        raise ValueError(f"nested deeper than {MAX_JSON_DEPTH} levels")
+    return json.loads(text)
+
+
 def run_scenario(path, out=None, seed=None, suites=None):
     """File-level runner: parse, execute, write report. Returns (report, exit code)."""
     _keep_freed_superoperators()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = _load_json(fh.read())
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None, 2
-    except (ValueError, RecursionError) as exc:  # a non-UTF-8 file counts as invalid JSON
+    except ValueError as exc:  # a non-UTF-8 file counts as invalid JSON
         print(f"error: {path} is not valid JSON: {exc}", file=sys.stderr)
         return None, 2
     try:

@@ -222,6 +222,35 @@ def _probe_draws(sf, rng, count):
     )
 
 
+def _settled_gaps(H, energy):
+    """The ``decided`` hook of the form probe: which members' gaps can no longer matter.
+
+    E(X) = Re <X, H X> = <X, H_h X> on Hermitian X, H_h = (H + H*)/2, and
+    h = max |w| + ``CLAMP_EPS`` + ||H - H*||_HS >= ||H_h||_2 for H's clamped
+    factors w.  With X* the projection, ||X*||_HS <= ||xi0||_HS = 1 and
+    ||X - X*||_HS <= delta give the slack |E(X*) - E(X)| <= h delta (1 + ||X||)
+    of the gap E(X) - E(eta).  A member is settled once its gap plus slack is
+    below both ``INTERVAL_TOL`` and the best lower bound, gap minus slack, seen
+    so far over all members: its true gap then passes and is below another
+    member's, so the member of the largest gap is never settled.  Nothing here
+    assumes H >= 0, so the negative control needs no special case.  delta's
+    rounding allowance makes the slack at least 4e-8 h n ||eta||, far above the
+    rounding of the two energies (about n^2 eps h ||eta||^2) for ||eta|| < 1e5 / n.
+    """
+    w, _ = _factors(H)
+    h = float(np.abs(w).max()) + CLAMP_EPS + H.selfadjoint_defect()
+    best = -np.inf
+
+    def settled(index, X, delta):
+        nonlocal best
+        gap = np.real(hs_inner(X, H.apply(X))) - energy[index]
+        slack = h * delta * (1.0 + np.linalg.norm(X, axis=(-2, -1)))
+        best = max(best, float(np.max(gap - slack, initial=-np.inf)))
+        return gap + slack < min(INTERVAL_TOL, best)
+
+    return settled
+
+
 def markovianity_report(sf, probe):
     """Sampled sub-Markovianity of e^{-tH} plus the form-level criterion.
 
@@ -232,8 +261,14 @@ def markovianity_report(sf, probe):
     every margin, min(T eta, xi0 - T eta) for the interval kinds and T p
     for positivity.  A margin below -``INTERVAL_TOL`` counts a violation.
     After all times the form criterion draws ``probe.samples`` Hermitian
-    eta as one Ginibre block, projects them onto [0, xi0] in one stacked
-    call, and compares E[eta_I] with E[eta].  Witnesses keep the first ten
+    eta as one Ginibre block, takes their energies E[eta] once, projects
+    them onto [0, xi0] in one stacked call, and compares E[eta_I] with
+    E[eta].  The projection freezes a member as soon as its distance
+    bound proves that its gap can neither count as a violation nor be
+    the worst gap (see :func:`_settled_gaps`); every violator, the member
+    that attains ``worst_form_gap`` and every near-tie with it still run
+    to ``NEWTON_TOL``, so counts, witnesses and ``worst_form_gap`` are
+    those of the full solve.  Witnesses keep the first ten
     violations in sampling order: by time, by sample, then interval,
     extreme, positivity; form violations come last.
     """
@@ -258,8 +293,9 @@ def markovianity_report(sf, probe):
     # form-level criterion, time-independent: projecting onto the order
     # interval may never increase the energy
     etas = hermitian_from_ginibre(ginibre(n, rng, (N,)))
-    etas_i = project_order_interval(sf, etas)
-    gaps = np.real(hs_inner(etas_i, H.apply(etas_i))) - np.real(hs_inner(etas, H.apply(etas)))
+    energy = np.real(hs_inner(etas, H.apply(etas)))
+    etas_i = project_order_interval(sf, etas, decided=_settled_gaps(H, energy))
+    gaps = np.real(hs_inner(etas_i, H.apply(etas_i))) - energy
     form_bad = np.flatnonzero(gaps > INTERVAL_TOL)
     witnesses += [("form", 0.0, int(i), float(gaps[i])) for i in form_bad[: 10 - len(witnesses)]]
     certificate = factor_certificate(H)

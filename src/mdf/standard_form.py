@@ -255,7 +255,7 @@ def jordan_decompose(sf, xi):
     return plus.reshape(shape), minus.reshape(shape)
 
 
-def project_order_interval(sf, eta):
+def project_order_interval(sf, eta, decided=None):
     """Nearest point of the order interval [0, xi0] in the trace norm.
 
     Solves min 1/2 ||X - eta||^2 over 0 <= X <= xi0 through the dual of
@@ -281,21 +281,45 @@ def project_order_interval(sf, eta):
     and Z with their multipliers P(-(eta + w)) and P(-(xi0 - eta + w));
     ||R|| bounds what is left of the KKT conditions: the lowest
     eigenvalue of xi0 - X = Z + R is at least -||R||, and the
-    stationarity defect is ||R|| / 2.  No distance bound is promised.
+    stationarity defect is ||R|| / 2.
+
+    Distance bound: with c = max(0, lambda_max(rho^{-1/4} X rho^{-1/4}) - 1)
+    the point X~ = X / (1 + c) lies in [0, xi0].  The primal of the split,
+    1/2 ||X - eta||^2 + 1/2 ||Z - (xi0 - eta)||^2, is ||X - eta||^2 on
+    Z = xi0 - X, 2-strongly convex; its dual value at w is
+    g(w) = 1/2 ||eta||^2 + 1/2 ||xi0 - eta||^2 - psi(w).  So weak duality
+    gives ||X~ - X*||^2 <= ||X~ - eta||^2 - g(w), X* the projection, and
+
+        delta = c / (1 + c) ||X|| + sqrt(max(0, ||X~ - eta||^2 - g(w)) + tau)
+
+    bounds ||X - X*||_HS.  The rounding allowance tau = 16 n^2 eps S, S the
+    sum of the magnitudes of the terms (||X~ - eta||^2, g's norms,
+    ||eta + w||^2, ||xi0 - eta + w||^2 and |psi|), covers the cancellation
+    in the difference, and c is raised by 4 n eps (|lambda_max| +
+    ||X|| / lambda_min(rho)^{1/2}) for the rounding of lambda_max.  So
+    delta >= sqrt(tau) >= 4e-8 n ||eta||, however close X is to X*.
+
+    ``decided(indices, X, delta)``, if given, is called at every Newton
+    iterate with the input indices of the members still running, their
+    iterates X and their bounds delta, and returns a boolean mask; a
+    masked member is frozen at its current X, exactly as a converged one
+    is, so its result is only within delta of X*.  The default None
+    computes no bound and runs every member to ``NEWTON_TOL``.
 
     ``eta`` is one n x n matrix or a stack (k, n, n) of them; the result
     has the same shape.  The members of a stack share every batched
     ``eigh`` and every CG matvec, and each member is frozen once its own
     residual passes (in CG: once its own CG residual does), on the step
-    where a call on that member alone stops.
+    where a call on that member alone stops, whatever the other members
+    do or whichever of them ``decided`` freezes.
 
     Raises
     ------
     NotJReal
         If any member is non-Hermitian.
     NoConvergence
-        If some member's residual is still above ``NEWTON_TOL`` after
-        ``NEWTON_MAX_ITER`` Newton steps.
+        If some member that ``decided`` has not frozen still has a residual
+        above ``NEWTON_TOL`` after ``NEWTON_MAX_ITER`` Newton steps.
     """
     eta, shape = _j_real_stack(sf, eta, "order-interval projection")
     xi0 = sf.xi0
@@ -306,6 +330,8 @@ def project_order_interval(sf, eta):
     at = _IntervalDual.evaluate(xi0, eta, w)
     for step in range(NEWTON_MAX_ITER + 1):
         done = at.res < NEWTON_TOL
+        if decided is not None:
+            done |= decided(active, at.X, _distance_bound(sf, eta, at))
         if done.any():
             out[active[done]] = at.X[done]
             keep = ~done
@@ -363,6 +389,25 @@ class _IntervalDual(NamedTuple):
         psi = 0.5 * (np.sum(a_p * a_p, axis=-1) + np.sum(b_p * b_p, axis=-1))
         psi -= np.einsum("kij,ij->k", w.view(float), xi0.view(float))
         return cls(X, np.linalg.norm(R, axis=(-2, -1)), R, psi, a, U, b, V)
+
+
+def _distance_bound(sf, eta, at):
+    """delta >= ||X - X*||_HS for each member of the dual ``at``; X* the projection of eta.
+
+    The weak-duality bound of :func:`project_order_interval`: one batched
+    ``eigvalsh`` of rho^{-1/4} X rho^{-1/4} gives c, the rest reads ``at``.
+    """
+    X, xi0, n, eps = at.X, sf.xi0, sf.dim, np.finfo(float).eps
+    r = sf.rho_power(-0.25)
+    top = np.linalg.eigvalsh(r @ X @ r)[:, -1]
+    norm_x = np.linalg.norm(X, axis=(-2, -1))
+    c = np.maximum(top - 1.0 + 4 * n * eps * (np.abs(top) + norm_x / np.sqrt(sf.eigenvalues[-1])), 0.0)
+    E = X / (1.0 + c)[:, None, None] - eta
+    primal = _real_inner(E, E)
+    base = 0.5 * (_real_inner(eta, eta) + _real_inner(xi0 - eta, xi0 - eta))
+    scale = primal + base + np.sum(at.a**2 + at.b**2, axis=-1) + np.abs(at.psi)
+    gap = np.maximum(primal - base + at.psi, 0.0)
+    return c / (1.0 + c) * norm_x + np.sqrt(gap + 16 * n * n * eps * scale)
 
 
 def _real_inner(A, B):

@@ -29,6 +29,7 @@ from mdf import (
     lindblad,
 )
 from mdf.cli import (
+    MAX_JSON_DEPTH,
     SUITES,
     Scenario,
     ScenarioContext,
@@ -165,16 +166,34 @@ def test_signed_kernel_requires_the_control_flag(tmp_path, capsys, monkeypatch):
     assert s.negative_control
 
 
-def test_an_unknown_kernel_is_echoed_abridged(tmp_path):
-    # 980 levels of nesting parse below the recursion limit of a fresh ``mdf run``
+def test_an_unknown_kernel_is_echoed_abridged(tmp_path, capsys):
+    # as deep as a scenario file may nest, and 5,000 numbers wide at the bottom
+    depth = MAX_JSON_DEPTH - 1
     p = tmp_path / "deep.json"
-    p.write_text(json.dumps(_minimal(kernel="K")).replace('"K"', "[" * 980 + "]" * 980))
+    p.write_text(json.dumps(_minimal(kernel="K")).replace(
+        '"K"', "[" * depth + ", ".join(["0"] * 5000) + "]" * depth))
+    assert main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: deep.json: kernel: unknown kernel descriptor: [[[")
+    assert len(err.splitlines()) == 1 and len(err) < 100
+
+
+@pytest.mark.parametrize("depth", [MAX_JSON_DEPTH - 1, MAX_JSON_DEPTH, 980])
+def test_json_nesting_is_judged_alike_in_process_and_on_the_console(tmp_path, capsys, depth):
+    # the kernel array sits one level inside the scenario object
+    p = tmp_path / "deep.json"
+    p.write_text(json.dumps(_minimal(kernel="K")).replace('"K"', "[" * depth + "]" * depth))
+    code = main(["run", str(p)])
+    err = capsys.readouterr().err
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     proc = subprocess.run([sys.executable, "-m", "mdf.cli", "run", str(p)], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: deep.json: kernel: unknown kernel descriptor: [[[")
-    assert len(proc.stderr.splitlines()) == 1 and len(proc.stderr) < 100
+    assert (code, err) == (proc.returncode, proc.stderr)
+    assert code == 2
+    if depth < MAX_JSON_DEPTH:
+        assert "unknown kernel descriptor" in err
+    else:
+        assert err == f"error: {p} is not valid JSON: nested deeper than {MAX_JSON_DEPTH} levels\n"
 
 
 def test_wide_cauchy_scenario_runs(tmp_path):

@@ -15,12 +15,20 @@ spectral clip with it.
   of the other dual, with one multiplier Lambda >= 0 for X <= xi0 and
   X = P(eta - Lambda), its Jacobian formed densely and solved by least
   squares.  It converges on every state here, beta = 14 included.
+
+The weak-duality distance bound that a ``decided`` hook receives is
+checked at every iterate against the full-tolerance projection, and
+freezing members through the hook must leave the others bitwise unchanged.
 """
+
+import functools
+import json
 
 import numpy as np
 import pytest
 
 from mdf import build_standard_form, gibbs_state, project_order_interval
+from mdf.cli import corpus_paths, parse_scenario
 from mdf.linalg import dagger, haar_unitary, hs_norm, psd_clip, random_hermitian
 
 #: sweeps of the long-run Dykstra reference
@@ -135,3 +143,60 @@ def test_projection_agrees_with_the_normal_map_reference(name):
     sf, etas, X = _case(name)
     for eta, x in zip(etas, X):
         assert hs_norm(x - normal_map_reference(sf.xi0, eta)) <= 1e-8
+
+
+def _corpus_state(name):
+    (path,) = [p for p in corpus_paths() if p.endswith(f"{name}.json")]
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_scenario(json.load(fh)).sf
+
+
+#: the states of the distance-bound tests: the corpus (n = 2 and 3), the
+#: thinnest two-level interval, and a Haar state of log-width 12 at n = 3 and 8
+BOUND_STATES = {
+    **{name: functools.partial(_corpus_state, name) for name in (
+        "tracial_double_commutator", "gibbs_two_level", "gibbs_three_level_degenerate",
+        "balanced_pair_cauchy", "unbalanced_single", "nonmarkovian_control")},
+    "two_level_beta14": lambda: _two_level(14.0),
+    "haar_width12_n3": lambda: _fixed_spectrum(3, 12.0, 4),
+    "haar_width12_n8": lambda: _fixed_spectrum(8, 12.0, 5),
+}
+
+
+def _bound_case(name):
+    """(standard form, stack of inputs from far outside to inside the interval)."""
+    sf = BOUND_STATES[name]()
+    rng = np.random.default_rng(len(name))
+    etas = [s * random_hermitian(sf.dim, rng) for s in (0.1, 0.3, 1.0, 3.0, 10.0)]
+    return sf, np.stack(etas + [sf.xi0 / 3])
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_STATES))
+def test_the_distance_bound_holds_at_every_iterate(name):
+    sf, etas = _bound_case(name)
+    full = project_order_interval(sf, etas)
+    seen = []
+
+    def record(index, X, delta):
+        seen.append((index.copy(), X.copy(), delta.copy()))
+        return np.zeros(len(index), dtype=bool)
+
+    assert np.array_equal(project_order_interval(sf, etas, decided=record), full)
+    assert seen
+    for index, X, delta in seen:
+        assert np.all(delta >= np.linalg.norm(X - full[index], axis=(-2, -1))), index
+    assert set(seen[0][0]) == set(range(len(etas)))
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_STATES))
+def test_freezing_a_member_leaves_the_others_bitwise_unchanged(name):
+    sf, etas = _bound_case(name)
+    full = project_order_interval(sf, etas)
+    first = []
+
+    def freeze_the_first(index, X, delta):
+        first.append(index[0])
+        return index == first[0]
+
+    part = project_order_interval(sf, etas, decided=freeze_the_first)
+    assert np.array_equal(np.delete(part, first[0], 0), np.delete(full, first[0], 0))

@@ -20,6 +20,8 @@ from mdf import (
     evolve,
     markovianity_report,
     nonmarkovian_control,
+    project_order_interval,
+    semigroup,
     semigroup_operator,
     spectral_gap,
     tracial_state,
@@ -95,16 +97,21 @@ def test_tiny_negative_eigenvalues_are_clamped():
 # the certificate of the spectral factors
 # ---------------------------------------------------------------------------
 
-def _corpus_operator(name):
+def _corpus_context(name):
     (path,) = [p for p in cli.corpus_paths() if p.endswith(f"{name}.json")]
     with open(path, "r", encoding="utf-8") as fh:
-        return cli.ScenarioContext(cli.parse_scenario(json.load(fh)), 0).H
+        return cli.ScenarioContext(cli.parse_scenario(json.load(fh)), 0)
 
+
+def _corpus_operator(name):
+    return _corpus_context(name).H
+
+
+CORPUS = ("tracial_double_commutator", "gibbs_two_level", "gibbs_three_level_degenerate",
+          "balanced_pair_cauchy", "unbalanced_single", "nonmarkovian_control")
 
 CERTIFIED = {
-    **{name: functools.partial(_corpus_operator, name) for name in (
-        "tracial_double_commutator", "gibbs_two_level", "gibbs_three_level_degenerate",
-        "balanced_pair_cauchy", "unbalanced_single", "nonmarkovian_control")},
+    **{name: functools.partial(_corpus_operator, name) for name in CORPUS},
     "generated_n8": lambda: cli.ScenarioContext(
         cli.parse_scenario(cli.generate_scenario(1, 8, "balanced_pair")), 0).H,
     "signed_control": lambda: nonmarkovian_control(
@@ -222,6 +229,51 @@ def test_control_is_negative_across_coupling_seeds():
         H = nonmarkovian_control(sf, x, alpha=6.0)
         w, _ = H.eigh()
         assert w[0] < -1e-4, f"seed {seed} unexpectedly positive"
+
+
+# ---------------------------------------------------------------------------
+# the form probe freezes the samples whose gaps are settled
+# ---------------------------------------------------------------------------
+
+def _suite_report(ctx, project=project_order_interval):
+    """The semigroup suite's Markovianity report with ``project`` as its form projection."""
+    probe = SemigroupProbe(H=ctx.H, times=cli.PROBE_TIMES, samples=cli.SUITE_SAMPLES, seed=0)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(semigroup, "project_order_interval", project)
+        return markovianity_report(ctx.sf, probe)
+
+
+def _full_tolerance(sf, eta, decided=None):
+    return project_order_interval(sf, eta)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_the_form_decision_changes_nothing(name):
+    ctx = _corpus_context(name)
+    fast, full = _suite_report(ctx), _suite_report(ctx, _full_tolerance)
+    assert fast.form_violations == full.form_violations
+    assert fast.worst_form_gap == full.worst_form_gap
+    assert fast.witnesses == full.witnesses
+    assert fast == full
+    if name == "nonmarkovian_control":
+        assert full.form_violations == 8
+    if name == "gibbs_two_level":
+        assert abs(full.worst_form_gap) < 1e-12
+
+
+def test_most_form_samples_freeze_on_the_generated_n8_pair():
+    ctx = cli.ScenarioContext(cli.parse_scenario(cli.generate_scenario(1, 8, "balanced_pair")), 0)
+    frozen = set()
+
+    def counting(sf, eta, decided=None):
+        def hook(index, X, delta):
+            mask = decided(index, X, delta)
+            frozen.update(index[mask].tolist())
+            return mask
+        return project_order_interval(sf, eta, decided=hook)
+
+    assert _suite_report(ctx, counting) == _suite_report(ctx, _full_tolerance)
+    assert len(frozen) >= 90
 
 
 @settings(max_examples=25, deadline=None)
