@@ -890,7 +890,45 @@ def main(argv=None):
     p_corpus.add_argument("--out-dir", help="directory for the reports")
 
     args = parser.parse_args(argv)
+    with contextlib.redirect_stdout(_StdoutUntilClosed(sys.stdout)):
+        try:
+            return _command(args)
+        finally:
+            sys.stdout.flush()
 
+
+class _StdoutUntilClosed:
+    """Standard output of one command, sent to devnull once its reader has closed the pipe.
+
+    A reader that stops early (``mdf run s.json | head -1``) fails no
+    suite: the reports are on disk either way.  The first
+    ``BrokenPipeError``, from a summary line or from the last flush, points
+    file descriptor 1 at devnull, as the Python docs' note on SIGPIPE does,
+    so the command goes on, the interpreter's own flush at exit finds
+    nothing to fail on, and ``main`` returns the exit code the run earned.
+    """
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def write(self, text):
+        self._unless_closed(self.stream.write, text)
+        return len(text)
+
+    def flush(self):
+        self._unless_closed(self.stream.flush)
+
+    def _unless_closed(self, call, *args):
+        try:
+            call(*args)
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, self.stream.fileno())
+            os.close(devnull)
+
+
+def _command(args):
+    """Run the parsed ``mdf`` command; returns its exit code."""
     if args.command == "run":
         suites = None if args.suites is None else args.suites.split(",")
         _, code = run_scenario(args.file, out=args.out, seed=args.seed, suites=suites)

@@ -20,6 +20,7 @@ deliberately independent so it can serve as an oracle for the closed
 forms, and vice versa; the smear oracles of ``modular`` are multipliers
 by ``hat_quadrature``.  The tail has one formula, :func:`_pole_tail`, read
 from the ``poles`` a kernel declares: (b, c) with f = (1/2 pi i) sum c / (t - i b).
+Its exponential integral is :func:`_exp1`, in numpy: the package needs no scipy.
 
 Certificates split the same way: ``F0Kernel`` and ``CauchyKernel`` derive
 theirs exactly from their parameters; every other kernel is certified by
@@ -29,6 +30,7 @@ the sampled :func:`check_admissible`.
 import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 
 import numpy as np
 
@@ -284,6 +286,13 @@ POLE_EXPONENT = 700.0
 #: terms of the asymptotic series of e^{w} E1(w) used at |w| > POLE_EXPONENT
 _ASYMPTOTIC_TERMS = 20
 
+#: depth of the J-fraction of E1 (DLMF 6.9.1) used outside the power series' region
+_EXP1_DEPTH = 50
+
+#: coefficients (-1)^{m+1} / (m m!), m = 1 .. 140, of the power series of E1(w) + gamma + log w
+_EXP1_SERIES = np.array([(-1) ** (m + 1) / (m * factorial(m)) for m in range(1, 141)])
+_EXP1_SERIES_LOG = np.log(np.abs(_EXP1_SERIES))
+
 
 def _pole_tail(kappa, radius, poles):
     """Tail  int_{|t| > radius} g(t) e^{i kappa t} dt  for a real, even g
@@ -293,7 +302,10 @@ def _pole_tail(kappa, radius, poles):
     For kappa > 0 each one-sided term rotates onto the exponential
     integral:  int_T^inf e^{i k t}/(t - i b) dt = e^{-k b} E1(-i k (T - i b));
     the left tail is the complex conjugate and the total is even in kappa.
-    :func:`_pole_term` evaluates it without overflow.
+    :func:`_pole_term` evaluates every (pole, kappa) pair of a block of
+    ``_CHUNK_ENTRIES // 8`` pairs in one call, without overflow; the
+    continued fraction keeps about eight complex temporaries per pair, so a
+    block's working set is the 4 MiB of an integrand chunk.
 
     kappa = 0 is the k -> 0 limit of that formula.  E1(z) = -gamma - log z
     + O(z) and e^{-k b} = 1 + O(k), so the one-sided sum is
@@ -309,39 +321,98 @@ def _pole_tail(kappa, radius, poles):
     out = np.empty(k.shape, dtype=float)
     out[zero] = (1.0 / np.pi) * sum(c * np.arctan(b / T) for b, c in poles)
     kz = k[~zero]
-    one_sided = sum(_pole_term(kz, T, b, c) for b, c in poles)
+    b, c = (np.array(column, dtype=float) for column in zip(*poles))
+    one_sided = np.empty(kz.size, dtype=complex)
+    step = max(1, _CHUNK_ENTRIES // 8 // b.size)
+    for lo in range(0, kz.size, step):
+        block = kz[lo : lo + step]
+        pairs = _pole_term(np.tile(block, b.size), T, np.repeat(b, block.size),
+                           np.repeat(c, block.size))
+        one_sided[lo : lo + step] = sum(pairs.reshape(b.size, block.size))  # pole by pole
     out[~zero] = 2 * np.real(one_sided / (2j * np.pi))
     return out
 
 
 def _pole_term(k, T, b, c):
-    """c e^{-k b} E1(w) at w = -i k (T - i b), for k > 0.
+    """c e^{-k b} E1(w) at w = -i k (T - i b), elementwise over arrays of one shape, k > 0.
 
-    Where k |b| > ``POLE_EXPONENT`` the factor e^{-k b} overflows (b < 0)
-    or underflows against an overflowing E1 (b > 0) although the product
-    is of size 1/|w|.  There the term is c e^{i k T} [e^{w} E1(w)], since
-    e^{w} = e^{-k b} e^{-i k T}, with e^{w} E1(w) from its asymptotic
-    series sum_m (-1)^m m! / w^{m+1}.  At |w| >= k |b| > 700 twenty terms
-    leave a relative error below 1e-40 (the series holds for
-    |arg w| < 3 pi / 2; just below the negative axis, where b > 0, it
-    drops only i pi e^{w}, below 1e-300).
-
-    scipy is imported here, its one use: ``import mdf`` does not load it.
+    Below ``POLE_EXPONENT`` it is that plain product, with E1 from
+    :func:`_exp1`.  Where k |b| > ``POLE_EXPONENT`` the factor e^{-k b}
+    overflows (b < 0) or underflows against an overflowing E1 (b > 0)
+    although the product is of size 1/|w|.  There the term is
+    c e^{i k T} [e^{w} E1(w)], since e^{w} = e^{-k b} e^{-i k T}, with
+    e^{w} E1(w) from its asymptotic series sum_m (-1)^m m! / w^{m+1}.  At
+    |w| >= k |b| > 700 twenty terms leave a relative error below 1e-40
+    (the series holds for |arg w| < 3 pi / 2; just below the negative
+    axis, where b > 0, it drops only i pi e^{w}, below 1e-300).
     """
-    from scipy.special import exp1
-
     w = -1j * k * (T - 1j * b)
-    big = k * abs(b) > POLE_EXPONENT
-    out = np.empty(k.shape, dtype=complex)
+    big = k * np.abs(b) > POLE_EXPONENT
+    out = np.empty(w.shape, dtype=complex)
     small = ~big
-    out[small] = c * np.exp(-k[small] * b) * exp1(w[small])
-    wb = w[big]
-    term = series = 1.0 / wb
-    for m in range(1, _ASYMPTOTIC_TERMS):
-        term = term * (-m / wb)
-        series = series + term
-    out[big] = c * np.exp(1j * k[big] * T) * series
+    out[small] = c[small] * np.exp(-k[small] * b[small]) * _exp1(w[small])
+    if big.any():
+        wb = w[big]
+        term = series = 1.0 / wb
+        for m in range(1, _ASYMPTOTIC_TERMS):
+            term = term * (-m / wb)
+            series = series + term
+        out[big] = c[big] * np.exp(1j * k[big] * T) * series
     return out
+
+
+def _exp1(w):
+    """The exponential integral E1 on the principal branch, elementwise, in numpy.
+
+    Where |w| + Re w <= 4 and |w| <= 40 it sums the power series
+    E1(w) = -gamma - log w + sum_m (-1)^{m+1} w^m / (m m!) by Horner's
+    rule, smallest terms first (:func:`_exp1_series`).  The terms'
+    magnitudes add up to about e^{|w|} / |w| against
+    |E1(w)| ~ e^{-Re w} / |w|, so the cancellation stays below e^4.
+    Everywhere else it is the J-fraction
+    E1(w) = e^{-w} / (w + 1 - 1^2 / (w + 3 - 2^2 / (w + 5 - ...)))
+    (DLMF 6.9.1) at depth ``_EXP1_DEPTH``, which reaches ~1e-15 on the
+    boundary of the series' region and converges faster away from it.
+    Each value depends on its own w alone, whatever else the array holds:
+    the loops work out of place, since numpy rounds an in-place complex
+    product on a one-entry array apart from the same product in a longer one.
+    """
+    w = np.asarray(w, dtype=complex)
+    r = np.abs(w)
+    near = (r + w.real <= 4.0) & (r <= 40.0)
+    out = np.empty(w.shape, dtype=complex)
+    if near.any():
+        out[near] = _exp1_series(w[near], r[near])
+    wf = w[~near]
+    if wf.size:
+        d = wf + (2 * _EXP1_DEPTH + 1)
+        for j in range(_EXP1_DEPTH, 0, -1):
+            d = (wf + (2 * j - 1)) - (j * j) / d
+        out[~near] = np.exp(-wf) / d
+    return out
+
+
+def _exp1_series(w, r):
+    """-gamma - log w + sum_m (-1)^{m+1} w^m / (m m!) at r = |w| <= 40, by Horner's rule.
+
+    Each entry stops at the first term below 2^-55 of 0.04 e^{max(r - 4, 0)} / (1 + r),
+    a lower bound of |E1| where the series is used.  The entries run
+    sorted by that count, largest first, so those still summing form a
+    prefix and each value depends on its own w alone.
+    """
+    orders = np.arange(1, _EXP1_SERIES.size + 1)
+    bound = np.log(2.0**-55 * 0.04) + np.maximum(r - 4.0, 0.0) - np.log1p(r)
+    below = orders * np.log(r)[:, None] + _EXP1_SERIES_LOG <= bound[:, None]
+    terms = np.argmax(below, axis=1) + 1
+    order = np.argsort(-terms, kind="stable")
+    ws, terms = w[order], terms[order]
+    live = np.searchsorted(-terms, -np.arange(terms[0] + 1), side="right")
+    p = np.zeros_like(ws)
+    for m in range(terms[0], 0, -1):
+        p[: live[m]] = p[: live[m]] * ws[: live[m]] + _EXP1_SERIES[m - 1]
+    series = np.empty_like(ws)
+    series[order] = ws * p
+    return series - np.log(w) - np.euler_gamma
 
 
 class BoundaryCombination(KernelFunction):

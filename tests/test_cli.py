@@ -1013,12 +1013,40 @@ def test_a_control_summary_names_only_a_gate_that_broke_its_verdict(monkeypatch,
     assert note == "        note: negative control produced violations as designed"
 
 
-def test_import_does_not_load_scipy():
-    """scipy serves only the Cauchy pole tails and is imported on first use."""
+def _console(args, tmp_path, stdout=subprocess.PIPE, env=None, prelude=""):
+    """``mdf`` with ``args`` in a fresh interpreter after ``prelude``; stderr goes to a file."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    code = "import mdf, mdf.cli, sys; assert 'scipy' not in sys.modules, 'scipy loaded'"
-    env = {**os.environ, "PYTHONPATH": src}
-    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+    code = f"import sys\n{prelude}from mdf.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    with open(tmp_path / "stderr.txt", "w") as err:
+        return subprocess.Popen([sys.executable, "-c", code, *args], stdout=stdout, stderr=err,
+                                env={**(env or os.environ), "PYTHONPATH": src})
+
+
+def test_a_run_needs_no_scipy(tmp_path):
+    """E1 of the Cauchy pole tails is numpy's: the corpus runs with scipy unimportable."""
+    proc = _console(["corpus", "--out-dir", str(tmp_path / "reports")], tmp_path,
+                    stdout=subprocess.DEVNULL, prelude="sys.modules['scipy'] = None\n")
+    assert proc.wait(timeout=300) == 0, (tmp_path / "stderr.txt").read_text()
+    reports = sorted(os.listdir(tmp_path / "reports"))
+    assert len(reports) == 6 and "balanced_pair_cauchy.report.json" in reports
+
+
+@pytest.mark.parametrize("command, buffered", [("run", True), ("run", False), ("corpus", False)])
+def test_a_reader_that_closes_early_is_not_a_failure(tmp_path, command, buffered):
+    """``mdf run s.json | true``: no traceback, the reports written, the earned exit code."""
+    (path,) = [p for p in corpus_paths() if p.endswith("gibbs_two_level.json")]
+    args = (["run", path, "--out", str(tmp_path / "r.json")] if command == "run"
+            else ["corpus", "--out-dir", str(tmp_path / "reports")])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:  # each summary line meets the closed pipe inside print_summary
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = _console(args, tmp_path, env=env)
+    proc.stdout.close()  # the reader is gone before the first line
+    assert (proc.wait(timeout=300), (tmp_path / "stderr.txt").read_text()) == (0, "")
+    if command == "run":
+        assert json.loads((tmp_path / "r.json").read_text())["passed"]
+    else:
+        assert len(os.listdir(tmp_path / "reports")) == 6
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is glibc's mallopt")

@@ -1,6 +1,7 @@
 """Static checks: every module of the package and of the tests uses what it
-imports, every private module-level name of the package is read, and every
-public module-level function or class of the package has a user.
+imports, every private module-level name of the package is read, every
+public module-level function or class of the package has a user, and no
+module of the package imports scipy (numpy is its one runtime dependency).
 
 ``mdf/__init__.py`` is left out of the import check: importing is how it
 re-exports the API.  No linter is a dependency, so the checks are walks
@@ -138,3 +139,29 @@ def test_the_public_name_check_flags_what_is_never_used():
     docs = "the class `D` is documented, k is not\n```python\nh(1)\n```\n"
     assert unread_public_names(sources, docs, bench="f =") == ["a:k"]
     assert unread_public_names(sources, docs) == ["a:f", "a:k"]
+
+
+def scipy_imports(source):
+    """'line k' for each import of scipy or of a scipy submodule in ``source``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            lines.append(f"line {node.lineno}")
+    return lines
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_the_package_does_not_import_scipy(path):
+    assert scipy_imports(path.read_text()) == []
+
+
+def test_the_scipy_check_flags_every_import_form():
+    source = ("import scipy\nimport numpy, scipy.special as sp\nfrom scipy import linalg\n"
+              "def f():\n    from scipy.special import exp1\nfrom .scipy import x\nimport scipyx\n")
+    assert scipy_imports(source) == ["line 1", "line 2", "line 3", "line 5"]

@@ -303,14 +303,106 @@ def test_hat_quadrature_is_finite_past_the_pole_exponent(kernel):
     np.testing.assert_allclose(gap, 0.0, atol=1e-15)
 
 
-@pytest.mark.parametrize("scale", [0.26, 1.0, 1000.0])
-def test_pole_tail_keeps_the_plain_formula_below_the_pole_exponent(scale):
-    from scipy.special import exp1
+_PLAIN_GRID_SCALES = [0.26, 1.0, 1000.0]
 
-    T = 64.0
+
+def _plain_grid(scale):
+    """Boundary-weight poles of a Cauchy scale and a kappa grid up to k |b| = 650."""
     poles = BoundaryCombination(CauchyKernel(scale)).poles
-    k = np.geomspace(1e-6, 650.0 / (scale + 0.25), 50)
-    one_sided = sum(c * np.exp(-k * b) * exp1(-1j * k * (T - 1j * b)) for b, c in poles)
+    return poles, np.geomspace(1e-6, 650.0 / (scale + 0.25), 50)
+
+
+@pytest.mark.parametrize("scale", _PLAIN_GRID_SCALES)
+def test_pole_tail_keeps_the_plain_formula_below_the_pole_exponent(scale):
+    T = 64.0
+    poles, k = _plain_grid(scale)
+    one_sided = sum(c * np.exp(-k * b) * kernels._exp1(-1j * k * (T - 1j * b)) for b, c in poles)
     np.testing.assert_array_equal(
         kernels._pole_tail(k, T, poles), 2 * np.real(one_sided / (2j * np.pi))
     )
+
+
+@pytest.mark.parametrize("scale", _PLAIN_GRID_SCALES)
+def test_pole_tail_stays_near_the_scipy_route(scale):
+    from scipy.special import exp1
+
+    T = 64.0
+    poles, k = _plain_grid(scale)
+    one_sided = sum(c * np.exp(-k * b) * exp1(-1j * k * (T - 1j * b)) for b, c in poles)
+    scipy_tail = 2 * np.real(one_sided / (2j * np.pi))
+    gap = np.abs(kernels._pole_tail(k, T, poles) - scipy_tail) / np.maximum(1.0, np.abs(scipy_tail))
+    # 6e-16 at scales 0.26 and 1; at scale 1000 scipy's exp1 alone is 1.2e-14 off the
+    # 40-digit tail at k = 0.0048 (|w| = 4.77), where the numpy route is exact
+    assert gap.max() < 2e-14
+
+
+def test_pole_tail_does_not_depend_on_its_blocks(monkeypatch):
+    poles, k = _plain_grid(1.0)
+    k = np.concatenate([k, [0.0], 700.0 / 1.25 * (1 + np.array([-1e-9, 1e-9]))])
+    whole = kernels._pole_tail(k, 64.0, poles)
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 1)  # one kappa, all poles, per block
+    np.testing.assert_array_equal(kernels._pole_tail(k, 64.0, poles), whole)
+
+
+#: (w, E1(w)) at 40 digits (mpmath 1.3.0, rounded to double)
+_E1_PINS = [
+    # the series / J-fraction boundary |w| + Re w = 4, and just outside it
+    (2 - 0.001j, 0.048900459957343295 + 6.766761342346159e-05j),
+    (2 - 0.1j, 0.04839434009516629 + 0.006738628409458138j),
+    (1.875 - 1j, 0.010163038624846975 + 0.05269691143452464j),
+    (1.5 - 2j, -0.06565944359519196 + 0.0277987336192808j),
+    (0.875 - 3j, -0.06961782095673254 - 0.09284491883296586j),
+    (-4j, 0.1409816978869304 - 0.18740681215415644j),
+    (-2.5 - 6j, 0.08230750605843914 + 1.921319884563104j),
+    (-6 - 8j, -32.58932052858529 - 27.19651514025024j),
+    (-16 - 12j, -148544.69432930893 + 438287.88554345j),
+    (-30 - 16j, 315513711137.183 - 68227092431.267456j),
+    (2.01 - 0.1j, 0.047731060230680945 + 0.006638495787316625j),
+    (0.1 - 4j, 0.12317161868031971 - 0.17163812465424025j),
+    (-5.9 - 8j, -29.867097928649347 - 24.473375949917514j),
+    # the negative wedge up to |w| = 40, the arc |w| = 40, and past it
+    (-1 - 0.001j, -1.8951178163557103 + 3.138874372214381j),
+    (-4 - 0.01j, -19.630362615421035 + 3.0050987003284244j),
+    (-10 - 0.1j, -2482.3239846249176 - 216.8221650960112j),
+    (-25 - 1j, -1726910809.2033262 - 2457164700.994146j),
+    (-39.99 - 0.01j, -5980873803730418 - 58274431022226.44j),
+    (-39.9 - 2j, 2018211731160294.2 - 5085972585030836j),
+    (-39 - 8.8j, 1461641791754892 - 1672784574122200.8j),
+    (-45 - 0.5j, -7.01386070846076e17 - 3.728724180663719e17j),
+    (-100 - 1j, -1.4901535515855492e41 - 2.2700035911161174e41j),
+    (-690 - 10j, 5.659126635175434e296 + 3.5535803727990784e296j),
+    # the negative imaginary axis, where the scale-1 tails sit (b = +-1, T = 64)
+    (-0.1j, 1.7278683866572966 + 1.4708518656866196j),
+    (-1j, -0.33740392290096816 + 0.6247132564277136j),
+    (-10j, 0.04545643300445537 - 0.08755126742397742j),
+    (-64j, -0.014272879213325488 + 0.006344076582866087j),
+    (-1000j, -0.0008263155110906822 + 0.000563204826125401j),
+    (-0.05 - 3.2j, -0.05419621960959103 - 0.2965907817130057j),
+    (0.05 - 3.2j, -0.05602914820868656 - 0.26538408514089307j),
+    (-1 - 64j, -0.039067014187534055 + 0.016639061312995314j),
+    (1 - 64j, -0.005211729413370166 + 0.0024146418527771544j),
+    (-8 - 512j, -0.383550529067194 - 5.808968672266893j),
+    # where scipy's exp1 runs its series out to |w| = 5 (off by 1.6e-12 and 8.2e-13 there)
+    (4.824 - 1.314j, 3.556596437516612e-05 + 0.001373329917505914j),
+    (4.793 - 0.255j, 0.0013976892925741332 + 0.00043377165719615064j),
+    # |w| from 1e-12 to 1e4
+    (1e-12 - 1e-12j, 26.707231860748042 + 0.7853981633964483j),
+    (-1e-12j, 27.053805451027014 + 1.5707963267938967j),
+    (1e-09 - 3e-10j, 20.10296132492435 + 0.2914567941778671j),
+    (1e-06 - 1e-06j, 12.89172230278277 + 0.7853971633979483j),
+    (-0.001 - 0.0001j, 6.324564201100121 + 3.0418239510820158j),
+    (0.5 - 0.01j, 0.5595916754975188 + 0.012127985534434293j),
+    (5 - 1j, 0.0004394498056755696 + 0.0010420331174454795j),
+    (30 - 30j, 1.7316045841744061e-15 - 1.3065678019487308e-15j),
+    (100 - 10000j, 1.101021308422596e-48 - 3.5532105904729727e-48j),
+    (-600 - 8000j, -4.702917980148468e256 - 4.2530479207473117e254j),
+]
+
+
+def test_exp1_matches_40_digit_values():
+    w, expected = (np.array(column) for column in zip(*_E1_PINS))
+    one_call = kernels._exp1(w)
+    rel = np.abs(one_call - expected) / np.abs(expected)
+    assert rel.max() <= 1e-14, (w[np.argmax(rel)], rel.max())
+    # each value depends on its own w alone
+    np.testing.assert_array_equal([kernels._exp1(np.array([z]))[0] for z in w], one_call)
