@@ -101,10 +101,8 @@ from .lindblad import (
 )
 from .semigroup import (
     MarkovianityReport,
-    SemigroupProbe,
     evolve,
     markovianity_report,
-    nonmarkovian_control,
     semigroup_operator,
     spectral_gap,
 )
@@ -186,11 +184,9 @@ __all__ = [
     "general_f_generator",
     "general_f_embedding_residual",
     # semigroup
-    "SemigroupProbe",
     "MarkovianityReport",
     "semigroup_operator",
     "evolve",
     "spectral_gap",
     "markovianity_report",
-    "nonmarkovian_control",
 ]

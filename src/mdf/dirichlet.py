@@ -296,7 +296,7 @@ def dirichlet_operator(sf, spec, kernel=None, engine=ENGINE_EXACT, check_kernel=
     return sf.superop_from_eigenbasis(H)
 
 
-def crosscheck_engines(sf, He, x, kernel=None):
+def crosscheck_engines(sf, He, x, kernel):
     """Relative spectral-norm gap between the exact build ``He`` of x and a quadrature build.
 
     ``He`` was built from the same kernel, so the quadrature build does
@@ -330,6 +330,9 @@ def verify_boundary_shift(sf, x, f):
 #: E(xi_plus, xi_minus) above this counts as a Markovianity violation
 NEGATIVITY_TOL = 1e-9
 
+#: sampled (Hermitian, positive, Ginibre) triples per report
+SAMPLES = 100
+
 
 @dataclass(frozen=True)
 class DirichletReport:
@@ -338,12 +341,12 @@ class DirichletReport:
     ``negativity_violations`` counts sampled Hermitian vectors whose
     orthogonal positive parts gave Re E(xi_plus, xi_minus) above
     ``NEGATIVITY_TOL`` (the form-level Markovianity criterion demands
-    <= 0 up to noise); ``jordan_negativity_max`` records the worst
-    value.  ``cone_form_residual`` is the largest |E(xi, xi0)| over
-    sampled positive vectors, ``conj_form_residual`` the largest gap in
-    E(J xi, J xi) = conj(E(xi, xi)) over general samples.  ``psd_min_eig``
-    is lambda_min((R + R^T)/2) - d from H's real form (R, d), by Weyl's
-    inequality a lower bound on the lowest eigenvalue of (H + H*)/2.
+    <= 0 up to noise).  ``cone_form_residual`` is the largest
+    |E(xi, xi0)| over sampled positive vectors, ``conj_form_residual`` the
+    largest gap in E(J xi, J xi) = conj(E(xi, xi)) over general samples.
+    ``psd_min_eig`` is lambda_min((R + R^T)/2) - d from H's real form
+    (R, d), by Weyl's inequality a lower bound on the lowest eigenvalue of
+    (H + H*)/2.
     """
 
     h_xi0_residual: float
@@ -352,16 +355,14 @@ class DirichletReport:
     selfadjoint_defect: float
     psd_min_eig: float
     negativity_violations: int
-    jordan_negativity_max: float
     cone_form_residual: float
-    samples: int
 
 
-def verify_dirichlet(sf, H, samples=100, seed=0):
+def verify_dirichlet(sf, H, seed):
     """Measure the defining properties of a built Dirichlet operator H.
 
-    ``samples`` (Hermitian xi, positive p, Ginibre g) triples come from
-    one (samples, 3) Ginibre block of the seeded stream, the same numbers
+    ``SAMPLES`` (Hermitian xi, positive p, Ginibre g) triples come from
+    one (SAMPLES, 3) Ginibre block of the seeded stream, the same numbers
     as drawing them triple by triple, and are evaluated as stacks: one
     batched Jordan split of the xi, and H applied to each stack in one
     product.  Per sample it measures <xi_+, H xi_->
@@ -373,7 +374,7 @@ def verify_dirichlet(sf, H, samples=100, seed=0):
     h_xi0 = H.apply(sf.xi0)
     R, d = H.real_form()
     psd_min_eig = float(np.linalg.eigvalsh((R + R.T) / 2.0)[0]) - d
-    G = ginibre(n, rng, (samples, 3))
+    G = ginibre(n, rng, (SAMPLES, 3))
     xi, psd, g = hermitian_from_ginibre(G[:, 0]), psd_from_ginibre(G[:, 1]), G[:, 2]
     plus, minus = jordan_decompose(sf, xi)
     neg = np.real(hs_inner(plus, H.apply(minus)))
@@ -386,7 +387,5 @@ def verify_dirichlet(sf, H, samples=100, seed=0):
         selfadjoint_defect=H.selfadjoint_defect(),
         psd_min_eig=psd_min_eig,
         negativity_violations=int(np.count_nonzero(neg > NEGATIVITY_TOL)),
-        jordan_negativity_max=float(neg.max(initial=-np.inf)),
         cone_form_residual=float(np.abs(hs_inner(psd, h_xi0)).max(initial=0.0)),
-        samples=samples,
     )

@@ -32,19 +32,6 @@ def hs_norm(X):
     return float(np.linalg.norm(X, "fro"))
 
 
-def vec(X):
-    """Row-major vectorization of a square matrix."""
-    return np.asarray(X).reshape(-1)
-
-
-def unvec(v, n):
-    """Inverse of :func:`vec`."""
-    v = np.asarray(v)
-    if v.size != n * n:
-        raise DimMismatch(f"vector of size {v.size} is not {n}x{n}")
-    return v.reshape(n, n)
-
-
 def check_square(A, n=None, what="matrix"):
     """Return A as a complex square ndarray, checking the dimension."""
     A = np.asarray(A, dtype=complex)

@@ -38,7 +38,7 @@ from .standard_form import SuperOperator
 #: balance-condition residual above this blocks the decomposition paths
 BALANCE_TOL = 1e-8
 
-#: Hermiticity bar for the drift
+#: Hermiticity bar for the drift, relative to max(1, ||Q||_2)
 Q_HERMITIAN_TOL = 1e-10
 
 
@@ -68,7 +68,7 @@ class LindbladSpec:
         if Q is None:
             Q = np.zeros((n, n), dtype=complex)
         Q = check_square(np.asarray(Q, dtype=complex), n, "drift")
-        if hermitian_defect(Q) > Q_HERMITIAN_TOL:
+        if hermitian_defect(Q) > Q_HERMITIAN_TOL * max(1.0, np.linalg.norm(Q, 2)):
             raise NotSelfAdjoint("drift Q must be Hermitian")
         object.__setattr__(self, "Q", Q)
 

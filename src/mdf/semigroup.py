@@ -7,18 +7,15 @@ preserve the positive cone, keep the order interval [0, xi0] invariant,
 fix xi0, and commute with the modular conjugation.  None of these can be
 certified universally by sampling, so the report counts violations over
 seeded random families plus a structured sweep over the extreme points
-of the interval (embedded projections), and ships with a negative
-control (:func:`nonmarkovian_control`) that provably trips the checks —
-the suite is known to be able to fail.
+of the interval (embedded projections).  The negative-control scenarios,
+built from the signed ``signed_f0`` weight, trip the checks, so the
+probes are known to be able to fail.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet import ENGINE_EXACT, DirichletSpec, dirichlet_operator
-from .errors import NotSelfAdjoint
-from .kernels import CosineModulatedF0
 from .linalg import (
     check_square_or_stack,
     dagger,
@@ -33,8 +30,11 @@ from .linalg import (
 )
 from .standard_form import SuperOperator, project_order_interval, symmetric_embed
 
-#: self-adjointness residual beyond which a probe refuses to run
-SELFADJOINT_GATE = 1e-8
+#: the probe times t of e^{-tH}
+PROBE_TIMES = (0.1, 1.0, 10.0)
+
+#: samples of each probe kind per time, and of the form probe
+SAMPLES = 100
 
 #: absolute eigenvalue tolerance for interval/positivity membership
 INTERVAL_TOL = 1e-8
@@ -50,12 +50,7 @@ CLAMP_EPS = 1e-9
 
 
 def _factors(H):
-    """H's spectral factors (w, V), cached, w in (-CLAMP_EPS, 0) set to 0; H = H* checked once."""
-    if H._eig is None:
-        defect = H.selfadjoint_defect()
-        if defect > SELFADJOINT_GATE:
-            raise NotSelfAdjoint(f"operator is {defect:.3e} from self-adjoint; refusing to "
-                                 "exponentiate a one-sided spectral decomposition")
+    """H's spectral factors (w, V) of :meth:`SuperOperator.eigh`, w in (-CLAMP_EPS, 0) set to 0."""
     w, V = H.eigh()
     return np.where((w > -CLAMP_EPS) & (w < 0.0), 0.0, w), V
 
@@ -128,23 +123,6 @@ def spectral_gap(H):
 # Markovianity probing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class SemigroupProbe:
-    """What to probe: operator, time grid, sample budget, seed."""
-
-    H: SuperOperator
-    times: tuple = (0.1, 1.0, 10.0)
-    samples: int = 100
-    seed: int = 0
-
-    def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
-        if any(not np.isfinite(t) or t < 0 for t in times):
-            raise ValueError("probe times must be finite and nonnegative")
-        object.__setattr__(self, "times", times)
-        _factors(self.H)
-
-
 def _interval_elements(sf, G, spectrum):
     """rho^{1/4} W diag(spectrum) W* rho^{1/4} for W the Haar unitary of G; stacks too."""
     W = unitary_from_ginibre(G)
@@ -169,9 +147,6 @@ class MarkovianityReport:
     ``certificate``) are relative to ||T_t||_2 = e^{-t min(0, min w)}, 1 if contractive.
     """
 
-    times: tuple
-    samples: int
-    seed: int
     interval_violations: int
     extreme_violations: int
     positivity_violations: int
@@ -183,12 +158,6 @@ class MarkovianityReport:
     j_real_max: float
     witnesses: tuple
     certificate: FactorCertificate
-
-    @property
-    def markovian(self):
-        counts = (self.interval_violations, self.extreme_violations,
-                  self.positivity_violations, self.form_violations)
-        return not any(counts) and max(self.xi0_invariance_max, self.j_real_max) < INTERVAL_TOL
 
 
 #: the sampled membership checks, in the order each sample runs them
@@ -251,16 +220,16 @@ def _settled_gaps(H, energy):
     return settled
 
 
-def markovianity_report(sf, probe):
+def markovianity_report(sf, H, seed):
     """Sampled sub-Markovianity of e^{-tH} plus the form-level criterion.
 
-    At each probe time, ``probe.samples`` triples (an interval element,
+    At each of the ``PROBE_TIMES``, ``SAMPLES`` triples (an interval element,
     an extreme point, a positive matrix) are drawn from the seeded stream
     into preallocated arrays (see :func:`_probe_draws`) and mapped with
     xi0 by one :func:`evolve` call.  One batched eigenvalue call gives
     every margin, min(T eta, xi0 - T eta) for the interval kinds and T p
     for positivity.  A margin below -``INTERVAL_TOL`` counts a violation.
-    After all times the form criterion draws ``probe.samples`` Hermitian
+    After all times the form criterion draws ``SAMPLES`` Hermitian
     eta as one Ginibre block, takes their energies E[eta] once, projects
     them onto [0, xi0] in one stacked call, and compares E[eta_I] with
     E[eta].  The projection freezes a member as soon as its distance
@@ -271,15 +240,17 @@ def markovianity_report(sf, probe):
     those of the full solve.  Witnesses keep the first ten
     violations in sampling order: by time, by sample, then interval,
     extreme, positivity; form violations come last.
+
+    Raises ``NotSelfAdjoint`` (from :meth:`SuperOperator.eigh`) before any
+    sample is drawn if H is not self-adjoint.
     """
-    H = probe.H
-    rng = np.random.default_rng(probe.seed)
-    xi0, N, n = sf.xi0, probe.samples, sf.dim
-    margins = np.empty((len(probe.times), N, len(_PROBE_KINDS)))
-    xi0_max = 0.0
     # 1 / ||e^{-tW}||_2: the xi0 and J residuals are measured relative to ||T_t||
     w_low = min(0.0, float(_factors(H)[0].min()))
-    for t, margin in zip(probe.times, margins):
+    rng = np.random.default_rng(seed)
+    xi0, N, n = sf.xi0, SAMPLES, sf.dim
+    margins = np.empty((len(PROBE_TIMES), N, len(_PROBE_KINDS)))
+    xi0_max = 0.0
+    for t, margin in zip(PROBE_TIMES, margins):
         out = evolve(H, np.concatenate([xi0[None], *_probe_draws(sf, rng, N)]), t)
         xi0_max = max(xi0_max, hs_norm(out[0] - xi0) * np.exp(t * w_low))
         out_i, out_e, out_p = out[1:].reshape(3, N, n, n)
@@ -287,7 +258,7 @@ def markovianity_report(sf, probe):
         low = low.reshape(5, N)
         margin[:] = np.stack([np.minimum(low[0], low[1]), np.minimum(low[2], low[3]), low[4]], 1)
     bad = margins < -INTERVAL_TOL
-    witnesses = [(_PROBE_KINDS[k], probe.times[j], int(i), float(margins[j, i, k]))
+    witnesses = [(_PROBE_KINDS[k], PROBE_TIMES[j], int(i), float(margins[j, i, k]))
                  for j, i, k in np.argwhere(bad)[:10]]
 
     # form-level criterion, time-independent: projecting onto the order
@@ -301,9 +272,6 @@ def markovianity_report(sf, probe):
     certificate = factor_certificate(H)
     counts = bad.sum(axis=(0, 1))
     return MarkovianityReport(
-        times=probe.times,
-        samples=N,
-        seed=probe.seed,
         interval_violations=int(counts[0]),
         extreme_violations=int(counts[1]),
         positivity_violations=int(counts[2]),
@@ -312,23 +280,7 @@ def markovianity_report(sf, probe):
         worst_positivity_margin=float(margins[..., 2].min(initial=np.inf)),
         worst_form_gap=float(gaps.max(initial=-np.inf)),
         xi0_invariance_max=float(xi0_max),
-        j_real_max=max((certificate.bounds(t)[1] * float(np.exp(t * w_low)) for t in probe.times),
-                       default=0.0),
+        j_real_max=max(certificate.bounds(t)[1] * float(np.exp(t * w_low)) for t in PROBE_TIMES),
         witnesses=tuple(witnesses),
         certificate=certificate,
     )
-
-
-def nonmarkovian_control(sf, x, alpha=6.0):
-    """Operator from a deliberately signed weight — the negative control.
-
-    The cosine-modulated weight stays even and real (so the operator is
-    still self-adjoint, annihilates xi0, and commutes with J) but its
-    transform changes sign across the frequency grid, producing genuine
-    negative eigenvalues; the semigroup then leaves the order interval
-    and :func:`markovianity_report` must count violations.
-    """
-    spec = DirichletSpec(
-        x=x, kernel=CosineModulatedF0(alpha), engine=ENGINE_EXACT, check_kernel=False
-    )
-    return dirichlet_operator(sf, spec)

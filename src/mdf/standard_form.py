@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimMismatch, NoConvergence, NotAState, NotFaithful, NotJReal
+from .errors import DimMismatch, NoConvergence, NotAState, NotFaithful, NotJReal, NotSelfAdjoint
 from .linalg import (
     check_square,
     check_square_or_stack,
@@ -30,14 +30,15 @@ from .linalg import (
     hermitian_defect,
     hs_norm,
     psd_clip,
-    unvec,
-    vec,
 )
 
 EPS_FAITHFUL = 1e-8
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 JREAL_TOL = 1e-10
+
+#: ||K - K*||_HS beyond which :meth:`SuperOperator.eigh` refuses K
+SELFADJOINT_TOL = 1e-8
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
@@ -571,12 +572,9 @@ class SuperOperator:
 
     # -- algebra -----------------------------------------------------------
     def apply(self, X):
-        """K X for one n x n matrix; a stack (k, n, n) is mapped in one product."""
+        """K X for one n x n matrix or each member of a stack (k, n, n), in one product."""
         X = check_square_or_stack(X, self.dim, "vector")
-        if X.ndim == 3:
-            n2 = self.dim * self.dim
-            return (X.reshape(len(X), n2) @ self.mat.T).reshape(X.shape)
-        return unvec(self.mat @ vec(X), self.dim)
+        return (X.reshape(-1, self.dim * self.dim) @ self.mat.T).reshape(X.shape)
 
     def sandwiched(self, A, B, C, D):
         """The composition S(A, B) K S(C, D): X -> A K(C X D) B.
@@ -636,9 +634,14 @@ class SuperOperator:
     def eigh(self):
         """Cached (w, V) of (K + K*)/2: eigh of (R + R^T)/2 of :meth:`real_form`, V = W Q.
 
-        Raises ``NotJReal`` if d > ``JREAL_TOL`` max(1, ||R||_F); K = K* is checked upstream.
+        Raises ``NotSelfAdjoint`` if ||K - K*||_HS > ``SELFADJOINT_TOL``, then ``NotJReal``
+        if d > ``JREAL_TOL`` max(1, ||R||_F); a refused K caches nothing.
         """
         if self._eig is None:
+            defect = self.selfadjoint_defect()
+            if defect > SELFADJOINT_TOL:
+                raise NotSelfAdjoint(f"operator is {defect:.3e} from self-adjoint; refusing to "
+                                     "exponentiate a one-sided spectral decomposition")
             R, d = self.real_form()
             if d > JREAL_TOL * max(1.0, hs_norm(R)):
                 raise NotJReal(f"superoperator is {2 * d:.3e} from J-real; no real form")

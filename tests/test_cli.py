@@ -63,14 +63,14 @@ def _minimal(**overrides):
 
 def test_matrix_roundtrip(rng):
     A = ginibre(3, rng)
-    np.testing.assert_allclose(matrix_from_json(matrix_to_json(A), "m"), A, atol=0)
+    np.testing.assert_allclose(matrix_from_json(matrix_to_json(A), "m", 3), A, atol=0)
 
 
 def test_matrix_errors_carry_the_path():
     with pytest.raises(SchemaError, match=r"m\[0\]\[1\]"):
-        matrix_from_json([[[1, 0], [2]], [[0, 0], [0, 0]]], "m")
+        matrix_from_json([[[1, 0], [2]], [[0, 0], [0, 0]]], "m", 2)
     with pytest.raises(SchemaError, match="rows"):
-        matrix_from_json([[[1, 0]]], "m", n=2)
+        matrix_from_json([[[1, 0]]], "m", 2)
 
 
 @pytest.mark.parametrize(
@@ -79,7 +79,7 @@ def test_matrix_errors_carry_the_path():
 def test_matrix_rejects_non_finite_entries(bad):
     m = [[[1, 0], [0, 0]], [[0, bad], [1, 0]]]
     with pytest.raises(SchemaError, match=r"m\[1\]\[0\]\[1\]: expected a finite number"):
-        matrix_from_json(m, "m")
+        matrix_from_json(m, "m", 2)
 
 
 def test_run_exits_two_on_nan_coupling_entry(tmp_path, capsys):
@@ -241,7 +241,7 @@ def test_a_negative_seed_exits_two_naming_the_key(tmp_path, capsys, patch, flags
 def test_each_matrix_is_decoded_and_the_kernel_built_once(monkeypatch, tmp_path):
     decoded, built = [], []
     decode, build = cli.matrix_from_json, cli.kernel_from_descriptor
-    monkeypatch.setattr(cli, "matrix_from_json", lambda obj, path, n=None: (
+    monkeypatch.setattr(cli, "matrix_from_json", lambda obj, path, n: (
         decoded.append(path), decode(obj, path, n))[1])
     monkeypatch.setattr(cli, "kernel_from_descriptor", lambda desc: (
         built.append(desc), build(desc))[1])
@@ -411,6 +411,29 @@ def test_dirichlet_suite_gates_the_conjugation_form_residual(tmp_path):
     res = json.loads(out.read_text())["suites"]["dirichlet"]["residuals"]
     assert res["x0_conj_form_residual"] > 1e-8
     assert res["x0_h_xi0_residual"] < 1e-8 and res["x0_selfadjoint_defect"] < 1e-8
+
+
+def _scenario_source(name):
+    if name == "generated_hermitian_n4":
+        return generate_scenario(1, 4, "hermitian")
+    (path,) = [p for p in corpus_paths() if p.endswith(f"{name}.json")]
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("name, factor", [("generated_hermitian_n4", 300.0),
+                                          ("unbalanced_single", 1e3)])
+def test_large_couplings_get_a_report_not_a_drift_error(tmp_path, name, factor):
+    """The auto drift of large couplings is Hermitian to rounding relative to its norm:
+    the run writes a report and exits 1 on absolute bars; no NotSelfAdjoint escapes."""
+    obj = _scenario_source(name)
+    xs = parse_scenario(obj).xs
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps({**obj, "coefficients": [matrix_to_json(factor * x) for x in xs]}))
+    out = tmp_path / "r.json"
+    report, code = run_scenario(str(p), out=str(out))
+    assert code == 1 and not report["passed"]
+    assert json.loads(out.read_text())["suites"].keys() == set(SUITES)
 
 
 def test_unconverged_boundary_quadrature_is_recorded(tmp_path):
@@ -897,8 +920,8 @@ def test_a_control_that_breaks_structure_fails(monkeypatch, field):
     no sampled violation is no control: it fails, it does not pass as designed."""
     real = cli.markovianity_report
 
-    def broken(sf, probe):
-        rep = real(sf, probe)
+    def broken(sf, H, seed):
+        rep = real(sf, H, seed)
         return replace(rep, interval_violations=0, extreme_violations=0,
                        positivity_violations=0, form_violations=0, witnesses=(),
                        **{field: 1e-3})
@@ -1002,7 +1025,7 @@ def test_a_control_summary_names_only_a_gate_that_broke_its_verdict(monkeypatch,
     if fault:
         real = cli.markovianity_report
         monkeypatch.setattr(cli, "markovianity_report",
-                            lambda sf, probe: replace(real(sf, probe), xi0_invariance_max=1e-3))
+                            lambda sf, H, seed: replace(real(sf, H, seed), xi0_invariance_max=1e-3))
     report = run_scenario_object(replace(_signed_control(4), suites=("semigroup",)))
     assert report["suites"]["semigroup"]["residuals"]["interval_violations"] > 0
     (line, note) = _summary(report["suites"], report["scenario"])

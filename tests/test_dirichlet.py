@@ -337,7 +337,7 @@ def test_quadrature_routes_refuse_a_slow_kernel_without_a_radius(sf3, rng):
 
 def test_verification_report_is_clean(sf3, rng):
     x = random_hermitian(3, rng)
-    rep = verify_dirichlet(sf3, dirichlet_operator(sf3, DirichletSpec(x=x)), samples=50, seed=4)
+    rep = verify_dirichlet(sf3, dirichlet_operator(sf3, DirichletSpec(x=x)), 4)
     for field in ("h_xi0_residual", "j_real_residual", "conj_form_residual",
                   "selfadjoint_defect", "cone_form_residual"):
         assert getattr(rep, field) < 1e-8, field
@@ -350,7 +350,7 @@ def test_verification_flags_signed_kernel(rng):
     sf = build_standard_form(np.diag([0.9, 0.1]))
     x = random_hermitian(2, np.random.default_rng(0))
     spec = DirichletSpec(x=x, kernel=CosineModulatedF0(alpha=6.0), check_kernel=False)
-    rep = verify_dirichlet(sf, dirichlet_operator(sf, spec), samples=50, seed=4)
+    rep = verify_dirichlet(sf, dirichlet_operator(sf, spec), 4)
     # the Markovianity fields fail their bars; the structure still holds
     assert rep.negativity_violations > 0
     assert rep.psd_min_eig < -1e-3

@@ -77,6 +77,15 @@ def test_spec_rejects_non_hermitian_drift(rng):
         LindbladSpec(ys=(ginibre(2, rng),), Q=ginibre(2, rng))
 
 
+def test_the_drift_bar_is_relative_to_the_drift(rng):
+    ys = (ginibre(2, rng),)
+    Q = 1e6 * random_hermitian(2, rng)
+    skew = 1e-8 * (ginibre(2, rng) - dagger(ginibre(2, rng)))
+    LindbladSpec(ys=ys, Q=Q + skew)  # an absolute defect ~1e-8, relative ~1e-14
+    with pytest.raises(NotSelfAdjoint):
+        LindbladSpec(ys=ys, Q=1e6 * ginibre(2, rng))
+
+
 def test_couplings_roundtrip(sf3, rng):
     xs = [ginibre(3, rng)]
     spec = spec_from_couplings(sf3, xs)

@@ -11,15 +11,14 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from mdf import (
+    CosineModulatedF0,
     NotSelfAdjoint,
-    SemigroupProbe,
     SuperOperator,
     build_standard_form,
     cli,
     dirichlet_operator,
     evolve,
     markovianity_report,
-    nonmarkovian_control,
     project_order_interval,
     semigroup,
     semigroup_operator,
@@ -27,8 +26,13 @@ from mdf import (
     tracial_state,
 )
 from mdf.linalg import dagger, ginibre, hs_inner, hs_norm, min_eigenvalue, random_hermitian
-from mdf.semigroup import _probe_draws, factor_certificate
+from mdf.semigroup import PROBE_TIMES, _probe_draws, factor_certificate
 from reference import left_mult
+
+
+def _signed_control(sf, x):
+    """The Dirichlet operator of x under the signed weight of the negative control, alpha = 6."""
+    return dirichlet_operator(sf, x, CosineModulatedF0(6.0), check_kernel=False)
 
 
 @pytest.fixture
@@ -114,7 +118,7 @@ CERTIFIED = {
     **{name: functools.partial(_corpus_operator, name) for name in CORPUS},
     "generated_n8": lambda: cli.ScenarioContext(
         cli.parse_scenario(cli.generate_scenario(1, 8, "balanced_pair")), 0).H,
-    "signed_control": lambda: nonmarkovian_control(
+    "signed_control": lambda: _signed_control(
         build_standard_form(np.diag([0.9, 0.1])), random_hermitian(2, np.random.default_rng(0))),
 }
 
@@ -124,7 +128,7 @@ def test_the_factor_certificate_bounds_the_computed_semigroup(name):
     H = CERTIFIED[name]()
     cert = factor_certificate(H)
     Hh = 0.5 * (H.mat + dagger(H.mat))
-    for t in cli.PROBE_TIMES:
+    for t in PROBE_TIMES:
         T = semigroup_operator(H, t)
         delta, j_bound = cert.bounds(t)
         assert delta >= hs_norm(T.mat - expm(-t * Hh)), t
@@ -176,9 +180,7 @@ def test_interval_samplers_land_in_the_interval(sf3, rng):
 
 
 def test_markovian_semigroup_passes_probe(sf3, H3):
-    probe = SemigroupProbe(H=H3, times=(0.1, 1.0, 10.0), samples=50, seed=11)
-    rep = markovianity_report(sf3, probe)
-    assert rep.markovian
+    rep = markovianity_report(sf3, H3, 11)
     assert rep.interval_violations == 0
     assert rep.extreme_violations == 0
     assert rep.positivity_violations == 0
@@ -188,12 +190,11 @@ def test_markovian_semigroup_passes_probe(sf3, H3):
     assert not rep.witnesses
 
 
-def test_probe_validation(H3, rng):
-    with pytest.raises(ValueError):
-        SemigroupProbe(H=H3, times=(-1.0,), samples=10, seed=0)
-    with pytest.raises(NotSelfAdjoint):
-        SemigroupProbe(H=left_mult(ginibre(3, rng)), times=(1.0,),
-                       samples=10, seed=0)
+def test_the_probe_refuses_a_non_selfadjoint_operator(sf3, rng):
+    K = left_mult(ginibre(3, rng))
+    with pytest.raises(NotSelfAdjoint, match="from self-adjoint"):
+        markovianity_report(sf3, K, 0)
+    assert K._eig is None
 
 
 def test_signed_weight_control_is_detected():
@@ -204,7 +205,7 @@ def test_signed_weight_control_is_detected():
     probe must see interval and positivity violations."""
     sf = build_standard_form(np.diag([0.9, 0.1]))
     x = random_hermitian(2, np.random.default_rng(0))
-    H = nonmarkovian_control(sf, x, alpha=6.0)
+    H = _signed_control(sf, x)
     # structural gates all pass
     assert H.selfadjoint_defect() < 1e-12
     assert hs_norm(H.apply(sf.xi0)) < 1e-12
@@ -212,9 +213,7 @@ def test_signed_weight_control_is_detected():
     # but the spectrum dips properly negative
     w, _ = H.eigh()
     assert w[0] < -1e-3
-    probe = SemigroupProbe(H=H, times=(0.1, 1.0, 10.0), samples=100, seed=5)
-    rep = markovianity_report(sf, probe)
-    assert not rep.markovian
+    rep = markovianity_report(sf, H, 5)
     assert rep.interval_violations >= 10
     assert rep.positivity_violations >= 20
     assert rep.worst_interval_margin < -0.1
@@ -226,7 +225,7 @@ def test_control_is_negative_across_coupling_seeds():
     sf = build_standard_form(np.diag([0.9, 0.1]))
     for seed in range(6):
         x = random_hermitian(2, np.random.default_rng(seed))
-        H = nonmarkovian_control(sf, x, alpha=6.0)
+        H = _signed_control(sf, x)
         w, _ = H.eigh()
         assert w[0] < -1e-4, f"seed {seed} unexpectedly positive"
 
@@ -237,10 +236,9 @@ def test_control_is_negative_across_coupling_seeds():
 
 def _suite_report(ctx, project=project_order_interval):
     """The semigroup suite's Markovianity report with ``project`` as its form projection."""
-    probe = SemigroupProbe(H=ctx.H, times=cli.PROBE_TIMES, samples=cli.SUITE_SAMPLES, seed=0)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(semigroup, "project_order_interval", project)
-        return markovianity_report(ctx.sf, probe)
+        return markovianity_report(ctx.sf, ctx.H, 0)
 
 
 def _full_tolerance(sf, eta, decided=None):

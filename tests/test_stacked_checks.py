@@ -6,7 +6,9 @@ drawing them one at a time, and evaluate them as stacks.  The references
 below are the per-sample loops they replaced, kept verbatim (samplers and
 a dense T_t per time included), so the stacked versions must reproduce
 their counts and witnesses exactly and their margins and residuals to
-rounding.  ``j_real_max`` is a bound on T_t's J-defect, not a
+rounding.  Both budgets are module constants (``semigroup.SAMPLES`` and
+``dirichlet.SAMPLES``); the comparisons set them to an empty and a small
+budget.  ``j_real_max`` is a bound on T_t's J-defect, not a
 measurement; on these operators it stays within rounding of the
 reference's dense value.
 """
@@ -15,14 +17,15 @@ import numpy as np
 import pytest
 
 from mdf import (
+    CosineModulatedF0,
     NotJReal,
-    SemigroupProbe,
     SuperOperator,
     build_standard_form,
+    dirichlet,
     dirichlet_operator,
     jordan_decompose,
     markovianity_report,
-    nonmarkovian_control,
+    semigroup,
     semigroup_operator,
     symmetric_embed,
     symmetric_unembed,
@@ -40,7 +43,7 @@ from mdf.linalg import (
     random_hermitian,
     unitary_from_ginibre,
 )
-from mdf.semigroup import INTERVAL_TOL, _probe_draws
+from mdf.semigroup import INTERVAL_TOL, PROBE_TIMES, _probe_draws
 from mdf.standard_form import project_order_interval
 
 ATOL = 1e-12
@@ -67,9 +70,8 @@ def _reference_extreme_element(sf, rng):
     return r @ P @ r
 
 
-def _reference_markovianity(sf, probe):
-    H = probe.H
-    rng = np.random.default_rng(probe.seed)
+def _reference_markovianity(sf, H, samples, seed):
+    rng = np.random.default_rng(seed)
     xi0 = sf.xi0
     witnesses = []
     counts = {"interval": 0, "extreme": 0, "positivity": 0, "form": 0}
@@ -84,11 +86,11 @@ def _reference_markovianity(sf, probe):
         if len(witnesses) < 10:
             witnesses.append((kind, float(t), int(index), float(margin)))
 
-    for t in probe.times:
+    for t in PROBE_TIMES:
         Tt = semigroup_operator(H, t)
         xi0_max = max(xi0_max, hs_norm(Tt.apply(xi0) - xi0))
         j_real_max = max(j_real_max, Tt.j_real_defect())
-        for i in range(probe.samples):
+        for i in range(samples):
             out = Tt.apply(_reference_interval_element(sf, rng))
             margin = min(min_eigenvalue(out), min_eigenvalue(xi0 - out))
             worst_interval = min(worst_interval, margin)
@@ -104,8 +106,8 @@ def _reference_markovianity(sf, probe):
             if margin < -INTERVAL_TOL:
                 note("positivity", t, i, margin)
 
-    etas = [random_hermitian(sf.dim, rng) for _ in range(probe.samples)]
-    etas = np.reshape(etas, (probe.samples, sf.dim, sf.dim))
+    etas = [random_hermitian(sf.dim, rng) for _ in range(samples)]
+    etas = np.reshape(etas, (samples, sf.dim, sf.dim))
     for i, (eta, eta_i) in enumerate(zip(etas, project_order_interval(sf, etas))):
         e_full = float(np.real(hs_inner(eta, H.apply(eta))))
         e_proj = float(np.real(hs_inner(eta_i, H.apply(eta_i))))
@@ -123,14 +125,12 @@ def _reference_markovianity(sf, probe):
 def _reference_verify(sf, H, samples, seed):
     rng = np.random.default_rng(seed)
     violations = 0
-    neg_max = -np.inf
     cone_max = 0.0
     conj_max = 0.0
     for _ in range(samples):
         xi = random_hermitian(sf.dim, rng)
         plus, minus = jordan_decompose(sf, xi)
         val = float(np.real(hs_inner(plus, H.apply(minus))))
-        neg_max = max(neg_max, val)
         if val > NEGATIVITY_TOL:
             violations += 1
         psd = psd_from_ginibre(ginibre(sf.dim, rng))
@@ -139,7 +139,7 @@ def _reference_verify(sf, H, samples, seed):
         e_g = complex(hs_inner(g, H.apply(g)))
         e_jg = complex(hs_inner(dagger(g), H.apply(dagger(g))))
         conj_max = max(conj_max, abs(e_jg - np.conj(e_g)))
-    return violations, [neg_max, cone_max, conj_max]
+    return violations, [cone_max, conj_max]
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +152,8 @@ def _generic3(sf3):
 
 def _control(_):
     sf = build_standard_form(np.diag([0.9, 0.1]))
-    return sf, nonmarkovian_control(sf, random_hermitian(2, np.random.default_rng(0)))
+    x = random_hermitian(2, np.random.default_rng(0))
+    return sf, dirichlet_operator(sf, x, CosineModulatedF0(6.0), check_kernel=False)
 
 
 def _one_level(_):
@@ -165,11 +166,11 @@ CASES = {"generic_n3": _generic3, "signed_control": _control, "n1": _one_level}
 
 @pytest.mark.parametrize("samples", [0, 40])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_markovianity_report_matches_the_per_sample_loop(sf3, case, samples):
+def test_markovianity_report_matches_the_per_sample_loop(sf3, case, samples, monkeypatch):
+    monkeypatch.setattr(semigroup, "SAMPLES", samples)
     sf, H = CASES[case](sf3)
-    probe = SemigroupProbe(H=H, times=(0.1, 1.0, 10.0), samples=samples, seed=5)
-    rep = markovianity_report(sf, probe)
-    ref = _reference_markovianity(sf, probe)
+    rep = markovianity_report(sf, H, 5)
+    ref = _reference_markovianity(sf, H, samples, 5)
     assert {
         "interval": rep.interval_violations,
         "extreme": rep.extreme_violations,
@@ -184,21 +185,20 @@ def test_markovianity_report_matches_the_per_sample_loop(sf3, case, samples):
                rep.xi0_invariance_max, rep.j_real_max]
     np.testing.assert_allclose(margins, ref["margins"], rtol=0, atol=ATOL)
     if case == "signed_control" and samples:
-        assert len(rep.witnesses) == 10 and not rep.markovian
+        assert len(rep.witnesses) == 10
 
 
 @pytest.mark.parametrize("samples", [0, 40])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_verify_dirichlet_matches_the_per_sample_loop(sf3, case, samples):
+def test_verify_dirichlet_matches_the_per_sample_loop(sf3, case, samples, monkeypatch):
+    monkeypatch.setattr(dirichlet, "SAMPLES", samples)
     sf, H = CASES[case](sf3)
-    rep = verify_dirichlet(sf, H, samples=samples, seed=4)
+    rep = verify_dirichlet(sf, H, 4)
     violations, residuals = _reference_verify(sf, H, samples, 4)
     assert rep.negativity_violations == violations
     np.testing.assert_allclose(
-        [rep.jordan_negativity_max, rep.cone_form_residual, rep.conj_form_residual],
-        residuals, rtol=0, atol=ATOL,
+        [rep.cone_form_residual, rep.conj_form_residual], residuals, rtol=0, atol=ATOL
     )
-    assert rep.samples == samples
 
 
 def test_samplers_keep_their_draws(sf3):

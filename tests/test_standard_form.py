@@ -13,6 +13,7 @@ from mdf import (
     NotAState,
     NotFaithful,
     NotJReal,
+    NotSelfAdjoint,
     SuperOperator,
     build_standard_form,
     cli,
@@ -31,8 +32,6 @@ from mdf.linalg import (
     psd_clip,
     psd_from_ginibre,
     random_hermitian,
-    unvec,
-    vec,
 )
 from mdf.lindblad import check_balance_condition
 from reference import left_mult
@@ -274,11 +273,6 @@ def test_superop_adjoint_is_the_hs_adjoint(rng):
     assert abs(lhs - rhs) < 1e-12
 
 
-def test_vec_unvec_roundtrip(rng):
-    X = ginibre(4, rng)
-    np.testing.assert_allclose(unvec(vec(X), 4), X, atol=0)
-
-
 def _random_state(n, rng):
     g = ginibre(n, rng)
     rho = g @ dagger(g) + 0.1 * np.eye(n)
@@ -390,6 +384,13 @@ def test_real_eigh_refuses_an_operator_that_is_not_j_real(rng):
     K = SuperOperator(ginibre(9, rng), 3)
     with pytest.raises(NotJReal):
         (K + K.adjoint()).eigh()
+
+
+def test_real_eigh_refuses_an_operator_that_is_not_selfadjoint(rng):
+    K = left_mult(ginibre(3, rng))
+    with pytest.raises(NotSelfAdjoint, match="from self-adjoint"):
+        K.eigh()
+    assert K._eig is None
 
 
 def test_real_form_balance_residual_bounds_the_complex_norm(rng):
