@@ -375,7 +375,7 @@ class ScenarioContext:
     @cached_property
     def _boundary_shift_outcome(self):
         try:
-            value = max(verify_boundary_shift(self.sf, x, self.kernel) for x in self.xs)
+            value = verify_boundary_shift(self.sf, self.xs, self.kernel)
         except QuadratureNotConverged as exc:
             return None, exc
         return value, None
@@ -550,9 +550,8 @@ def _suite_dirichlet(ctx):
         worst_split = max(worst_split, (Hk - 0.5 * (H1 + H2)).hs_norm())
     rec.gate("split_identity", worst_split, "<", "integral")
     if sf.dim <= 4:
-        _gate_oracle(rec, violations, "engine_crosscheck", lambda: max(
-            crosscheck_engines(sf, Hk, x, kernel) for x, Hk in zip(xs, ctx.parts)
-        ), "cross_engine")
+        _gate_oracle(rec, violations, "engine_crosscheck",
+                     lambda: crosscheck_engines(sf, ctx.parts, xs, kernel), "cross_engine")
     else:
         notes.append("engine cross-check skipped (dim > 4: quadrature engine is priced out)")
     if isinstance(kernel, CauchyKernel):

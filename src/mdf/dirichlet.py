@@ -26,22 +26,29 @@ back-transform to the working basis.
     dimension range.
 
 ``quadrature``
-    Builds the flow orbits of the coupling literally at every node of a
-    fixed panel rule and accumulates f(t) d(t)* d(t), adding G0 times
-    the weight's analytic tail beyond the truncation radius.  The flow
-    at node t is rho^{it} ( . ) rho^{-it}, entry (j, k) times u_j conj(u_k)
-    with u = e^{i t log p}.  d(t)* d(t) is expanded into the sandwich sum
-    of ``exact_spectral``, and the nodes go in cache-sized blocks that
-    add to three raw sums: sum w A* A and sum w B B* (n x n), and the
-    sandwich matrix sum w vec(A*) vec(B)^T, one (n^2 x m)(m x n^2)
-    product per block, added up in groups so that the result does not
-    drift with the block size.  The superoperator K + K* and the tail
-    are formed once per build, so the m nodes cost O(m n^4) and no n^2 x n^2
-    derivation is formed.  Serves as the oracle route for cross-checking
-    the spectral engine and is priced for small dims.
+    Builds the flow orbits of x literally at every node of a fixed
+    panel rule and accumulates f(t) d(t)* d(t), adding G0 times the
+    weight's analytic tail beyond the truncation radius.  The flow at
+    node t is rho^{it} ( . ) rho^{-it}, entry (j, k) times u_j conj(u_k)
+    with u = e^{i t log p}, and u factors by panel, t = mid + offset.
+    The orbits of x* are the adjoints of x's, sigma_z(y)* =
+    sigma_{conj z}(y*), so only x's are formed.  d(t)* d(t) is expanded
+    into the sandwich sum of ``exact_spectral``, and the nodes go in
+    cache-sized blocks that add to three raw sums: sum w A* A and
+    sum w B B* (n x n), and the sandwich matrix sum w vec(A*) vec(B)^T,
+    one (n^2 x m)(m x n^2) product per block, added up in groups so that
+    the result does not drift with the block size; x*'s sums are read
+    off them.  The superoperator K + K* and the tail are formed once per
+    build, so the m nodes cost O(m n^4) and no n^2 x n^2 derivation is
+    formed.  Serves as the oracle route for cross-checking the spectral
+    engine, which forms x*'s couplings itself, and is priced for small
+    dims.
 
-:func:`crosscheck_engines` returns their relative gap in spectral norm;
-the caller's bar decides whether the two agree.
+:func:`crosscheck_engines` returns the worst relative gap in spectral
+norm over a scenario's couplings, with one tail transform for all of
+them; the caller's bar decides whether the two agree.
+:func:`verify_boundary_shift` likewise tabulates its two transforms once
+for all the couplings.
 """
 
 from dataclasses import dataclass
@@ -66,7 +73,6 @@ from .linalg import (
     hs_norm,
     psd_from_ginibre,
 )
-from .modular import T_MAP, superop_modular_map, superop_smear, superop_smear_quadrature
 from .standard_form import SuperOperator, jordan_decompose
 
 ENGINE_EXACT = "exact_spectral"
@@ -177,36 +183,31 @@ def split_self_adjoint(x):
     return x1, x2
 
 
-def _flow_phases(sf, ts):
-    """e^{i t kappa_jk} at each time t, as u_j conj(u_k) with u = e^{i t log p}: (n, n, m).
-
-    That is the flow rho^{it} ( . ) rho^{-it} in eigenbasis coordinates,
-    with m n complex exponentials instead of m n^2.
-    """
-    u = np.exp(1j * np.multiply.outer(np.log(sf.eigenvalues), ts))
-    return u[:, None] * u.conj()
-
-
 def _orbit_blocks(sf, x, kernel):
-    """The panel rule of ``kernel`` over the literal flow orbits, in blocks of nodes.
+    """The panel rule of ``kernel`` over the literal flow orbits of x, in blocks of nodes.
 
-    Yields (fw, A, B) for each block of m nodes t: A = sigma_{t-i/4}(y)
-    and B = sigma_{t+i/4}(y) for y = x and y = x* as (n, n, 2m) stacks in
-    rho-eigenbasis coordinates, the shifted couplings times
-    :func:`_flow_phases`, with the coupling and the node on the last
-    axis, and fw the weights f(t) w on that axis.  A block is sized so
-    that eight (n, n, m) stacks hold ``_CHUNK_ENTRIES`` entries in all.
+    Yields (fw, A, B) for each block of m nodes t: A = sigma_{t-i/4}(x)
+    and B = sigma_{t+i/4}(x) as (n, n, m) stacks in rho-eigenbasis
+    coordinates, the shifted couplings times the flow phases
+    e^{i t kappa_jk}, with the node on the last axis, and fw the weights
+    f(t) w.  The phase is u_j conj(u_k) with u = e^{i t log p}, and u
+    factors by panel (t = mid + offset, see ``_PanelRule``), so the
+    rule costs (P + J) n exponentials.  A block is sized so that eight
+    (n, n, m) stacks hold ``_CHUNK_ENTRIES`` entries in all.
     """
-    ts, ws = _panel_rule(kernel.quadrature_radius(), PANEL_WIDTH, PANEL_NODES)
-    fw = ws * kernel.eval(ts)
+    rule = _panel_rule(kernel.quadrature_radius(), PANEL_WIDTH, PANEL_NODES)
+    fw = rule.w * kernel.eval(rule.t)
     n = sf.dim
-    a, b = (np.ascontiguousarray(y.transpose(1, 2, 0))[..., None]
-            for y in _shifted_couplings(sf, x))
+    a, b = (y[0, :, :, None] for y in _shifted_couplings(sf, x))
+    log_p = np.log(sf.eigenvalues)
+    by_panel = np.exp(1j * np.multiply.outer(rule.mid, log_p))
+    by_offset = np.exp(1j * np.multiply.outer(rule.offset, log_p))
     block = max(1, _CHUNK_ENTRIES // (8 * n * n))
-    for lo in range(0, ts.size, block):
-        flow = _flow_phases(sf, ts[lo : lo + block])[:, :, None]
-        yield (np.tile(fw[lo : lo + block], 2),
-               (a * flow).reshape(n, n, -1), (b * flow).reshape(n, n, -1))
+    for lo in range(0, fw.size, block):
+        panel, node = np.divmod(np.arange(lo, min(lo + block, fw.size)), rule.offset.size)
+        u = (by_panel[panel] * by_offset[node]).T
+        flow = u[:, None] * u.conj()
+        yield fw[lo : lo + block], a * flow, b * flow
 
 
 class _GroupedSum:
@@ -237,10 +238,13 @@ class _GroupedSum:
 def _quadrature_quadratic(sf, x, kernel):
     """sum_t f(t) w d(t)* d(t) over the panel rule, in eigenbasis coordinates.
 
-    Each block of nodes adds to three raw sums, with S(a, b): X -> a X b:
+    Each block of x's orbits adds to three raw sums, with S(a, b): X -> a X b:
     sum w A* A, sum w B B* and the matrix of sum w S(A*, B), which is
-    sum w vec(A*) vec(B)^T.  d* d = K + K* is then formed once from
-    K = L(sum w A* A / 2) + R(sum w B B* / 2) - sum w S(A*, B).
+    sum w vec(A*) vec(B)^T.  The orbits of x* are their adjoints,
+    sigma_{t-i/4}(x*) = B* and sigma_{t+i/4}(x*) = A*, so x*'s sums are
+    sum w B B*, sum w A* A and the sandwich matrix with its four indices
+    reversed.  d* d = K + K* is then formed once from
+    K = L(sum w A* A / 2) + R(sum w B B* / 2) - sum w S(A*, B) over both.
     """
     n = sf.dim
     left, right, cross = _GroupedSum(), _GroupedSum(), _GroupedSum()
@@ -252,23 +256,33 @@ def _quadrature_quadratic(sf, x, kernel):
         left.add((wAc @ A.transpose(0, 2, 1)).sum(axis=0))
         right.add((B.transpose(1, 0, 2) @ wBc.transpose(1, 2, 0)).sum(axis=0))
         cross.add(wAc.reshape(n * n, -1) @ B.reshape(n * n, -1).T)
-    left, right, cross = left.total(), right.total(), cross.total()
+    both = left.total() + right.total()
+    cross = cross.total().reshape(n, n, n, n)
+    cross = cross + cross.transpose(3, 2, 1, 0)
     eye = np.eye(n)
-    K = SuperOperator.sandwich([left / 2, eye], [eye, right / 2])
-    # cross[(p, j), (q, k)] is the (j, k), (p, q) entry of sum w S(A*, B)
-    K.mat -= cross.reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(n * n, n * n)
+    K = SuperOperator.sandwich([both / 2, eye], [eye, both / 2])
+    # cross[p, j, q, k] is the (j, k), (p, q) entry of sum w S(A*, B)
+    K.mat -= cross.transpose(1, 3, 0, 2).reshape(n * n, n * n)
     return K + K.adjoint()
 
 
-def _structured_tail(sf, G0, kernel):
-    """Tail of the weighted quadratic beyond the truncation radius, in eigenbasis coordinates.
+def _tail_transform(sf, kernel):
+    """The weight's analytic transform past the truncation radius on the frequency grid, or None.
 
     Past the radius the integrand is the exact flow orbit of the base
-    quadratic G0, so the tail is G0 times the analytic tail transform;
-    weights without one (fast-decaying, radius for ~1e-13 mass) get zero.
+    quadratic G0, so the tail of the weighted quadratic is G0 times this
+    entrywise; weights without one (fast-decaying, radius for ~1e-13
+    mass) give None.
     """
-    tail = kernel.tail_hat(sf.superop_frequencies, kernel.quadrature_radius())
-    return G0 * 0.0 if tail is None else SuperOperator(G0.mat * tail, sf.dim)
+    return kernel.tail_hat(sf.superop_frequencies, kernel.quadrature_radius())
+
+
+def _quadrature_operator(sf, x, kernel, tail):
+    """The quadrature build of x in eigenbasis coordinates, given its :func:`_tail_transform`."""
+    H = _quadrature_quadratic(sf, x, kernel)
+    if tail is not None:
+        H.mat += _base_quadratic(sf, x).mat * tail
+    return H
 
 
 def dirichlet_operator(sf, spec, kernel=None, engine=ENGINE_EXACT, check_kernel=True):
@@ -287,40 +301,52 @@ def dirichlet_operator(sf, spec, kernel=None, engine=ENGINE_EXACT, check_kernel=
     """
     spec = _resolve_spec(spec, kernel, engine, check_kernel)
     x = check_square(spec.x, sf.dim, "coupling")
-    G0 = _base_quadratic(sf, x)
     if spec.engine == ENGINE_EXACT:
+        G0 = _base_quadratic(sf, x)
         G0.mat *= spec.kernel.hat(sf.superop_frequencies)
         return sf.superop_from_eigenbasis(G0)
-    H = _quadrature_quadratic(sf, x, spec.kernel)
-    H.mat += _structured_tail(sf, G0, spec.kernel).mat
-    return sf.superop_from_eigenbasis(H)
+    tail = _tail_transform(sf, spec.kernel)
+    return sf.superop_from_eigenbasis(_quadrature_operator(sf, x, spec.kernel, tail))
 
 
-def crosscheck_engines(sf, He, x, kernel):
-    """Relative spectral-norm gap between the exact build ``He`` of x and a quadrature build.
+def crosscheck_engines(sf, parts, xs, kernel):
+    """Worst relative spectral-norm gap of the exact builds ``parts`` of ``xs`` to quadrature builds.
 
-    ``He`` was built from the same kernel, so the quadrature build does
-    not certify it again.  A large gap means one of the two independent
-    assembly routes is wrong.
+    ``parts`` were built from the same kernel, so the quadrature builds do
+    not certify it again, and they share one tail transform.  A large gap
+    means one of the two independent assembly routes is wrong.
     """
-    Hq = dirichlet_operator(sf, x, kernel, ENGINE_QUADRATURE, check_kernel=False)
-    return (He - Hq).norm() / max(He.norm(), 1e-300)
+    tail = _tail_transform(sf, kernel)
+    return max(
+        (He - sf.superop_from_eigenbasis(_quadrature_operator(sf, x, kernel, tail))).norm()
+        / max(He.norm(), 1e-300)
+        for He, x in zip(parts, xs)
+    )
 
 
-def verify_boundary_shift(sf, x, f):
-    """Residual of the contour-shift identity for a finite-boundary weight.
+def verify_boundary_shift(sf, xs, f):
+    """Worst residual over the couplings ``xs`` of the contour-shift identity for a weight f.
 
     The flow average of the coupling sandwich x ( . ) x* + x* ( . ) x
     dressed by the T map must equal the direct flow average against the
-    boundary weight f(t+i/4) + f(t-i/4).  The left side uses closed-form
-    transforms, the right side pointwise quadrature of the boundary
-    weight, so the identity is exercised end to end.
+    boundary weight w(t) = f(t+i/4) + f(t-i/4).  In eigenbasis
+    coordinates both are multipliers of the sandwich on the frequency
+    grid: the left side by the T factors e^{nu/4} + e^{-nu/4} times the
+    closed-form transform of f, which is ``w.hat``, the right side by
+    the pointwise quadrature ``w.hat_quadrature``.  Both tables are
+    formed once for all the couplings; the spectral norm is the same in
+    either basis, so no sandwich is transformed back.
     """
-    x = check_square(np.asarray(x, dtype=complex), sf.dim, "coupling")
-    K0 = SuperOperator.sandwich([x, dagger(x)], [dagger(x), x])
-    lhs = superop_modular_map(sf, superop_smear(sf, K0, f), T_MAP)
-    rhs = superop_smear_quadrature(sf, K0, BoundaryCombination(f))
-    return (lhs - rhs).norm() / max(lhs.norm(), 1e-300)
+    w = BoundaryCombination(f)
+    lhs = w.hat(sf.superop_frequencies)
+    gap = lhs - w.hat_quadrature(sf.superop_frequencies)
+    worst = 0.0
+    for x in xs:
+        x = sf.to_eigenbasis(check_square(np.asarray(x, dtype=complex), sf.dim, "coupling"))
+        k = SuperOperator.sandwich([x, dagger(x)], [dagger(x), x])
+        worst = max(worst, SuperOperator(k.mat * gap, sf.dim).norm()
+                    / max(SuperOperator(k.mat * lhs, sf.dim).norm(), 1e-300))
+    return worst
 
 
 # ---------------------------------------------------------------------------

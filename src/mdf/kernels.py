@@ -13,6 +13,10 @@ composite Gauss-Legendre quadrature (64 nodes per panel, panel width
 1/2, symmetric truncation at ``quadrature_radius()``, plus an analytic
 tail correction for slowly decaying kernels).  Its integrand is even in
 t, so it is evaluated on the rule's positive half with doubled weights.
+The cached :func:`_panel_rule` also exposes the panels: a node is
+t = mid_p + offset_j, so e^{i t k} = e^{i mid_p k} e^{i offset_j k}, and
+both ``hat_quadrature`` and the quadrature engine of ``dirichlet`` take
+P + J exponentials per frequency where one per node would take P J.
 Integrands over many nodes, here and in the quadrature engine of
 ``dirichlet``, go in blocks of ``_CHUNK_ENTRIES`` (~256K) entries, small
 enough that a block's temporaries stay in cache.  The quadrature route is
@@ -31,6 +35,7 @@ import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,17 +51,30 @@ QUAD_REL_TARGET = 1e-9
 _CHUNK_ENTRIES = 1 << 18
 
 
+class _PanelRule(NamedTuple):
+    """A composite Gauss-Legendre rule: P panels of half width h, J nodes each.
+
+    Node (p, j) is t = mid_p + h x_j with weight h w_j; ``t`` and ``w``
+    list the nodes panel by panel, and ``offset`` is h x.  So a phase
+    e^{i t lam} factors as e^{i mid_p lam} e^{i offset_j lam}: P + J
+    exponentials per frequency instead of P J.
+    """
+
+    t: np.ndarray
+    w: np.ndarray
+    mid: np.ndarray
+    offset: np.ndarray
+
+
 @lru_cache(maxsize=32)
 def _panel_rule(radius, width, nodes):
-    """Composite Gauss-Legendre nodes/weights covering [-radius, radius]."""
+    """The rule of ``nodes`` nodes per panel on [-radius, radius], panels at most ``width`` wide."""
     x, w = np.polynomial.legendre.leggauss(nodes)
     m = int(np.ceil(2 * radius / width))
-    edges = np.linspace(-radius, radius, m + 1)
-    half = np.diff(edges) / 2.0
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    t = (mid[:, None] + half[:, None] * x[None, :]).reshape(-1)
-    wt = (half[:, None] * w[None, :]).reshape(-1)
-    return t, wt
+    h = radius / m
+    mid = -radius + h * (2 * np.arange(m) + 1)
+    offset = h * x
+    return _PanelRule((mid[:, None] + offset).reshape(-1), np.tile(h * w, m), mid, offset)
 
 
 class KernelFunction:
@@ -96,26 +114,39 @@ class KernelFunction:
         Integrates f(t) cos(kappa t) over [-T, T] with the fixed panel
         rule and adds the kernel's analytic tail when it has one; for a
         real, even f that is the whole transform.  The integrand is even
-        in t and the rule symmetric, so it runs over the rule's nodes in
-        (0, T] with doubled weights, far nodes first: the small terms are
-        summed before the large ones.  The transform is even in kappa, so
-        each distinct |kappa| is integrated once, in chunks of
-        ``_CHUNK_ENTRIES`` integrand entries.  The panel width is halved
-        once as a convergence check.
+        in t and the rule symmetric, so it runs over the panels right of
+        0 with doubled weights (a middle panel across 0 counts once).
+        With t = mid_p + offset_j, the node sum is
+        Re sum_p e^{i mid_p k} (W e(k))_p for the weights W_pj = w f(t)
+        and e(k)_j = e^{i offset_j k}: one (P x J)(J x K) product per chunk
+        of K frequencies, far panels first, so the small terms are summed
+        before the large ones.  The transform is even in kappa, so each
+        distinct |kappa| is integrated once, in chunks whose four P x K
+        temporaries hold ``_CHUNK_ENTRIES`` entries in all.  The panel
+        width is halved once as a convergence check.
         """
         kappa = np.asarray(kappa, dtype=float)
         T = self.quadrature_radius()
         k, where = np.unique(np.abs(kappa).reshape(-1), return_inverse=True)
 
         def run(width):
-            t, wt = _panel_rule(T, float(width), PANEL_NODES)
-            far_first = np.flatnonzero(t > 0)[::-1]
-            t = t[far_first]
-            wf = 2 * wt[far_first] * self.eval(t)
-            step = max(1, _CHUNK_ENTRIES // t.size)
-            return np.concatenate(
-                [wf @ np.cos(np.outer(t, k[lo : lo + step])) for lo in range(0, k.size, step)]
-            )
+            rule = _panel_rule(T, float(width), PANEL_NODES)
+            P = rule.mid.size
+            # the panels right of 0, far first; the middle one of an odd count is its own mirror
+            right = np.arange(P - 1, (P - 2) // 2, -1)
+            fold = np.where(2 * right == P - 1, 1.0, 2.0)[:, None]
+            t, wt = (a.reshape(P, -1)[right] for a in (rule.t, rule.w))
+            W = fold * wt * self.eval(t.reshape(-1)).reshape(t.shape)
+            mid = rule.mid[right]
+            step = max(1, _CHUNK_ENTRIES // (4 * right.size))
+            out = np.empty(k.size)
+            for lo in range(0, k.size, step):
+                kc = k[lo : lo + step]
+                e = np.exp(1j * np.multiply.outer(rule.offset, kc))
+                inner = (W @ e.view(float)).view(complex)  # W e(k) as one real product
+                phases = np.exp(1j * np.multiply.outer(mid, kc))
+                out[lo : lo + step] = np.real(phases * inner).sum(axis=0)
+            return out
 
         coarse = run(PANEL_WIDTH)
         fine = run(PANEL_WIDTH / 2)

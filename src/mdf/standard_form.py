@@ -37,7 +37,7 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 JREAL_TOL = 1e-10
 
-#: ||K - K*||_HS beyond which :meth:`SuperOperator.eigh` refuses K
+#: ||K - K*||_HS, relative to max(1, ||K||_HS), beyond which :meth:`SuperOperator.eigh` refuses K
 SELFADJOINT_TOL = 1e-8
 
 NEWTON_TOL = 1e-12
@@ -634,12 +634,13 @@ class SuperOperator:
     def eigh(self):
         """Cached (w, V) of (K + K*)/2: eigh of (R + R^T)/2 of :meth:`real_form`, V = W Q.
 
-        Raises ``NotSelfAdjoint`` if ||K - K*||_HS > ``SELFADJOINT_TOL``, then ``NotJReal``
-        if d > ``JREAL_TOL`` max(1, ||R||_F); a refused K caches nothing.
+        Raises ``NotSelfAdjoint`` if ||K - K*||_HS > ``SELFADJOINT_TOL`` max(1, ||K||_HS),
+        then ``NotJReal`` if d > ``JREAL_TOL`` max(1, ||R||_F); a refused K caches nothing.
+        Both bars are relative, so a K of large couplings rounds under them.
         """
         if self._eig is None:
             defect = self.selfadjoint_defect()
-            if defect > SELFADJOINT_TOL:
+            if defect > SELFADJOINT_TOL * max(1.0, self.hs_norm()):
                 raise NotSelfAdjoint(f"operator is {defect:.3e} from self-adjoint; refusing to "
                                      "exponentiate a one-sided spectral decomposition")
             R, d = self.real_form()

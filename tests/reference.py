@@ -1,9 +1,11 @@
 """Independent routes the tests hold the package against.
 
 Each one computes, by a different road, something the package computes:
-the energy form node by node instead of through the assembled operator,
-the generator term by term instead of as a sandwich sum, and the checks
-of the tracial state, where the flow is trivial and the decomposition
+the energy form node by node, on the literal orbits of x and of x*,
+instead of through the assembled operator; a kernel transform with one
+cosine per node and frequency instead of phases factored by panel; the
+generator term by term instead of as a sandwich sum; and the checks of
+the tracial state, where the flow is trivial and the decomposition
 identities hold by pure algebra. It also holds the left multiplier
 X -> A X, which the package only forms as a sandwich.
 """
@@ -12,14 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mdf.dirichlet import (
-    ENGINE_EXACT,
-    _base_quadratic,
-    _orbit_blocks,
-    _resolve_spec,
-    _structured_tail,
-    dirichlet_operator,
-)
+from mdf import dirichlet
+from mdf.dirichlet import ENGINE_EXACT, _base_quadratic, _resolve_spec, dirichlet_operator
+from mdf.kernels import PANEL_NODES, PANEL_WIDTH, _panel_rule
 from mdf.linalg import check_square, dagger, hs_inner
 from mdf.lindblad import (
     LindbladSpec,
@@ -36,13 +33,26 @@ def left_mult(A):
     return SuperOperator.sandwich(A, np.eye(len(A)))
 
 
+def _literal_orbits(sf, y, ts):
+    """sigma_{t-i/4}(y) and sigma_{t+i/4}(y) at each time in eigenbasis coordinates: (n, n, m) stacks.
+
+    One exponential e^{i t kappa_jk} per node and entry.
+    """
+    y_eig = sf.to_eigenbasis(y)
+    phases = np.exp(1j * np.multiply.outer(sf.kappa, ts))
+    return ((y_eig * np.exp(sf.kappa / 4.0))[..., None] * phases,
+            (y_eig * np.exp(-sf.kappa / 4.0))[..., None] * phases)
+
+
 def form_eval(sf, spec, eta, xi, kernel=None, engine=ENGINE_EXACT, check_kernel=True):
     """Energy form E(eta, xi), conjugate-linear in eta.
 
     The exact engine evaluates <eta, H xi> through the assembled
     operator; the quadrature engine accumulates the two derivation
     inner products f(t) <d(t) eta, d(t) xi> node by node at the matrix
-    level (never forming H), plus the structured tail.
+    level (never forming H), on the literal orbits of x and of x*, plus
+    G0 times the weight's tail transform.  The nodes go in the blocks of
+    the package's ``_CHUNK_ENTRIES``.
     """
     spec = _resolve_spec(spec, kernel, engine, check_kernel)
     eta = check_square(eta, sf.dim, "vector")
@@ -53,13 +63,41 @@ def form_eval(sf, spec, eta, xi, kernel=None, engine=ENGINE_EXACT, check_kernel=
     x = check_square(spec.x, sf.dim, "coupling")
     # the orbits and the tail are in eigenbasis coordinates, and the form is unitarily invariant
     eta_eig, xi_eig = sf.to_eigenbasis(eta), sf.to_eigenbasis(xi)
+    radius = spec.kernel.quadrature_radius()
+    rule = _panel_rule(radius, PANEL_WIDTH, PANEL_NODES)
+    fw = rule.w * spec.kernel.eval(rule.t)
+    block = max(1, dirichlet._CHUNK_ENTRIES // (8 * sf.dim**2))
     total = 0j
-    for fw, A, B in _orbit_blocks(sf, x, spec.kernel):
-        d_eta = np.einsum("ilm,lj->ijm", A, eta_eig) - np.einsum("il,ljm->ijm", eta_eig, B)
-        d_xi = np.einsum("ilm,lj->ijm", A, xi_eig) - np.einsum("il,ljm->ijm", xi_eig, B)
-        total += np.einsum("m,ijm,ijm->", fw, d_eta.conj(), d_xi)
-    tail = _structured_tail(sf, _base_quadratic(sf, x), spec.kernel)
-    return complex(total + hs_inner(eta_eig, tail.apply(xi_eig)))
+    for lo in range(0, fw.size, block):
+        for y in (x, dagger(x)):
+            A, B = _literal_orbits(sf, y, rule.t[lo : lo + block])
+            d_eta = np.einsum("ilm,lj->ijm", A, eta_eig) - np.einsum("il,ljm->ijm", eta_eig, B)
+            d_xi = np.einsum("ilm,lj->ijm", A, xi_eig) - np.einsum("il,ljm->ijm", xi_eig, B)
+            total += np.einsum("m,ijm,ijm->", fw[lo : lo + block], d_eta.conj(), d_xi)
+    tail = spec.kernel.tail_hat(sf.superop_frequencies, radius)
+    if tail is not None:
+        G0 = _base_quadratic(sf, x)
+        total += hs_inner(eta_eig, SuperOperator(G0.mat * tail, sf.dim).apply(xi_eig))
+    return complex(total)
+
+
+def cosine_hat_reference(kernel, kappa):
+    """``hat_quadrature`` with one cosine per node and frequency: wf @ cos(outer(t, k)).
+
+    The same positive half of the finer panel rule, far nodes first, with
+    doubled weights, once per distinct |kappa|, plus the same tail; no
+    phase is factored by panel.  The refinement check is left to the
+    package.
+    """
+    T = kernel.quadrature_radius()
+    k, where = np.unique(np.abs(np.asarray(kappa, dtype=float)).reshape(-1), return_inverse=True)
+    rule = _panel_rule(T, PANEL_WIDTH / 2, PANEL_NODES)
+    far_first = np.flatnonzero(rule.t > 0)[::-1]
+    t = rule.t[far_first]
+    wf = 2 * rule.w[far_first] * kernel.eval(t)
+    out = np.concatenate([wf @ np.cos(np.outer(t, k[lo : lo + 64])) for lo in range(0, k.size, 64)])
+    tail = kernel.tail_hat(k, T)
+    return (out if tail is None else out + tail)[where].reshape(np.shape(kappa))
 
 
 def lindblad_apply(spec, A):

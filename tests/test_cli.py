@@ -413,18 +413,26 @@ def test_dirichlet_suite_gates_the_conjugation_form_residual(tmp_path):
     assert res["x0_h_xi0_residual"] < 1e-8 and res["x0_selfadjoint_defect"] < 1e-8
 
 
+#: generated scenarios (seed 1) by name: (dim, kind)
+_GENERATED = {"generated_hermitian_n4": (4, "hermitian"),
+              "generated_balanced_pair_n8": (8, "balanced_pair")}
+
+
 def _scenario_source(name):
-    if name == "generated_hermitian_n4":
-        return generate_scenario(1, 4, "hermitian")
+    if name in _GENERATED:
+        return generate_scenario(1, *_GENERATED[name])
     (path,) = [p for p in corpus_paths() if p.endswith(f"{name}.json")]
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
 @pytest.mark.parametrize("name, factor", [("generated_hermitian_n4", 300.0),
-                                          ("unbalanced_single", 1e3)])
+                                          ("unbalanced_single", 1e3),
+                                          ("generated_hermitian_n4", 1e4),
+                                          ("generated_balanced_pair_n8", 1e5)])
 def test_large_couplings_get_a_report_not_a_drift_error(tmp_path, name, factor):
-    """The auto drift of large couplings is Hermitian to rounding relative to its norm:
+    """The auto drift of large couplings is Hermitian to rounding relative to its norm, and
+    so is H (at x1e4 and x1e5 ||H - H*||_HS reads 8.9e-7 and 1.3e-3, past an absolute 1e-8):
     the run writes a report and exits 1 on absolute bars; no NotSelfAdjoint escapes."""
     obj = _scenario_source(name)
     xs = parse_scenario(obj).xs
@@ -531,6 +539,53 @@ def test_a_failed_boundary_shift_is_computed_once_per_scenario(monkeypatch):
         assert suites[name]["residuals"]["boundary_shift_identity"] == float("inf")
 
 
+def _cauchy_scenario(seed, dim, kind):
+    obj = generate_scenario(seed, dim, kind)
+    obj["kernel"] = {"cauchy": {"scale": 1.0}}
+    return obj
+
+
+def test_each_pole_tail_is_computed_once_per_scenario(monkeypatch):
+    # a Cauchy balanced pair at n = 3: the smear oracle's tail on kappa, the boundary
+    # shift's on nu and the engine cross-check's on nu, one call each for both couplings
+    real = kernels._pole_tail
+    calls = []
+
+    def counted(kappa, radius, poles):
+        calls.append((tuple(poles), radius, _digest(np.asarray(kappa, dtype=float))))
+        return real(kappa, radius, poles)
+
+    monkeypatch.setattr(kernels, "_pole_tail", counted)
+    scenario = parse_scenario(_cauchy_scenario(1, 3, "balanced_pair"))
+    assert len(scenario.xs) == 2
+    assert run_scenario_object(scenario)["passed"]
+    assert len(calls) == len(set(calls)) == 3
+
+
+def test_the_crosscheck_sees_a_defect_in_the_exact_builds_adjoint_orbits(
+    tmp_path, monkeypatch, capsys
+):
+    """The quadrature engine derives x*'s orbits from x's; an exact build whose x* shifted
+    couplings are off by 1e-6 still fails the cross-check.  For a Hermitian coupling
+    every other gate holds, so the summary names the cross-check."""
+    real = dirichlet._shifted_couplings
+
+    def skewed(sf, x):
+        a, b = real(sf, x)
+        a[1] *= 1 + 1e-6
+        b[1] *= 1 + 1e-6
+        return a, b
+
+    monkeypatch.setattr(dirichlet, "_shifted_couplings", skewed)
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(_cauchy_scenario(1, 4, "hermitian")))
+    report, code = run_scenario(str(p), out=str(tmp_path / "r.json"), suites=["dirichlet"])
+    assert code == 1
+    suite = report["suites"]["dirichlet"]
+    assert suite["residuals"]["engine_crosscheck"] > cli.TOLERANCES["cross_engine"]
+    assert "[FAIL] dirichlet  failing engine_crosscheck" in capsys.readouterr().out
+
+
 def test_the_two_level_gibbs_state_at_beta_14_passes_every_suite(tmp_path):
     # smallest eigenvalue 2.1e-7: the thinnest order interval [0, xi0] of the corpus states
     obj = _corpus_object("gibbs_two_level")
@@ -545,13 +600,12 @@ def test_the_two_level_gibbs_state_at_beta_14_passes_every_suite(tmp_path):
 def test_the_engine_crosscheck_reads_the_scenario_bar(monkeypatch, tolerance, passed):
     """A 1e-5 engine gap is the residual either way: the pinned cross_engine bar (1e-7)
     fails it, patched to 1e-3 it passes."""
-    real = dirichlet.dirichlet_operator
+    real = dirichlet._quadrature_operator
 
-    def skewed(sf, spec, kernel=None, engine=dirichlet.ENGINE_EXACT, check_kernel=True):
-        H = real(sf, spec, kernel, engine, check_kernel)
-        return (1 + 1e-5) * H if engine == dirichlet.ENGINE_QUADRATURE else H
+    def skewed(sf, x, kernel, tail):
+        return (1 + 1e-5) * real(sf, x, kernel, tail)
 
-    monkeypatch.setattr(dirichlet, "dirichlet_operator", skewed)  # a 1e-5 engine gap
+    monkeypatch.setattr(dirichlet, "_quadrature_operator", skewed)  # a 1e-5 engine gap
     if tolerance is not None:
         monkeypatch.setitem(cli.TOLERANCES, "cross_engine", tolerance)
     scenario = parse_scenario(_minimal(suites=["dirichlet"]))
@@ -779,8 +833,9 @@ def test_full_run_builds_each_shared_operator_once(monkeypatch):
     for name in ("spec_from_couplings", "check_balance_condition"):
         assert sum(c[0] == name and c[3] == "mdf.cli" for c in calls) == 1
     assert [c[3] for c in calls if c[0] == "lindblad_superop"] == ["mdf.cli"]
-    for name in ("verify_boundary_shift", "general_f_embedding_residual"):
-        assert sum(c[0] == name for c in calls) == len(xs)
+    # the boundary-shift oracle takes the stack of couplings: one transform table per scenario
+    assert sum(c[0] == "verify_boundary_shift" for c in calls) == 1
+    assert sum(c[0] == "general_f_embedding_residual" for c in calls) == len(xs)
     # lindblad computes the shared residuals; proof_regression reads them
     for name in _SHARED_RESIDUALS:
         assert [c[:2] for c in calls if c[0] == name] == [(name, "lindblad")]

@@ -256,13 +256,13 @@ def test_interval_contraction_on_embedded_positives(sf3, rng):
 @pytest.mark.parametrize("make_kernel", [F0Kernel, lambda: CauchyKernel(scale=1.0)])
 def test_engines_agree(sf2, rng, make_kernel):
     x, f = ginibre(2, rng), make_kernel()
-    rel = crosscheck_engines(sf2, dirichlet_operator(sf2, x, f), x, f)
+    rel = crosscheck_engines(sf2, [dirichlet_operator(sf2, x, f)], [x], f)
     assert rel < 1e-9
 
 
 def test_engines_agree_on_degenerate_spectrum(sf4, rng):
     x, f = ginibre(4, rng), CauchyKernel(scale=1.0)
-    rel = crosscheck_engines(sf4, dirichlet_operator(sf4, x, f), x, f)
+    rel = crosscheck_engines(sf4, [dirichlet_operator(sf4, x, f)], [x], f)
     assert rel < 1e-8
 
 
@@ -277,7 +277,7 @@ def test_quadrature_form_route(sf2, rng):
 
 def test_boundary_shift_identity(sf3, rng):
     x = ginibre(3, rng)
-    assert verify_boundary_shift(sf3, x, CauchyKernel(scale=1.0)) < 1e-8
+    assert verify_boundary_shift(sf3, [x], CauchyKernel(scale=1.0)) < 1e-8
 
 
 # ---------------------------------------------------------------------------

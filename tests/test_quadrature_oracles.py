@@ -16,6 +16,7 @@ against the closed-form transforms.
 """
 
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -35,10 +36,11 @@ from mdf import (
     tracial_state,
 )
 from mdf import dirichlet, kernels
+from mdf.cli import corpus_paths, generate_scenario, parse_scenario
 from mdf.dirichlet import ENGINE_QUADRATURE, coupling_quadratic
 from mdf.kernels import PANEL_NODES, PANEL_WIDTH, QUAD_REL_TARGET, _panel_rule
 from mdf.linalg import dagger, ginibre, hs_inner, hs_norm
-from reference import form_eval
+from reference import cosine_hat_reference, form_eval
 
 
 def _dense_orbit(sf, y, ts, shift):
@@ -54,7 +56,7 @@ def dense_quadrature_reference(sf, x, kernel):
     n = sf.dim
     N = n * n
     radius = kernel.quadrature_radius()
-    ts, ws = _panel_rule(radius, PANEL_WIDTH, PANEL_NODES)
+    ts, ws = _panel_rule(radius, PANEL_WIDTH, PANEL_NODES)[:2]
     fw = ws * kernel.eval(ts)
     eye = np.eye(n)
     H = np.zeros((N, N), dtype=complex)
@@ -121,12 +123,18 @@ def test_quadrature_engine_does_not_depend_on_the_node_chunks(monkeypatch, sf3, 
 
 
 def test_flow_phases_are_the_modular_exponents_far_out():
-    # p_min = 1.2e-8 (the faithfulness floor is 1e-8): at |t| = 64, t log p is near 1200 rad
+    # p_min = 1.2e-8 (the faithfulness floor is 1e-8): at |t| = 64, t log p is near 1200 rad;
+    # the orbits of x = all ones carry the bare phases, factored by panel, node by node
     U = _state(3, seed=3).eigenvectors
     sf = build_standard_form(U @ np.diag([1.0 - 1e-3 - 1.2e-8, 1e-3, 1.2e-8]) @ dagger(U))
     assert sf.eigenvalues.min() == pytest.approx(1.2e-8, rel=1e-6)
-    ts = np.array([-64.0, -63.99, -1.0, 0.0, 0.5, 63.99, 64.0])
-    phases = np.moveaxis(dirichlet._flow_phases(sf, ts), -1, 0)
+    kernel = CauchyKernel(scale=1.0)
+    x = sf.from_eigenbasis(np.ones((3, 3)))
+    A = np.concatenate([A for _, A, _ in dirichlet._orbit_blocks(sf, x, kernel)], axis=-1)
+    a = sf.to_eigenbasis(x) * np.exp(sf.kappa / 4)
+    phases = np.moveaxis(A / a[..., None], -1, 0)
+    ts = _panel_rule(kernel.quadrature_radius(), PANEL_WIDTH, PANEL_NODES).t
+    assert np.abs(ts).max() > 63.99
     expected = np.exp(1j * np.multiply.outer(ts, sf.kappa))
     np.testing.assert_allclose(phases, expected, rtol=0, atol=1e-12)
 
@@ -212,7 +220,7 @@ def full_line_hat_reference(kernel, kappa):
     k = np.asarray(kappa, dtype=float).reshape(-1)
 
     def run(width):
-        t, wt = _panel_rule(T, width, PANEL_NODES)
+        t, wt = _panel_rule(T, width, PANEL_NODES)[:2]
         wf = wt * kernel.eval(t)
         return np.concatenate([np.sum(wf * np.cos(np.outer(k[lo : lo + 16], t)), axis=1)
                                for lo in range(0, k.size, 16)])
@@ -233,6 +241,41 @@ def test_half_line_transform_matches_the_full_line(n, name):
     grid = _state(n, seed=30 + n).superop_frequencies
     np.testing.assert_allclose(kernel.hat_quadrature(grid), full_line_hat_reference(kernel, grid),
                                rtol=0, atol=1e-14)
+
+
+_FACTORED_KERNELS = {
+    **{name: KERNELS[name] for name in ("f0", "cauchy_1", "cauchy_0.3", "signed")},
+    "boundary_cauchy_1": BoundaryCombination(CauchyKernel(1.0)),
+}
+
+
+def _grids(source):
+    """The flow grids the quadrature oracles meet: every corpus state's kappa and nu, or the
+    superoperator grid nu of the generated balanced pair at n = 8 or 16."""
+    if source == "corpus":
+        grids = []
+        for path in corpus_paths():
+            with open(path, "r", encoding="utf-8") as fh:
+                sf = parse_scenario(json.load(fh)).sf
+            grids += [sf.kappa, sf.superop_frequencies]
+        return grids
+    n = int(source[1:])
+    return [parse_scenario(generate_scenario(1, n, "balanced_pair")).sf.superop_frequencies]
+
+
+@pytest.mark.parametrize("name", sorted(_FACTORED_KERNELS))
+@pytest.mark.parametrize("source", ["corpus", "n8", "n16"])
+def test_panel_factored_transform_matches_one_cosine_per_node(source, name):
+    kernel = _FACTORED_KERNELS[name]
+    for grid in _grids(source):
+        values = kernel.hat_quadrature(grid).reshape(-1)
+        # up to 2,048 distinct |kappa| across the grid's range (n = 16 has 8,421): the
+        # reference spends 16,384 cosines on each under the Cauchy rules
+        k, first = np.unique(np.abs(grid).reshape(-1), return_index=True)
+        pick = first[np.unique(np.linspace(0, k.size - 1, 2048).round().astype(int))]
+        ref = cosine_hat_reference(kernel, grid.reshape(-1)[pick])
+        gap = np.abs(values[pick] - ref).max()
+        assert gap <= 1e-14 * np.abs(ref).max(), gap
 
 
 def test_hat_quadrature_does_not_depend_on_the_column_chunks(monkeypatch):
