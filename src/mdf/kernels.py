@@ -54,10 +54,8 @@ _CHUNK_ENTRIES = 1 << 18
 class _PanelRule(NamedTuple):
     """A composite Gauss-Legendre rule: P panels of half width h, J nodes each.
 
-    Node (p, j) is t = mid_p + h x_j with weight h w_j; ``t`` and ``w``
-    list the nodes panel by panel, and ``offset`` is h x.  So a phase
-    e^{i t lam} factors as e^{i mid_p lam} e^{i offset_j lam}: P + J
-    exponentials per frequency instead of P J.
+    Node (p, j) is t = mid_p + offset_j, offset = h x, with weight h w_j;
+    ``t`` and ``w`` list the nodes panel by panel.
     """
 
     t: np.ndarray
