@@ -17,7 +17,8 @@ Scenario schema (JSON object):
     coefficients  [MATRIX, ...]
                   | {"random": {"kind": "hermitian"|"ginibre"|"balanced_pair",
                                 "count": int >= 1, "seed": int >= 0}}
-    kernel        "f0" | {"cauchy": {"scale": s}} | {"signed_f0": {"alpha": a}}
+    kernel        "f0" | {"cauchy": {"scale": s}} | {"signed_f0": {"alpha": a}},
+                  1/4 < s <= (largest double / pi)^{1/2}, about 7.56e153
     suites        optional subset of SUITES (default: all)
     seed          optional int >= 0 (sampling seed; --seed wins)
     negative_control  optional bool: the scenario is expected to break

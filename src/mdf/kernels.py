@@ -222,13 +222,15 @@ class F0Kernel(KernelFunction):
 
 
 class CauchyKernel(KernelFunction):
-    """Unit-mass Cauchy density s / (pi (s^2 + t^2)) with scale s > 1/4.
+    """Unit-mass Cauchy density s / (pi (s^2 + t^2)) with scale 1/4 < s <= (max / pi)^{1/2}.
 
-    The scale requirement keeps the poles at +- i s outside the closed
-    strip |Im z| <= 1/4 with margin.  The transform is e^{-s |kappa|}.
-    The quadrature route cannot reach 1e-9 by truncation alone (the
-    density decays like 1/t^2), so the tail integral over |t| > T is
-    added in closed form from the partial fractions
+    The lower end keeps the poles at +- i s outside the closed strip
+    |Im z| <= 1/4 with margin.  At the upper end, about 7.56e153 for
+    ``max`` the largest double, pi s^2 still rounds to a finite double;
+    past it the density's closed forms overflow.  The transform is
+    e^{-s |kappa|}.  The quadrature route cannot reach 1e-9 by truncation
+    alone (the density decays like 1/t^2), so the tail integral over
+    |t| > T is added in closed form from the partial fractions
     f = (1/2 pi i)(1/(t - i s) - 1/(t + i s)): poles (s, 1), (-s, -1).
     """
 
@@ -239,6 +241,12 @@ class CauchyKernel(KernelFunction):
         if not scale > 0.25:
             raise NotAdmissible(
                 f"Cauchy scale {scale} must exceed 1/4 for strip analyticity"
+            )
+        # pi s^2, the density's denominator at t = 0, is a finite double up to here
+        widest = float(np.sqrt(np.finfo(float).max / np.pi))
+        if scale > widest:
+            raise NotAdmissible(
+                f"Cauchy scale {scale} must be at most {widest!r}, where pi s^2 is finite"
             )
         self.scale = float(scale)
         self.poles = [(self.scale, 1.0), (-self.scale, -1.0)]

@@ -191,33 +191,52 @@ def _probe_draws(sf, rng, count):
     )
 
 
-def _settled_gaps(H, energy):
-    """The ``decided`` hook of the form probe: which members' gaps can no longer matter.
+def _energy_range(H):
+    """(e_lo, e_hi, h): E(X) of every X in [0, xi0] lies in [e_lo, e_hi], and h >= ||H_h||_2.
 
-    E(X) = Re <X, H X> = <X, H_h X> on Hermitian X, H_h = (H + H*)/2, and
-    h = max |w| + ``CLAMP_EPS`` + ||H - H*||_HS >= ||H_h||_2 for H's clamped
-    factors w.  With X* the projection, ||X*||_HS <= ||xi0||_HS = 1 and
-    ||X - X*||_HS <= delta give the slack |E(X*) - E(X)| <= h delta (1 + ||X||)
-    of the gap E(X) - E(eta).  A member is settled once its gap plus slack is
-    below both ``INTERVAL_TOL`` and the best lower bound, gap minus slack, seen
-    so far over all members: its true gap then passes and is below another
-    member's, so the member of the largest gap is never settled.  Nothing here
-    assumes H >= 0, so the negative control needs no special case.  delta's
-    rounding allowance makes the slack at least 4e-8 h n ||eta||, far above the
-    rounding of the two energies (about n^2 eps h ||eta||^2) for ||eta|| < 1e5 / n.
+    E(X) = Re <X, H X> = <X, H_h X> on Hermitian X, H_h = (H + H*)/2, whose
+    spectrum lies within pad = ``CLAMP_EPS`` + ||H - H*||_HS of H's clamped
+    factors w, and ||X||_HS <= ||xi0||_HS = 1 on the interval.  So
+    e_lo = min(0, min w) - pad, e_hi = max(0, max w) + pad, h = max |w| + pad.
     """
     w, _ = _factors(H)
-    h = float(np.abs(w).max()) + CLAMP_EPS + H.selfadjoint_defect()
-    best = -np.inf
+    pad = CLAMP_EPS + H.selfadjoint_defect()
+    return min(0.0, w.min()) - pad, max(0.0, w.max()) + pad, float(np.abs(w).max()) + pad
 
-    def settled(index, X, delta):
+
+def _settled_gaps(H, etas, energy):
+    """(settled, decided): the form samples settled before projecting, and the hook for the rest.
+
+    With [e_lo, e_hi] of :func:`_energy_range`, each sample's gap E(X*) - E(eta),
+    X* its projection onto [0, xi0], lies in [e_lo - E(eta), e_hi - E(eta)]
+    before any eigendecomposition.  Both ends are widened by
+    4 n^3 eps h (1 + ||eta||^2), a worst-case allowance for the rounding of
+    the two energies.  ``settled`` marks the samples whose upper end is below
+    both ``INTERVAL_TOL`` and the best lower end: their gaps pass and are
+    below another sample's, and the sample that attains the best lower end
+    is never settled.  The rest go to the projection with the hook
+    ``decided``, which numbers them among themselves and applies the same
+    rule at each Newton iterate, its running best starting at that lower
+    end: with ||X - X*||_HS <= delta, the slack |E(X*) - E(X)| <=
+    h delta (1 + ||X||) brackets the gap E(X) - E(eta).  Nothing here
+    assumes H >= 0, so the negative control needs no special case.  delta's rounding allowance makes the slack at least
+    4e-8 h n ||eta||, far above the rounding of the two energies for
+    ||eta|| < 1e5 / n.
+    """
+    e_lo, e_hi, h = _energy_range(H)
+    rounding = 4 * H.dim**3 * np.finfo(float).eps * h * (1.0 + np.real(hs_inner(etas, etas)))
+    best = float(np.max(e_lo - rounding - energy, initial=-np.inf))
+    settled = e_hi + rounding - energy < min(INTERVAL_TOL, best)
+    energy = energy[~settled]
+
+    def decided(index, X, delta):
         nonlocal best
         gap = np.real(hs_inner(X, H.apply(X))) - energy[index]
         slack = h * delta * (1.0 + np.linalg.norm(X, axis=(-2, -1)))
         best = max(best, float(np.max(gap - slack, initial=-np.inf)))
         return gap + slack < min(INTERVAL_TOL, best)
 
-    return settled
+    return settled, decided
 
 
 def markovianity_report(sf, H, seed):
@@ -230,16 +249,17 @@ def markovianity_report(sf, H, seed):
     every margin, min(T eta, xi0 - T eta) for the interval kinds and T p
     for positivity.  A margin below -``INTERVAL_TOL`` counts a violation.
     After all times the form criterion draws ``SAMPLES`` Hermitian
-    eta as one Ginibre block, takes their energies E[eta] once, projects
-    them onto [0, xi0] in one stacked call, and compares E[eta_I] with
-    E[eta].  The projection freezes a member as soon as its distance
-    bound proves that its gap can neither count as a violation nor be
-    the worst gap (see :func:`_settled_gaps`); every violator, the member
-    that attains ``worst_form_gap`` and every near-tie with it still run
-    to ``NEWTON_TOL``, so counts, witnesses and ``worst_form_gap`` are
-    those of the full solve.  Witnesses keep the first ten
-    violations in sampling order: by time, by sample, then interval,
-    extreme, positivity; form violations come last.
+    eta as one Ginibre block, takes their energies E[eta] once, and
+    compares E[eta_I] with E[eta], eta_I the projection onto [0, xi0].
+    A sample whose gap the energy range of H already shows can neither
+    count as a violation nor be the worst gap is never projected; the
+    rest are projected in one stacked call, which freezes a member as
+    soon as its distance bound shows the same (see :func:`_settled_gaps`).
+    Every violator, the sample that attains ``worst_form_gap`` and every
+    near-tie with it still run to ``NEWTON_TOL``, so counts, witnesses
+    and ``worst_form_gap`` are those of the full solve.  Witnesses keep
+    the first ten violations in sampling order: by time, by sample, then
+    interval, extreme, positivity; form violations come last.
 
     Raises ``NotSelfAdjoint`` (from :meth:`SuperOperator.eigh`) before any
     sample is drawn if H is not self-adjoint.
@@ -265,8 +285,11 @@ def markovianity_report(sf, H, seed):
     # interval may never increase the energy
     etas = hermitian_from_ginibre(ginibre(n, rng, (N,)))
     energy = np.real(hs_inner(etas, H.apply(etas)))
-    etas_i = project_order_interval(sf, etas, decided=_settled_gaps(H, energy))
-    gaps = np.real(hs_inner(etas_i, H.apply(etas_i))) - energy
+    settled, decided = _settled_gaps(H, etas, energy)
+    etas_i = np.zeros_like(etas)
+    etas_i[~settled] = project_order_interval(sf, etas[~settled], decided=decided)
+    # the energies of all N rows in one product, so each has the bits of a full solve's
+    gaps = np.where(settled, -np.inf, np.real(hs_inner(etas_i, H.apply(etas_i))) - energy)
     form_bad = np.flatnonzero(gaps > INTERVAL_TOL)
     witnesses += [("form", 0.0, int(i), float(gaps[i])) for i in form_bad[: 10 - len(witnesses)]]
     certificate = factor_certificate(H)

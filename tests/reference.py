@@ -7,14 +7,16 @@ cosine per node and frequency instead of phases factored by panel; the
 generator term by term instead of as a sandwich sum; and the checks of
 the tracial state, where the flow is trivial and the decomposition
 identities hold by pure algebra. It also holds the left multiplier
-X -> A X, which the package only forms as a sandwich.
+X -> A X, which the package only forms as a sandwich, and the form probe
+with every sample projected to full tolerance.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 
-from mdf import dirichlet
+from mdf import dirichlet, semigroup
 from mdf.dirichlet import ENGINE_EXACT, _base_quadratic, _resolve_spec, dirichlet_operator
 from mdf.kernels import PANEL_NODES, PANEL_WIDTH, _panel_rule
 from mdf.linalg import check_square, dagger, hs_inner
@@ -31,6 +33,20 @@ from mdf.standard_form import SuperOperator, tracial_state
 def left_mult(A):
     """The left multiplier X -> A X: the GNS action pi(A)."""
     return SuperOperator.sandwich(A, np.eye(len(A)))
+
+
+def full_form_report(sf, H, seed):
+    """``markovianity_report`` with all ``SAMPLES`` form samples projected to ``NEWTON_TOL``.
+
+    No sample is settled by the energy range before projecting, and the
+    projection gets no ``decided`` hook, so nothing is frozen early.
+    """
+    def nothing_settled(H, etas, energy):
+        return np.zeros(len(etas), dtype=bool), None
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(semigroup, "_settled_gaps", nothing_settled)
+        return semigroup.markovianity_report(sf, H, seed)
 
 
 def _literal_orbits(sf, y, ts):

@@ -11,6 +11,7 @@ import platform
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from functools import cached_property
 from types import SimpleNamespace
@@ -515,6 +516,31 @@ def test_the_cauchy_file_at_scale_1000_passes_every_suite(tmp_path):
     p.write_text(json.dumps(obj))
     assert main(["run", str(p), "--out", str(out)]) == 0
     assert sorted(json.loads(out.read_text())["suites"]) == sorted(SUITES)
+
+
+@pytest.mark.parametrize("scale, code", [(7.5e153, 0), (1e154, 2), (1e155, 2), (1e300, 2)])
+def test_a_cauchy_scale_past_a_finite_density_is_refused(scale, code, tmp_path, capsys):
+    # pi s^2 overflows past (max / pi)^{1/2} = 7.5645e153; from 1.35e154 the run used to
+    # end in an unconverged SVD, and below that in overflow warnings
+    obj = _corpus_object("balanced_pair_cauchy")
+    obj["kernel"] = {"cauchy": {"scale": scale}}
+    p, out = tmp_path / "s.json", tmp_path / "r.json"
+    p.write_text(json.dumps(obj))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(p), "--out", str(out)]) == code
+    assert out.exists() == (code == 0)
+    if code == 2:
+        assert re.search(r"kernel: Cauchy scale .* must be at most 7\.5645\d*e\+153",
+                         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("scale", [0.3, 1.0, 50.0, 1000.0, 7.564545572282618e153])
+def test_the_cauchy_scales_in_use_are_admitted(scale):
+    # the corpus and the workloads use scale 1, CI 1, 50 and 1000
+    obj = _corpus_object("balanced_pair_cauchy")
+    obj["kernel"] = {"cauchy": {"scale": scale}}
+    assert parse_scenario(obj).kernel.scale == scale
 
 
 def test_a_failed_boundary_shift_is_computed_once_per_scenario(monkeypatch):

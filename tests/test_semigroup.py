@@ -27,7 +27,7 @@ from mdf import (
 )
 from mdf.linalg import dagger, ginibre, hs_inner, hs_norm, min_eigenvalue, random_hermitian
 from mdf.semigroup import PROBE_TIMES, _probe_draws, factor_certificate
-from reference import left_mult
+from reference import full_form_report, left_mult
 
 
 def _signed_control(sf, x):
@@ -234,21 +234,44 @@ def test_control_is_negative_across_coupling_seeds():
 # the form probe freezes the samples whose gaps are settled
 # ---------------------------------------------------------------------------
 
-def _suite_report(ctx, project=project_order_interval):
-    """The semigroup suite's Markovianity report with ``project`` as its form projection."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(semigroup, "project_order_interval", project)
-        return markovianity_report(ctx.sf, ctx.H, 0)
+def _generated_context(kernel=None):
+    """The generated n = 8 balanced pair (seed 1), under ``kernel`` as a negative control if given."""
+    obj = cli.generate_scenario(1, 8, "balanced_pair")
+    if kernel is not None:
+        obj.update(kernel=kernel, negative_control=True)
+    return cli.ScenarioContext(cli.parse_scenario(obj), 0)
 
 
-def _full_tolerance(sf, eta, decided=None):
-    return project_order_interval(sf, eta)
+FORM_SCENARIOS = {
+    **{name: functools.partial(_corpus_context, name) for name in CORPUS},
+    "generated_n8": _generated_context,
+    "signed_n8": functools.partial(_generated_context, {"signed_f0": {"alpha": 6.0}}),
+}
 
 
-@pytest.mark.parametrize("name", CORPUS)
+def _watching_settled(monkeypatch, seen):
+    """Wrap ``_settled_gaps``: ``seen`` gets (etas, energy, settled mask, indices the hook froze)."""
+    real = semigroup._settled_gaps
+
+    def watched(H, etas, energy):
+        settled, decided = real(H, etas, energy)
+        rest, frozen = np.flatnonzero(~settled), set()
+
+        def hook(index, X, delta):
+            mask = decided(index, X, delta)
+            frozen.update(rest[index[mask]].tolist())
+            return mask
+
+        seen.append((etas, energy, settled, frozen))
+        return settled, hook
+
+    monkeypatch.setattr(semigroup, "_settled_gaps", watched)
+
+
+@pytest.mark.parametrize("name", sorted(FORM_SCENARIOS))
 def test_the_form_decision_changes_nothing(name):
-    ctx = _corpus_context(name)
-    fast, full = _suite_report(ctx), _suite_report(ctx, _full_tolerance)
+    ctx = FORM_SCENARIOS[name]()
+    fast, full = markovianity_report(ctx.sf, ctx.H, 0), full_form_report(ctx.sf, ctx.H, 0)
     assert fast.form_violations == full.form_violations
     assert fast.worst_form_gap == full.worst_form_gap
     assert fast.witnesses == full.witnesses
@@ -259,19 +282,46 @@ def test_the_form_decision_changes_nothing(name):
         assert abs(full.worst_form_gap) < 1e-12
 
 
-def test_most_form_samples_freeze_on_the_generated_n8_pair():
-    ctx = cli.ScenarioContext(cli.parse_scenario(cli.generate_scenario(1, 8, "balanced_pair")), 0)
-    frozen = set()
+def test_most_form_samples_freeze_on_the_generated_n8_pair(monkeypatch):
+    ctx, seen = _generated_context(), []
+    _watching_settled(monkeypatch, seen)
+    assert markovianity_report(ctx.sf, ctx.H, 0) == full_form_report(ctx.sf, ctx.H, 0)
+    (_, _, settled, frozen), = seen
+    assert not frozen & set(np.flatnonzero(settled).tolist())
+    assert settled.sum() + len(frozen) >= 90
 
-    def counting(sf, eta, decided=None):
-        def hook(index, X, delta):
-            mask = decided(index, X, delta)
-            frozen.update(index[mask].tolist())
-            return mask
-        return project_order_interval(sf, eta, decided=hook)
 
-    assert _suite_report(ctx, counting) == _suite_report(ctx, _full_tolerance)
-    assert len(frozen) >= 90
+@pytest.mark.parametrize("name", sorted(FORM_SCENARIOS))
+def test_every_full_tolerance_form_gap_lies_in_the_energy_range(name, monkeypatch):
+    ctx, seen = FORM_SCENARIOS[name](), []
+    _watching_settled(monkeypatch, seen)
+    markovianity_report(ctx.sf, ctx.H, 0)
+    (etas, energy, _, _), = seen
+    e_lo, e_hi, _ = semigroup._energy_range(ctx.H)
+    X = project_order_interval(ctx.sf, etas)
+    gaps = np.real(hs_inner(X, ctx.H.apply(X))) - energy
+    assert np.all(e_lo - energy <= gaps) and np.all(gaps <= e_hi - energy)
+    if name == "signed_n8":
+        assert ctx.H.eigh()[0].min() < -1e-3 and e_lo < -1e-3
+
+
+def test_an_energy_range_below_the_spectrum_changes_a_report():
+    # e_hi under max w settles samples whose gaps may be the worst or violations
+    real = semigroup._energy_range
+
+    def low_top(H):
+        e_lo, e_hi, h = real(H)
+        assert e_hi >= H.eigh()[0].max() > e_lo
+        return e_lo, e_lo, h
+
+    def differs(make):
+        ctx = make()
+        full = full_form_report(ctx.sf, ctx.H, 0)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(semigroup, "_energy_range", low_top)
+            return markovianity_report(ctx.sf, ctx.H, 0) != full
+
+    assert any(differs(FORM_SCENARIOS[name]) for name in sorted(FORM_SCENARIOS))
 
 
 @settings(max_examples=25, deadline=None)
