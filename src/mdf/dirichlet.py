@@ -26,23 +26,22 @@ back-transform to the working basis.
     dimension range.
 
 ``quadrature``
-    Builds the flow orbits of x literally at every node of a fixed
-    panel rule and accumulates f(t) d(t)* d(t), adding G0 times the
-    weight's analytic tail beyond the truncation radius.  The flow at
-    node t is rho^{it} ( . ) rho^{-it}, entry (j, k) times u_j conj(u_k)
-    with u = e^{i t log p}, and u factors by panel, t = mid + offset.
-    The orbits of x* are the adjoints of x's, sigma_z(y)* =
-    sigma_{conj z}(y*), so only x's are formed.  d(t)* d(t) is expanded
-    into the sandwich sum of ``exact_spectral``, and the nodes go in
-    cache-sized blocks that add to three raw sums: sum w A* A and
-    sum w B B* (n x n), and the sandwich matrix sum w vec(A*) vec(B)^T,
-    one (n^2 x m)(m x n^2) product per block, added up in groups so that
-    the result does not drift with the block size; x*'s sums are read
-    off them.  The superoperator K + K* and the tail are formed once per
-    build, so the m nodes cost O(m n^4) and no n^2 x n^2 derivation is
-    formed.  Serves as the oracle route for cross-checking the spectral
-    engine, which forms x*'s couplings itself, and is priced for small
-    dims.
+    Builds the flow orbit A = sigma_{t-i/4}(x) of x literally at every
+    node of a fixed panel rule and accumulates f(t) d(t)* d(t), adding G0
+    times the weight's analytic tail beyond the truncation radius.  The
+    flow at node t is rho^{it} ( . ) rho^{-it}, entry (j, k) times
+    u_j conj(u_k) with u = e^{i t log p}, a phase that factors by panel,
+    t = mid + offset.  The other orbit is B = sigma_{t+i/4}(x) = A o E
+    entrywise, E = e^{-kappa/2}, and those of x* are the adjoints,
+    sigma_z(y)* = sigma_{conj z}(y*).  d(t)* d(t) is expanded into the
+    sandwich sum of ``exact_spectral``, whose raw sums are all read off
+    one Hermitian Gram sum S = sum w conj(vec A) vec(A)^T: the nodes go
+    in cache-sized blocks, one (n^2 x m)(m x n^2) product each, added up
+    in groups so that the result does not drift with the block size.
+    K + K* and the tail are formed once per build, so the m nodes cost
+    O(m n^4) and no n^2 x n^2 derivation is formed.  Serves as the oracle
+    route for cross-checking the spectral engine, which forms x*'s
+    couplings itself, and is priced for small dims.
 
 :func:`crosscheck_engines` returns the worst relative gap in spectral
 norm over a scenario's couplings, with one tail transform for all of
@@ -183,31 +182,27 @@ def split_self_adjoint(x):
     return x1, x2
 
 
-def _orbit_blocks(sf, x, kernel):
-    """The panel rule of ``kernel`` over the literal flow orbits of x, in blocks of nodes.
+def _flow_phase_blocks(sf, kernel):
+    """The panel rule of ``kernel`` with the flow phases at its nodes, in blocks of nodes.
 
-    Yields (fw, A, B) for each block of m nodes t: A = sigma_{t-i/4}(x)
-    and B = sigma_{t+i/4}(x) as (n, n, m) stacks in rho-eigenbasis
-    coordinates, the shifted couplings times the flow phases
-    e^{i t kappa_jk}, with the node on the last axis, and fw the weights
-    f(t) w.  The phase is u_j conj(u_k) with u = e^{i t log p}, and u
-    factors by panel (t = mid + offset, see ``_PanelRule``), so the
-    rule costs (P + J) n exponentials.  A block is sized so that eight
-    (n, n, m) stacks hold ``_CHUNK_ENTRIES`` entries in all.
+    Yields (fw, phase) per block of m nodes t: the weights f(t) w and the
+    node-major (m, n, n) stack of phases e^{i t kappa_jk} = u_j conj(u_k),
+    u = e^{i t log p}.  The phase factors by panel (t = mid + offset, see
+    ``_PanelRule``), so the rule costs (P + J) n exponentials.  The two
+    (m, n, n) stacks of a block hold half of ``_CHUNK_ENTRIES`` entries.
     """
     rule = _panel_rule(kernel.quadrature_radius(), PANEL_WIDTH, PANEL_NODES)
     fw = rule.w * kernel.eval(rule.t)
-    n = sf.dim
-    a, b = (y[0, :, :, None] for y in _shifted_couplings(sf, x))
+    n, J = sf.dim, rule.offset.size
     log_p = np.log(sf.eigenvalues)
-    by_panel = np.exp(1j * np.multiply.outer(rule.mid, log_p))
-    by_offset = np.exp(1j * np.multiply.outer(rule.offset, log_p))
-    block = max(1, _CHUNK_ENTRIES // (8 * n * n))
+    u_panel, u_offset = (np.exp(1j * np.multiply.outer(s, log_p)) for s in (rule.mid, rule.offset))
+    by_offset = u_offset[:, :, None] * u_offset[:, None, :].conj()
+    block = max(1, _CHUNK_ENTRIES // (4 * n * n))
     for lo in range(0, fw.size, block):
-        panel, node = np.divmod(np.arange(lo, min(lo + block, fw.size)), rule.offset.size)
-        u = (by_panel[panel] * by_offset[node]).T
-        flow = u[:, None] * u.conj()
-        yield fw[lo : lo + block], a * flow, b * flow
+        hi, first = min(lo + block, fw.size), lo // J
+        u = u_panel[first : -(-hi // J), None]
+        phase = (u[..., :, None] * u[..., None, :].conj() * by_offset).reshape(-1, n, n)
+        yield fw[lo:hi], phase[lo - first * J : hi - first * J]
 
 
 class _GroupedSum:
@@ -232,38 +227,43 @@ class _GroupedSum:
             self.group, self.in_group = 0, 0
 
     def total(self):
-        return self.sum + self.group
+        self.sum += self.group
+        self.group, self.in_group = 0, 0
+        return self.sum
 
 
 def _quadrature_quadratic(sf, x, kernel):
     """sum_t f(t) w d(t)* d(t) over the panel rule, in eigenbasis coordinates.
 
-    Each block of x's orbits adds to three raw sums, with S(a, b): X -> a X b:
-    sum w A* A, sum w B B* and the matrix of sum w S(A*, B), which is
-    sum w vec(A*) vec(B)^T.  The orbits of x* are their adjoints,
-    sigma_{t-i/4}(x*) = B* and sigma_{t+i/4}(x*) = A*, so x*'s sums are
-    sum w B B*, sum w A* A and the sandwich matrix with its four indices
-    reversed.  d* d = K + K* is then formed once from
+    The orbits of x are A = a o phase and B = A o E, E = e^{-kappa/2}; x*'s
+    are B* and A*.  Every raw sum is read off one Hermitian Gram sum
+    S[p, j, q, k] = sum w conj(A_pj) A_qk, one (n^2 x m)(m x n^2) product
+    per block: sum w A* A is S[p, j, p, k] summed over p, sum w B B* is
+    E_jp E_kp conj(S[j, p, k, p]) summed over p, and S o (1 (x) E) is the
+    matrix of sum w S(A*, B), with S(a, b): X -> a X b; x*'s have their
+    four indices reversed.  d* d = K + K* is formed once from
     K = L(sum w A* A / 2) + R(sum w B B* / 2) - sum w S(A*, B) over both.
     """
     n = sf.dim
-    left, right, cross = _GroupedSum(), _GroupedSum(), _GroupedSum()
-    for fw, A, B in _orbit_blocks(sf, x, kernel):
-        wAc = A * fw
-        np.conjugate(wAc, out=wAc)
-        wBc = B * fw
-        np.conjugate(wBc, out=wBc)
-        left.add((wAc @ A.transpose(0, 2, 1)).sum(axis=0))
-        right.add((B.transpose(1, 0, 2) @ wBc.transpose(1, 2, 0)).sum(axis=0))
-        cross.add(wAc.reshape(n * n, -1) @ B.reshape(n * n, -1).T)
-    both = left.total() + right.total()
-    cross = cross.total().reshape(n, n, n, n)
-    cross = cross + cross.transpose(3, 2, 1, 0)
-    eye = np.eye(n)
-    K = SuperOperator.sandwich([both / 2, eye], [eye, both / 2])
-    # cross[p, j, q, k] is the (j, k), (p, q) entry of sum w S(A*, B)
-    K.mat -= cross.transpose(1, 3, 0, 2).reshape(n * n, n * n)
-    return K + K.adjoint()
+    a = _shifted_couplings(sf, x)[0][0]
+    gram = _GroupedSum()
+    for fw, A in _flow_phase_blocks(sf, kernel):
+        A *= a
+        wAc = np.conjugate(A)
+        wAc *= fw[:, None, None]
+        gram.add(wAc.reshape(-1, n * n).T @ A.reshape(-1, n * n))
+    S = gram.total().reshape(n, n, n, n)
+    E = np.exp(-sf.kappa / 2.0)
+    both = np.einsum("pjpk->jk", S) + np.einsum("jp,kp,jpkp->jk", E, E, S).conj()
+    S *= E
+    K = SuperOperator.sandwich([both / 2, np.eye(n)], [np.eye(n), both / 2])
+    # S[p, j, q, k] is the (j, k), (p, q) entry of sum w S(A*, B), and S[k, q, j, p] is x*'s
+    k = K.mat.reshape(n, n, n, n)
+    k -= S.transpose(1, 3, 0, 2) + S.transpose(2, 0, 3, 1)
+    H = S.reshape(n * n, n * n)  # K + K* goes to the spent buffer of S
+    np.conjugate(K.mat.T, out=H)
+    H += K.mat
+    return SuperOperator(H, n)
 
 
 def _tail_transform(sf, kernel):

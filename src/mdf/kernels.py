@@ -279,7 +279,7 @@ class CauchyKernel(KernelFunction):
         """
         s = self.scale
         c = s * s - 1.0 / 16.0
-        log_M = float(np.log(s * (1.0 + c) / (np.pi * c)))
+        log_M = float(np.log(s / np.pi) + np.log1p(1.0 / c))  # s (1 + c) overflows from s ~ 5.6e102
         return AdmissibilityCertificate(
             kernel=self.name, positivity_ok=True, boundary_status="pointwise",
             decay_p=2.0, decay_log_M=log_M, decay_ok=True, grid=CLOSED_FORM)

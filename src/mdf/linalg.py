@@ -19,11 +19,11 @@ def dagger(A):
 
 
 def hs_inner(X, Y):
-    """Trace inner product Tr(X* Y), conjugate linear in X.
+    """Trace inner product Tr(X* Y), the entrywise sum of conj(X) Y, conjugate linear in X.
 
     Stacks (k, n, n) give one value per member (broadcasting like ``@``).
     """
-    v = np.trace(dagger(X) @ Y, axis1=-2, axis2=-1)
+    v = np.einsum("...ij,...ij->...", np.conj(X), Y)
     return complex(v) if np.ndim(v) == 0 else v
 
 

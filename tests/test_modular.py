@@ -227,6 +227,21 @@ def test_kernels_that_drop_by_t_10_keep_the_fixed_decay_window(f):
     assert cert.decay_p == -max(slopes)
 
 
+@pytest.mark.parametrize("scale", [6e102, 1e120, 7.5e153])
+def test_cauchy_decay_constant_is_finite_at_wide_scales(scale):
+    # s (1 + c) ~ s^3 overflows here; log M = log(s / pi) + log(1 + 1/c) does not
+    log_M = CauchyKernel(scale).certificate().decay_log_M
+    assert np.isfinite(log_M)
+    assert log_M == pytest.approx(np.log(scale / np.pi), rel=1e-15)
+
+
+@pytest.mark.parametrize("scale", [1.0, 50.0])
+def test_cauchy_decay_constant_keeps_its_value(scale):
+    c = scale * scale - 1.0 / 16.0
+    direct = np.log(scale * (1.0 + c) / (np.pi * c))
+    assert CauchyKernel(scale).certificate().decay_log_M == pytest.approx(direct, rel=1e-14)
+
+
 @pytest.mark.parametrize("scale", [0.2501, 0.26, 1.0, 20.0, 50.0, 200.0])
 def test_cauchy_decay_bound_holds_on_the_strip(scale):
     f = CauchyKernel(scale)

@@ -1,9 +1,9 @@
 """The t-quadrature oracles against their literal per-node forms.
 
-The quadrature engine of :func:`dirichlet_operator` expands d(t)* d(t)
-into raw sums over blocks of nodes instead of forming d(t) at every
-node, and ``hat_quadrature`` integrates each distinct |kappa| once, on
-the positive half of its rule.  The references below are the literal
+The quadrature engine of :func:`dirichlet_operator` reads d(t)* d(t)
+off one Gram sum of x's orbits over blocks of nodes instead of forming
+d(t) at every node, and ``hat_quadrature`` integrates each distinct
+|kappa| once, on the positive half of its rule.  The references below are the literal
 routes: the dense n^2 x n^2 derivation D(t) = L(A) - R(B) at every
 node, the transform on the whole rule over [-T, T] for every grid
 entry, and one transform call per grid entry.  ``smear_quadrature`` and
@@ -112,30 +112,32 @@ def test_quadrature_engine_matches_the_dense_reference(n, name):
 
 
 def test_quadrature_engine_does_not_depend_on_the_node_chunks(monkeypatch, sf3, rng):
-    # blocks of one node, of seven (no divisor of the 16,384 Cauchy nodes) and the whole rule
+    # blocks of one node, of seven (below a panel, no divisor of a panel's 64 nodes), of 2.5
+    # panels (across panel edges) and the whole rule of 16,384 Cauchy nodes
     x, kernel = ginibre(3, rng), CauchyKernel(scale=1.0)
     builds = []
-    for nodes in (1, 7, 16384):
-        monkeypatch.setattr(dirichlet, "_CHUNK_ENTRIES", 8 * 9 * nodes)
+    for nodes in (1, 7, 160, 16384):
+        monkeypatch.setattr(dirichlet, "_CHUNK_ENTRIES", 4 * 9 * nodes)
+        assert max(len(fw) for fw, _ in dirichlet._flow_phase_blocks(sf3, kernel)) == nodes
         builds.append(dirichlet_operator(sf3, x, kernel, ENGINE_QUADRATURE))
     for H, ref in itertools.combinations(builds, 2):
         assert _rel_gap(H, ref, x) <= 1e-15
 
 
-def test_flow_phases_are_the_modular_exponents_far_out():
+def test_flow_phases_are_the_modular_exponents_far_out(monkeypatch):
     # p_min = 1.2e-8 (the faithfulness floor is 1e-8): at |t| = 64, t log p is near 1200 rad;
-    # the orbits of x = all ones carry the bare phases, factored by panel, node by node
+    # the phases are factored by panel, node by node, in blocks that cut panels (100 nodes)
     U = _state(3, seed=3).eigenvectors
     sf = build_standard_form(U @ np.diag([1.0 - 1e-3 - 1.2e-8, 1e-3, 1.2e-8]) @ dagger(U))
     assert sf.eigenvalues.min() == pytest.approx(1.2e-8, rel=1e-6)
     kernel = CauchyKernel(scale=1.0)
-    x = sf.from_eigenbasis(np.ones((3, 3)))
-    A = np.concatenate([A for _, A, _ in dirichlet._orbit_blocks(sf, x, kernel)], axis=-1)
-    a = sf.to_eigenbasis(x) * np.exp(sf.kappa / 4)
-    phases = np.moveaxis(A / a[..., None], -1, 0)
-    ts = _panel_rule(kernel.quadrature_radius(), PANEL_WIDTH, PANEL_NODES).t
-    assert np.abs(ts).max() > 63.99
-    expected = np.exp(1j * np.multiply.outer(ts, sf.kappa))
+    monkeypatch.setattr(dirichlet, "_CHUNK_ENTRIES", 4 * 9 * 100)
+    blocks = list(dirichlet._flow_phase_blocks(sf, kernel))
+    fw, phases = (np.concatenate(part) for part in zip(*blocks))
+    rule = _panel_rule(kernel.quadrature_radius(), PANEL_WIDTH, PANEL_NODES)
+    assert np.abs(rule.t).max() > 63.99
+    np.testing.assert_array_equal(fw, rule.w * kernel.eval(rule.t))
+    expected = np.exp(1j * np.multiply.outer(rule.t, sf.kappa))
     np.testing.assert_allclose(phases, expected, rtol=0, atol=1e-12)
 
 
@@ -154,7 +156,7 @@ def test_quadrature_engine_memory_stays_bounded():
 
 
 def test_quadrature_engine_forms_its_superoperator_once():
-    # n = 16 Cauchy: three raw sums over the node blocks and one K + K* per build
+    # n = 16 Cauchy: one Gram sum over the node blocks and one K + K* per build
     # (a superoperator per block of nodes peaked at 66 MiB)
     sf = _state(16, seed=16)
     x = ginibre(16, np.random.default_rng(26))

@@ -255,6 +255,16 @@ def test_stacked_qr_equals_per_member_haar_unitaries():
     )
 
 
+def test_inner_product_is_the_trace_of_the_product(rng):
+    X, Y = (np.stack([ginibre(4, rng) for _ in range(5)]) for _ in range(2))
+    for a, b in ((X, Y), (X, Y[0]), (X[0], Y)):
+        trace = np.trace(dagger(a) @ b, axis1=-2, axis2=-1)
+        np.testing.assert_allclose(hs_inner(a, b), trace, rtol=1e-14)
+    value = hs_inner(X[1], Y[2])
+    assert type(value) is complex
+    assert value == pytest.approx(complex(np.trace(dagger(X[1]) @ Y[2])), rel=1e-14)
+
+
 def test_inner_product_and_embedding_on_stacks(sf3, rng):
     X = np.stack([ginibre(3, rng) for _ in range(4)])
     Y = np.stack([ginibre(3, rng) for _ in range(4)])
