@@ -456,11 +456,6 @@ def _gate_oracle(rec, violations, key, residual, bound):
     rec.gate(key, value, "<", bound)
 
 
-def _hs_norms(X):
-    """Hilbert-Schmidt norm of each member of a stack (k, n, n)."""
-    return np.linalg.norm(X, axis=(-2, -1))
-
-
 def _suite_standard_form(ctx):
     sf = ctx.sf
     rng = np.random.default_rng(ctx.seed)
@@ -472,13 +467,13 @@ def _suite_standard_form(ctx):
     n = sf.dim
     G = ginibre(n, rng, (20, 2))
     a, h = G[:, 0], hermitian_from_ginibre(G[:, 1])
-    worst_embed = float(_hs_norms(symmetric_unembed(sf, symmetric_embed(sf, a)) - a).max())
+    worst_embed = float(hs_norm(symmetric_unembed(sf, symmetric_embed(sf, a)) - a).max())
     plus, minus = jordan_decompose(sf, h)
     worst_jordan = float(max(
-        _hs_norms((plus - minus) - h).max(), np.abs(hs_inner(plus, minus)).max()
+        hs_norm((plus - minus) - h).max(), np.abs(hs_inner(plus, minus)).max()
     ))
     ps = project_order_interval(sf, h)
-    worst_proj = float(_hs_norms(project_order_interval(sf, ps) - ps).max())
+    worst_proj = float(hs_norm(project_order_interval(sf, ps) - ps).max())
     worst_member = max(0.0, -float(min_eigenvalue(np.concatenate([ps, sf.xi0 - ps])).min()))
     rec.gate("embedding_roundtrip", worst_embed, "<", "integral")
     rec.gate("jordan_split", worst_jordan, "<", "algebraic")
@@ -498,13 +493,13 @@ def _suite_modular(ctx):
     a = ginibre_from_normals(W[:, : 2 * n * n].reshape(10, 2, n, n))
     s_t = W[:, -4] + 0.1j * W[:, -3]
     z_t = W[:, -2] + 0.1j * W[:, -1]
-    norms = _hs_norms(a)
+    norms = hs_norm(a)
     lhs = sigma(sf, sigma(sf, a, s_t), z_t)
-    worst_group = float((_hs_norms(lhs - sigma(sf, a, s_t + z_t)) / norms).max())
+    worst_group = float((hs_norm(lhs - sigma(sf, a, s_t + z_t)) / norms).max())
     star = sigma(sf, dagger(a), z_t.conj()) - dagger(sigma(sf, a, z_t))
-    worst_star = float((_hs_norms(star) / norms).max())
+    worst_star = float((hs_norm(star) / norms).max())
     inverse = modular_map(sf, apply_I0(sf, a), T_MAP) - a
-    worst_inverse = float((_hs_norms(inverse) / norms).max())
+    worst_inverse = float((hs_norm(inverse) / norms).max())
     worst_j = float(max(
         (superop_sigma(sf, SuperOperator.commutant_j(x), z)
          - SuperOperator.commutant_j(y)).hs_norm() / norm
@@ -518,8 +513,8 @@ def _suite_modular(ctx):
     def smear_gap():
         X = np.stack(ctx.xs)  # one stack: each route tabulates its transform once
         exact = smear(sf, X, ctx.kernel)
-        gaps = _hs_norms(exact - smear_quadrature(sf, X, ctx.kernel))
-        return float((gaps / np.maximum(_hs_norms(exact), 1e-300)).max())
+        gaps = hs_norm(exact - smear_quadrature(sf, X, ctx.kernel))
+        return float((gaps / np.maximum(hs_norm(exact), 1e-300)).max())
 
     violations = []
     _gate_oracle(rec, violations, "smear_exact_vs_quadrature", smear_gap, "integral")

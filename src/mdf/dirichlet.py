@@ -13,17 +13,20 @@ cone whenever f passes the admissibility checks.
 Two independent engines build H.  Both work in rho-eigenbasis
 coordinates, where the derivation of y in {x, x*} at time t is
 L(A) - R(B) with A = sigma_{t-i/4}(y), B = sigma_{t+i/4}(y) the quarter-
-shifted couplings times the phases e^{i t kappa}, and both end with one
-back-transform to the working basis.
+shifted couplings times the phases e^{i t kappa}.  Both expand the
+weighted node sum of d* d with one helper, :func:`_gram_quadratic`, which
+reads every term off one Hermitian Gram sum of x's orbit stack in
+O(m n^4) for m nodes, forming no n^2 x n^2 derivation, and both end
+with one back-transform to the working basis.  They differ in how they
+integrate over t.
 
 ``exact_spectral``
     Uses the covariance d(t) = U_t d(0) U_t* of the derivations under
     the flow: the double-index entries of the base quadratic
-    G0 = d1(0)* d1(0) + d2(0)* d2(0) pick up the closed-form transform
-    of f at the frequency differences.  G0 itself is a sandwich sum,
-    L(a* a) + R(b b*) - S(a*, b) - S(a, b*) per derivation L(a) - R(b),
-    built in O(n^4).  Exact up to rounding; scales to the full supported
-    dimension range.
+    G0 = d1(0)* d1(0) + d2(0)* d2(0), the helper's sum at the one node
+    t = 0 with weight 1, pick up the closed-form transform of f at the
+    frequency differences.  Exact up to rounding; scales to the full
+    supported dimension range.
 
 ``quadrature``
     Builds the flow orbit A = sigma_{t-i/4}(x) of x literally at every
@@ -31,21 +34,16 @@ back-transform to the working basis.
     times the weight's analytic tail beyond the truncation radius.  The
     flow at node t is rho^{it} ( . ) rho^{-it}, entry (j, k) times
     u_j conj(u_k) with u = e^{i t log p}, a phase that factors by panel,
-    t = mid + offset.  The other orbit is B = sigma_{t+i/4}(x) = A o E
-    entrywise, E = e^{-kappa/2}, and those of x* are the adjoints,
-    sigma_z(y)* = sigma_{conj z}(y*).  d(t)* d(t) is expanded into the
-    sandwich sum of ``exact_spectral``, whose raw sums are all read off
-    one Hermitian Gram sum S = sum w conj(vec A) vec(A)^T: the nodes go
-    in cache-sized blocks, one (n^2 x m)(m x n^2) product each, added up
-    in groups so that the result does not drift with the block size.
-    K + K* and the tail are formed once per build, so the m nodes cost
-    O(m n^4) and no n^2 x n^2 derivation is formed.  Serves as the oracle
-    route for cross-checking the spectral engine, which forms x*'s
-    couplings itself, and is priced for small dims.
+    t = mid + offset.  The nodes go in cache-sized blocks, added up in
+    groups so that the result does not drift with the block size.
+    Serves as the oracle route for cross-checking the spectral engine,
+    and is priced for small dims.
 
 :func:`crosscheck_engines` returns the worst relative gap in spectral
 norm over a scenario's couplings, with one tail transform for all of
-them; the caller's bar decides whether the two agree.
+them; the caller's bar decides whether the two agree.  It compares the
+two transforms, not the shared expansion, which the tests check against
+dense x and x* derivations.
 :func:`verify_boundary_shift` likewise tabulates its two transforms once
 for all the couplings.
 """
@@ -129,36 +127,9 @@ def _resolve_spec(spec, kernel, engine, check_kernel):
     return DirichletSpec(x=spec, kernel=kernel, engine=engine, check_kernel=check_kernel)
 
 
-def _derivation_quadratic(w, A, B):
-    """sum_m w_m d_m* d_m over the derivations d_m = L(A_m) - R(B_m) of stacks (m, n, n).
-
-    With S(a, b): X -> a X b, d* d = L(A* A) + R(B B*) - S(A*, B) - S(A, B*)
-    = K + K* for K = L(A* A / 2) + R(B B* / 2) - S(A*, B).  The sums of
-    A* A and B B* are n x n and the sandwich sum over the m nodes is one
-    :meth:`SuperOperator.sandwich`, O(m n^4); no n^2 x n^2 derivation is formed.
-    """
-    wAc = w[:, None, None] * A.conj()
-    left = np.tensordot(wAc, A, axes=([0, 1], [0, 1]))
-    right = np.tensordot(w[:, None, None] * B, B.conj(), axes=([0, 2], [0, 2]))
-    eye = np.eye(A.shape[-1])
-    K = SuperOperator.sandwich([left / 2, eye], [eye, right / 2])
-    K = K - SuperOperator.sandwich(wAc.swapaxes(1, 2), B)
-    return K + K.adjoint()
-
-
-def _shifted_couplings(sf, x):
-    """sigma_{-i/4}(y) and sigma_{i/4}(y) for y in {x, x*}: two (2, n, n) eigenbasis stacks.
-
-    The flow at z multiplies eigenbasis entry (j, k) by e^{i z kappa_jk}.
-    """
-    ys = sf.to_eigenbasis(np.stack([x, dagger(x)]))
-    quarter = np.exp(sf.kappa / 4.0)
-    return ys * quarter, ys / quarter
-
-
 def _base_quadratic(sf, x):
-    """G0 of :func:`coupling_quadratic` in rho-eigenbasis coordinates."""
-    return _derivation_quadratic(np.ones(2), *_shifted_couplings(sf, x))
+    """G0 of :func:`coupling_quadratic` in rho-eigenbasis coordinates: one node, t = 0, weight 1."""
+    return _gram_quadratic(sf, x, [(np.ones(1), np.ones((1, sf.dim, sf.dim), dtype=complex))])
 
 
 def coupling_quadratic(sf, x):
@@ -211,59 +182,61 @@ class _GroupedSum:
     Each addition to a running total rounds at the total's scale, so a
     plain running sum drifts with the number of terms; summing groups
     first and then the group sums keeps the sum of a rule nearly
-    independent of the blocks it is cut into.
+    independent of the blocks it is cut into.  The sum owns its terms:
+    the first of each group is added to in place.
     """
 
     def __init__(self):
         self.count = self.in_group = 0
-        self.group = self.sum = 0
+        self.group = self.sum = None
 
     def add(self, term):
-        self.group += term
+        self.group = np.add(self.group, term, out=self.group) if self.in_group else term
         self.count += 1
         self.in_group += 1
         if self.in_group**2 >= self.count:
-            self.sum += self.group
-            self.group, self.in_group = 0, 0
+            self.total()
 
     def total(self):
-        self.sum += self.group
-        self.group, self.in_group = 0, 0
+        if self.in_group:
+            self.sum = self.group if self.sum is None else np.add(self.sum, self.group, out=self.sum)
+            self.group, self.in_group = None, 0
         return self.sum
 
 
-def _quadrature_quadratic(sf, x, kernel):
-    """sum_t f(t) w d(t)* d(t) over the panel rule, in eigenbasis coordinates.
+def _gram_quadratic(sf, x, blocks):
+    """sum w d(t)* d(t) over the nodes of ``blocks`` and both of x, x*, in eigenbasis coordinates.
 
-    The orbits of x are A = a o phase and B = A o E, E = e^{-kappa/2}; x*'s
-    are B* and A*.  Every raw sum is read off one Hermitian Gram sum
-    S[p, j, q, k] = sum w conj(A_pj) A_qk, one (n^2 x m)(m x n^2) product
-    per block: sum w A* A is S[p, j, p, k] summed over p, sum w B B* is
-    E_jp E_kp conj(S[j, p, k, p]) summed over p, and S o (1 (x) E) is the
-    matrix of sum w S(A*, B), with S(a, b): X -> a X b; x*'s have their
-    four indices reversed.  d* d = K + K* is formed once from
-    K = L(sum w A* A / 2) + R(sum w B B* / 2) - sum w S(A*, B) over both.
+    ``blocks`` yields (w, phase): node weights and the (m, n, n) stack of
+    phases e^{i t kappa}, written over with x's orbit A = a o phase,
+    a = sigma_{-i/4}(x).  Its other orbit is B = A o E, E = e^{-kappa/2},
+    and x*'s are B* and A*, as sigma_z(y)* = sigma_{conj z}(y*).  With
+    S(a, b): X -> a X b, each d* d is L(A* A) + R(B B*) - S(A*, B) - S(A, B*),
+    all read off the Gram sum S[p, j, q, k] = sum w conj(A_pj) A_qk, one
+    (n^2 x m)(m x n^2) product per block: the L and R terms of x and x* are
+    those of the Hermitian sum w (A* A + B B*), with A* A = S[p, j, p, k] and
+    B B* = E_jp E_kp conj(S[j, p, k, p]) summed over p, and the sandwich
+    terms are G = S o F, F[p, j, q, k] = E_pj + E_qk.  Entry (j, k), (p, q)
+    of H takes -G[p, j, q, k], from S(A*, B) + S(B*, A), and -G[k, q, j, p],
+    from S(B, A*) + S(A, B*).
     """
     n = sf.dim
-    a = _shifted_couplings(sf, x)[0][0]
+    a = sf.to_eigenbasis(x) * np.exp(sf.kappa / 4.0)
     gram = _GroupedSum()
-    for fw, A in _flow_phase_blocks(sf, kernel):
+    for w, A in blocks:
         A *= a
         wAc = np.conjugate(A)
-        wAc *= fw[:, None, None]
+        wAc *= w[:, None, None]
         gram.add(wAc.reshape(-1, n * n).T @ A.reshape(-1, n * n))
     S = gram.total().reshape(n, n, n, n)
     E = np.exp(-sf.kappa / 2.0)
     both = np.einsum("pjpk->jk", S) + np.einsum("jp,kp,jpkp->jk", E, E, S).conj()
-    S *= E
-    K = SuperOperator.sandwich([both / 2, np.eye(n)], [np.eye(n), both / 2])
-    # S[p, j, q, k] is the (j, k), (p, q) entry of sum w S(A*, B), and S[k, q, j, p] is x*'s
-    k = K.mat.reshape(n, n, n, n)
-    k -= S.transpose(1, 3, 0, 2) + S.transpose(2, 0, 3, 1)
-    H = S.reshape(n * n, n * n)  # K + K* goes to the spent buffer of S
-    np.conjugate(K.mat.T, out=H)
-    H += K.mat
-    return SuperOperator(H, n)
+    S *= E[:, :, None, None] + E
+    H = S.transpose(1, 3, 0, 2) + S.transpose(2, 0, 3, 1)
+    np.negative(H, out=H)
+    np.einsum("jkpk->jpk", H)[...] += both[:, :, None]  # L(both)
+    np.einsum("jkjq->jkq", H)[...] += both.T  # R(both)
+    return SuperOperator(H.reshape(n * n, n * n), n)
 
 
 def _tail_transform(sf, kernel):
@@ -279,7 +252,7 @@ def _tail_transform(sf, kernel):
 
 def _quadrature_operator(sf, x, kernel, tail):
     """The quadrature build of x in eigenbasis coordinates, given its :func:`_tail_transform`."""
-    H = _quadrature_quadratic(sf, x, kernel)
+    H = _gram_quadratic(sf, x, _flow_phase_blocks(sf, kernel))
     if tail is not None:
         H.mat += _base_quadratic(sf, x).mat * tail
     return H

@@ -96,7 +96,11 @@ class KernelFunction:
 
     def tail_hat(self, kappa, radius):
         """Analytic value of int_{|t| > radius} f(t) e^{i kappa t} dt; None without ``poles``."""
-        return None if self.poles is None else _pole_tail(kappa, radius, self.poles)
+        if self.poles is None:
+            return None
+        # even in kappa: one evaluation per distinct |kappa|
+        k, where = np.unique(np.abs(np.asarray(kappa, dtype=float)).reshape(-1), return_inverse=True)
+        return _pole_tail(k, radius, self.poles)[where].reshape(np.shape(kappa))
 
     def certificate(self):
         """The :class:`AdmissibilityCertificate`; sampled unless a kernel has a closed form."""

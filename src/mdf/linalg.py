@@ -28,8 +28,8 @@ def hs_inner(X, Y):
 
 
 def hs_norm(X):
-    """Norm induced by the trace inner product (Frobenius norm)."""
-    return float(np.linalg.norm(X, "fro"))
+    """Norm of the trace inner product (Frobenius norm); one per member of a stack (k, n, n)."""
+    return np.linalg.norm(X, axis=(-2, -1)) if np.ndim(X) > 2 else float(np.linalg.norm(X, "fro"))
 
 
 def check_square(A, n=None, what="matrix"):

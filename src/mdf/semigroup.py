@@ -232,7 +232,7 @@ def _settled_gaps(H, etas, energy):
     def decided(index, X, delta):
         nonlocal best
         gap = np.real(hs_inner(X, H.apply(X))) - energy[index]
-        slack = h * delta * (1.0 + np.linalg.norm(X, axis=(-2, -1)))
+        slack = h * delta * (1.0 + hs_norm(X))
         best = max(best, float(np.max(gap - slack, initial=-np.inf)))
         return gap + slack < min(INTERVAL_TOL, best)
 

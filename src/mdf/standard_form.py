@@ -389,7 +389,7 @@ class _IntervalDual(NamedTuple):
         R = xi0 - X - (V * b_p[..., None, :]) @ dagger(V)
         psi = 0.5 * (np.sum(a_p * a_p, axis=-1) + np.sum(b_p * b_p, axis=-1))
         psi -= np.einsum("kij,ij->k", w.view(float), xi0.view(float))
-        return cls(X, np.linalg.norm(R, axis=(-2, -1)), R, psi, a, U, b, V)
+        return cls(X, hs_norm(R), R, psi, a, U, b, V)
 
 
 def _distance_bound(sf, eta, at):
@@ -401,7 +401,7 @@ def _distance_bound(sf, eta, at):
     X, xi0, n, eps = at.X, sf.xi0, sf.dim, np.finfo(float).eps
     r = sf.rho_power(-0.25)
     top = np.linalg.eigvalsh(r @ X @ r)[:, -1]
-    norm_x = np.linalg.norm(X, axis=(-2, -1))
+    norm_x = hs_norm(X)
     c = np.maximum(top - 1.0 + 4 * n * eps * (np.abs(top) + norm_x / np.sqrt(sf.eigenvalues[-1])), 0.0)
     E = X / (1.0 + c)[:, None, None] - eta
     primal = _real_inner(E, E)

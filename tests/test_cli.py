@@ -588,28 +588,34 @@ def test_each_pole_tail_is_computed_once_per_scenario(monkeypatch):
     assert len(calls) == len(set(calls)) == 3
 
 
-def test_the_crosscheck_sees_a_defect_in_the_exact_builds_adjoint_orbits(
-    tmp_path, monkeypatch, capsys
-):
-    """The quadrature engine derives x*'s orbits from x's; an exact build whose x* shifted
-    couplings are off by 1e-6 still fails the cross-check.  For a Hermitian coupling
-    every other gate holds, so the summary names the cross-check."""
-    real = dirichlet._shifted_couplings
+def test_a_defect_in_the_shared_adjoint_half_fails_the_run(tmp_path, monkeypatch, capsys):
+    """Both engines expand d* d in one helper, so the engine cross-check cannot see a defect
+    there.  Scaled by 1 + 1e-6 in every build, the sandwich half in the second index order,
+    -w (S(B, A*) + S(A, B*)) with x*'s S(B, A*), still fails the run: the
+    decomposition and H xi0 gates see it."""
+    real = dirichlet._gram_quadratic
 
-    def skewed(sf, x):
-        a, b = real(sf, x)
-        a[1] *= 1 + 1e-6
-        b[1] *= 1 + 1e-6
-        return a, b
+    def skewed(sf, x, blocks):
+        w, phase = (np.concatenate(part) for part in zip(*blocks))
+        H = real(sf, x, [(w, phase.copy())])
+        A = phase * sf.to_eigenbasis(x) * np.exp(sf.kappa / 4)
+        B = A * np.exp(-sf.kappa / 2)
+        wA, wB = (w[:, None, None] * M for M in (A, B))
+        H.mat -= 1e-6 * (SuperOperator.sandwich(wB, dagger(A))
+                         + SuperOperator.sandwich(wA, dagger(B))).mat
+        return H
 
-    monkeypatch.setattr(dirichlet, "_shifted_couplings", skewed)
+    monkeypatch.setattr(dirichlet, "_gram_quadratic", skewed)
     p = tmp_path / "s.json"
-    p.write_text(json.dumps(_cauchy_scenario(1, 4, "hermitian")))
-    report, code = run_scenario(str(p), out=str(tmp_path / "r.json"), suites=["dirichlet"])
+    p.write_text(json.dumps(generate_scenario(1, 4, "balanced_pair")))
+    report, code = run_scenario(str(p), out=str(tmp_path / "r.json"))
     assert code == 1
-    suite = report["suites"]["dirichlet"]
-    assert suite["residuals"]["engine_crosscheck"] > cli.TOLERANCES["cross_engine"]
-    assert "[FAIL] dirichlet  failing engine_crosscheck" in capsys.readouterr().out
+    suites = report["suites"]
+    assert suites["dirichlet"]["residuals"]["engine_crosscheck"] < cli.TOLERANCES["cross_engine"]
+    assert suites["lindblad"]["residuals"]["dirichlet_decomposition"] > cli.TOLERANCES["decomposition"]
+    out = capsys.readouterr().out
+    assert "[FAIL] dirichlet  failing x0_h_xi0_residual" in out
+    assert "[FAIL] lindblad  failing dirichlet_decomposition" in out
 
 
 def test_the_two_level_gibbs_state_at_beta_14_passes_every_suite(tmp_path):

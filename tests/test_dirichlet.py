@@ -9,6 +9,8 @@ The oracles here are independent of the library's assembly route:
   form in terms of left/right/sandwich multipliers.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -137,7 +139,7 @@ def dense_coupling_quadratic(sf, x):
     return G0
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_coupling_quadratic_matches_the_dense_composition(n, rng):
     g = ginibre(n, rng)
     rho = g @ dagger(g) + 0.2 * np.eye(n)
@@ -146,6 +148,21 @@ def test_coupling_quadratic_matches_the_dense_composition(n, rng):
     dense = dense_coupling_quadratic(sf, x)
     gap = np.max(np.abs(coupling_quadratic(sf, x).mat - dense))
     assert gap <= 1e-13 * max(1.0, np.max(np.abs(dense)))
+
+
+def test_base_quadratic_memory_stays_bounded(rng):
+    # n = 32: the 16 MiB result and the Gram sum it is written from (K - sandwich
+    # and K + K* as fresh n^4 arrays peaked at 48.3 MiB)
+    g = ginibre(32, rng)
+    sf = build_standard_form(g @ dagger(g) / np.trace(g @ dagger(g)).real)
+    x = ginibre(32, rng)
+    tracemalloc.start()
+    try:
+        dirichlet._base_quadratic(sf, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 @pytest.mark.parametrize(

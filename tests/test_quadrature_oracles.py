@@ -156,7 +156,7 @@ def test_quadrature_engine_memory_stays_bounded():
 
 
 def test_quadrature_engine_forms_its_superoperator_once():
-    # n = 16 Cauchy: one Gram sum over the node blocks and one K + K* per build
+    # n = 16 Cauchy: one Gram sum over the node blocks, H written from it directly
     # (a superoperator per block of nodes peaked at 66 MiB)
     sf = _state(16, seed=16)
     x = ginibre(16, np.random.default_rng(26))
@@ -387,6 +387,18 @@ def test_pole_tail_does_not_depend_on_its_blocks(monkeypatch):
     whole = kernels._pole_tail(k, 64.0, poles)
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 1)  # one kappa, all poles, per block
     np.testing.assert_array_equal(kernels._pole_tail(k, 64.0, poles), whole)
+
+
+@pytest.mark.parametrize("kernel", [CauchyKernel(1.0), BoundaryCombination(CauchyKernel(1.0))],
+                         ids=["cauchy", "boundary"])
+def test_tail_on_a_grid_is_the_pole_tail_of_every_entry(kernel):
+    # n = 8: 4,096 grid entries, each distinct |nu| evaluated once
+    nu = _state(8, seed=18).superop_frequencies
+    assert np.unique(np.abs(nu)).size < nu.size / 2
+    T = kernel.quadrature_radius()
+    np.testing.assert_array_equal(
+        kernel.tail_hat(nu, T), kernels._pole_tail(nu.reshape(-1), T, kernel.poles).reshape(nu.shape)
+    )
 
 
 #: (w, E1(w)) at 40 digits (mpmath 1.3.0, rounded to double)
