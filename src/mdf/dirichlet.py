@@ -14,36 +14,36 @@ Two independent engines build H.  Both work in rho-eigenbasis
 coordinates, where the derivation of y in {x, x*} at time t is
 L(A) - R(B) with A = sigma_{t-i/4}(y), B = sigma_{t+i/4}(y) the quarter-
 shifted couplings times the phases e^{i t kappa}.  Both expand the
-weighted node sum of d* d with one helper, :func:`_gram_quadratic`, which
-reads every term off one Hermitian Gram sum of x's orbit stack in
-O(m n^4) for m nodes, forming no n^2 x n^2 derivation, and both end
-with one back-transform to the working basis.  They differ in how they
-integrate over t.
+weighted integral of d* d with one helper, :func:`_gram_quadratic`,
+which reads every term off one Hermitian Gram sum of x's orbits in
+O(n^4), forming no n^2 x n^2 derivation, and both end with one
+back-transform to the working basis.  They differ in how they integrate
+over t, and at which indices they read the transform of f.
 
 ``exact_spectral``
     Uses the covariance d(t) = U_t d(0) U_t* of the derivations under
     the flow: the double-index entries of the base quadratic
-    G0 = d1(0)* d1(0) + d2(0)* d2(0), the helper's sum at the one node
-    t = 0 with weight 1, pick up the closed-form transform of f at the
-    frequency differences.  Exact up to rounding; scales to the full
+    G0 = d1(0)* d1(0) + d2(0)* d2(0), the helper's sum with no weight,
+    pick up the closed-form transform of f at H's frequency differences,
+    indices (j, k), (p, q).  Exact up to rounding; scales to the full
     supported dimension range.
 
 ``quadrature``
-    Builds the flow orbit A = sigma_{t-i/4}(x) of x literally at every
-    node of a fixed panel rule and accumulates f(t) d(t)* d(t), adding G0
-    times the weight's analytic tail beyond the truncation radius.  The
-    flow at node t is rho^{it} ( . ) rho^{-it}, entry (j, k) times
-    u_j conj(u_k) with u = e^{i t log p}, a phase that factors by panel,
-    t = mid + offset.  The nodes go in cache-sized blocks, added up in
-    groups so that the result does not drift with the block size.
-    Serves as the oracle route for cross-checking the spectral engine,
-    and is priced for small dims.
+    Integrates the Gram sum itself over the panel rule: its entry
+    conj(a_pj) a_qk picks up sum f(t) w e^{i t (kappa_qk - kappa_pj)},
+    which is ``hat_quadrature`` on the frequency grid, read at the Gram
+    sum's indices (p, j), (q, k), before the sum's transposes into H.
+    That transform is the panel quadrature of f with its analytic tail,
+    and it refuses a rule that halving the panels moves.  Serves as the
+    oracle route for cross-checking the spectral engine; it costs one
+    transform per distinct |nu| of the n^4 grid, on two panel rules.
 
 :func:`crosscheck_engines` returns the worst relative gap in spectral
-norm over a scenario's couplings, with one tail transform for all of
+norm over a scenario's couplings, with one quadrature table for all of
 them; the caller's bar decides whether the two agree.  It compares the
-two transforms, not the shared expansion, which the tests check against
-dense x and x* derivations.
+two transforms and the indices at which each engine reads its own, not
+the shared expansion, which the tests check against dense x and x*
+derivations and against literal per-node orbits.
 :func:`verify_boundary_shift` likewise tabulates its two transforms once
 for all the couplings.
 """
@@ -53,14 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAdmissible
-from .kernels import (
-    _CHUNK_ENTRIES,
-    PANEL_NODES,
-    PANEL_WIDTH,
-    BoundaryCombination,
-    F0Kernel,
-    _panel_rule,
-)
+from .kernels import BoundaryCombination, F0Kernel
 from .linalg import (
     check_square,
     dagger,
@@ -127,9 +120,39 @@ def _resolve_spec(spec, kernel, engine, check_kernel):
     return DirichletSpec(x=spec, kernel=kernel, engine=engine, check_kernel=check_kernel)
 
 
-def _base_quadratic(sf, x):
-    """G0 of :func:`coupling_quadratic` in rho-eigenbasis coordinates: one node, t = 0, weight 1."""
-    return _gram_quadratic(sf, x, [(np.ones(1), np.ones((1, sf.dim, sf.dim), dtype=complex))])
+def _gram_quadratic(sf, x, weight=None):
+    """int f(t) d(t)* d(t) dt over x and x*, in eigenbasis coordinates, from f's transform.
+
+    The orbits of x are A = a o e^{i t kappa}, a = sigma_{-i/4}(x), and
+    B = A o E, E = e^{-kappa/2}; x*'s are B* and A*, as
+    sigma_z(y)* = sigma_{conj z}(y*).  With S(a, b): X -> a X b, each
+    d* d is L(A* A) + R(B B*) - S(A*, B) - S(A, B*), all read off the Gram
+    sum S[p, j, q, k] = int f(t) conj(A_pj) A_qk dt = conj(a_pj) a_qk W,
+    W the transform of f at kappa_qk - kappa_pj.  ``weight`` is that
+    transform on ``sf.superop_frequencies``, read here at the Gram sum's
+    indices (p, j), (q, k) (f is even, so the sign of the grid does not
+    matter); None means W = 1, the one node t = 0, which gives G0.  The L
+    and R terms of x and x* are those of the Hermitian sum A* A + B B*,
+    with A* A = S[p, j, p, k] and B B* = E_jp E_kp conj(S[j, p, k, p])
+    summed over p, and the sandwich terms are G = S o F,
+    F[p, j, q, k] = E_pj + E_qk.  Entry (j, k), (p, q) of H takes
+    -G[p, j, q, k], from S(A*, B) + S(B*, A), and -G[k, q, j, p], from
+    S(B, A*) + S(A, B*).
+    """
+    n = sf.dim
+    a = (sf.to_eigenbasis(x) * np.exp(sf.kappa / 4.0)).reshape(-1)
+    S = np.multiply.outer(a.conj(), a)
+    if weight is not None:
+        S *= weight
+    S = S.reshape(n, n, n, n)
+    E = np.exp(-sf.kappa / 2.0)
+    both = np.einsum("pjpk->jk", S) + np.einsum("jp,kp,jpkp->jk", E, E, S).conj()
+    S *= E[:, :, None, None] + E
+    H = S.transpose(1, 3, 0, 2) + S.transpose(2, 0, 3, 1)
+    np.negative(H, out=H)
+    np.einsum("jkpk->jpk", H)[...] += both[:, :, None]  # L(both)
+    np.einsum("jkjq->jkq", H)[...] += both.T  # R(both)
+    return SuperOperator(H.reshape(n * n, n * n), n)
 
 
 def coupling_quadratic(sf, x):
@@ -137,7 +160,7 @@ def coupling_quadratic(sf, x):
 
     d(0) = L(sigma_{-i/4}(y)) - R(sigma_{i/4}(y)) for y in {x, x*}, in eigenbasis coordinates.
     """
-    return sf.superop_from_eigenbasis(_base_quadratic(sf, x))
+    return sf.superop_from_eigenbasis(_gram_quadratic(sf, x))
 
 
 def split_self_adjoint(x):
@@ -151,111 +174,6 @@ def split_self_adjoint(x):
     x1 = (x + dagger(x)) / np.sqrt(2.0)
     x2 = 1j * (x - dagger(x)) / np.sqrt(2.0)
     return x1, x2
-
-
-def _flow_phase_blocks(sf, kernel):
-    """The panel rule of ``kernel`` with the flow phases at its nodes, in blocks of nodes.
-
-    Yields (fw, phase) per block of m nodes t: the weights f(t) w and the
-    node-major (m, n, n) stack of phases e^{i t kappa_jk} = u_j conj(u_k),
-    u = e^{i t log p}.  The phase factors by panel (t = mid + offset, see
-    ``_PanelRule``), so the rule costs (P + J) n exponentials.  The two
-    (m, n, n) stacks of a block hold half of ``_CHUNK_ENTRIES`` entries.
-    """
-    rule = _panel_rule(kernel.quadrature_radius(), PANEL_WIDTH, PANEL_NODES)
-    fw = rule.w * kernel.eval(rule.t)
-    n, J = sf.dim, rule.offset.size
-    log_p = np.log(sf.eigenvalues)
-    u_panel, u_offset = (np.exp(1j * np.multiply.outer(s, log_p)) for s in (rule.mid, rule.offset))
-    by_offset = u_offset[:, :, None] * u_offset[:, None, :].conj()
-    block = max(1, _CHUNK_ENTRIES // (4 * n * n))
-    for lo in range(0, fw.size, block):
-        hi, first = min(lo + block, fw.size), lo // J
-        u = u_panel[first : -(-hi // J), None]
-        phase = (u[..., :, None] * u[..., None, :].conj() * by_offset).reshape(-1, n, n)
-        yield fw[lo:hi], phase[lo - first * J : hi - first * J]
-
-
-class _GroupedSum:
-    """Running sum of arrays, added up in groups of about sqrt(count) terms.
-
-    Each addition to a running total rounds at the total's scale, so a
-    plain running sum drifts with the number of terms; summing groups
-    first and then the group sums keeps the sum of a rule nearly
-    independent of the blocks it is cut into.  The sum owns its terms:
-    the first of each group is added to in place.
-    """
-
-    def __init__(self):
-        self.count = self.in_group = 0
-        self.group = self.sum = None
-
-    def add(self, term):
-        self.group = np.add(self.group, term, out=self.group) if self.in_group else term
-        self.count += 1
-        self.in_group += 1
-        if self.in_group**2 >= self.count:
-            self.total()
-
-    def total(self):
-        if self.in_group:
-            self.sum = self.group if self.sum is None else np.add(self.sum, self.group, out=self.sum)
-            self.group, self.in_group = None, 0
-        return self.sum
-
-
-def _gram_quadratic(sf, x, blocks):
-    """sum w d(t)* d(t) over the nodes of ``blocks`` and both of x, x*, in eigenbasis coordinates.
-
-    ``blocks`` yields (w, phase): node weights and the (m, n, n) stack of
-    phases e^{i t kappa}, written over with x's orbit A = a o phase,
-    a = sigma_{-i/4}(x).  Its other orbit is B = A o E, E = e^{-kappa/2},
-    and x*'s are B* and A*, as sigma_z(y)* = sigma_{conj z}(y*).  With
-    S(a, b): X -> a X b, each d* d is L(A* A) + R(B B*) - S(A*, B) - S(A, B*),
-    all read off the Gram sum S[p, j, q, k] = sum w conj(A_pj) A_qk, one
-    (n^2 x m)(m x n^2) product per block: the L and R terms of x and x* are
-    those of the Hermitian sum w (A* A + B B*), with A* A = S[p, j, p, k] and
-    B B* = E_jp E_kp conj(S[j, p, k, p]) summed over p, and the sandwich
-    terms are G = S o F, F[p, j, q, k] = E_pj + E_qk.  Entry (j, k), (p, q)
-    of H takes -G[p, j, q, k], from S(A*, B) + S(B*, A), and -G[k, q, j, p],
-    from S(B, A*) + S(A, B*).
-    """
-    n = sf.dim
-    a = sf.to_eigenbasis(x) * np.exp(sf.kappa / 4.0)
-    gram = _GroupedSum()
-    for w, A in blocks:
-        A *= a
-        wAc = np.conjugate(A)
-        wAc *= w[:, None, None]
-        gram.add(wAc.reshape(-1, n * n).T @ A.reshape(-1, n * n))
-    S = gram.total().reshape(n, n, n, n)
-    E = np.exp(-sf.kappa / 2.0)
-    both = np.einsum("pjpk->jk", S) + np.einsum("jp,kp,jpkp->jk", E, E, S).conj()
-    S *= E[:, :, None, None] + E
-    H = S.transpose(1, 3, 0, 2) + S.transpose(2, 0, 3, 1)
-    np.negative(H, out=H)
-    np.einsum("jkpk->jpk", H)[...] += both[:, :, None]  # L(both)
-    np.einsum("jkjq->jkq", H)[...] += both.T  # R(both)
-    return SuperOperator(H.reshape(n * n, n * n), n)
-
-
-def _tail_transform(sf, kernel):
-    """The weight's analytic transform past the truncation radius on the frequency grid, or None.
-
-    Past the radius the integrand is the exact flow orbit of the base
-    quadratic G0, so the tail of the weighted quadratic is G0 times this
-    entrywise; weights without one (fast-decaying, radius for ~1e-13
-    mass) give None.
-    """
-    return kernel.tail_hat(sf.superop_frequencies, kernel.quadrature_radius())
-
-
-def _quadrature_operator(sf, x, kernel, tail):
-    """The quadrature build of x in eigenbasis coordinates, given its :func:`_tail_transform`."""
-    H = _gram_quadratic(sf, x, _flow_phase_blocks(sf, kernel))
-    if tail is not None:
-        H.mat += _base_quadratic(sf, x).mat * tail
-    return H
 
 
 def dirichlet_operator(sf, spec, kernel=None, engine=ENGINE_EXACT, check_kernel=True):
@@ -275,23 +193,23 @@ def dirichlet_operator(sf, spec, kernel=None, engine=ENGINE_EXACT, check_kernel=
     spec = _resolve_spec(spec, kernel, engine, check_kernel)
     x = check_square(spec.x, sf.dim, "coupling")
     if spec.engine == ENGINE_EXACT:
-        G0 = _base_quadratic(sf, x)
+        G0 = _gram_quadratic(sf, x)
         G0.mat *= spec.kernel.hat(sf.superop_frequencies)
         return sf.superop_from_eigenbasis(G0)
-    tail = _tail_transform(sf, spec.kernel)
-    return sf.superop_from_eigenbasis(_quadrature_operator(sf, x, spec.kernel, tail))
+    weight = spec.kernel.hat_quadrature(sf.superop_frequencies)
+    return sf.superop_from_eigenbasis(_gram_quadratic(sf, x, weight))
 
 
 def crosscheck_engines(sf, parts, xs, kernel):
     """Worst relative spectral-norm gap of the exact builds ``parts`` of ``xs`` to quadrature builds.
 
     ``parts`` were built from the same kernel, so the quadrature builds do
-    not certify it again, and they share one tail transform.  A large gap
-    means one of the two independent assembly routes is wrong.
+    not certify it again, and they share one ``hat_quadrature`` table.  A
+    large gap means one of the two independent assembly routes is wrong.
     """
-    tail = _tail_transform(sf, kernel)
+    weight = kernel.hat_quadrature(sf.superop_frequencies)
     return max(
-        (He - sf.superop_from_eigenbasis(_quadrature_operator(sf, x, kernel, tail))).norm()
+        (He - sf.superop_from_eigenbasis(_gram_quadratic(sf, x, weight))).norm()
         / max(He.norm(), 1e-300)
         for He, x in zip(parts, xs)
     )

@@ -15,13 +15,13 @@ tail correction for slowly decaying kernels).  Its integrand is even in
 t, so it is evaluated on the rule's positive half with doubled weights.
 The cached :func:`_panel_rule` also exposes the panels: a node is
 t = mid_p + offset_j, so e^{i t k} = e^{i mid_p k} e^{i offset_j k}, and
-both ``hat_quadrature`` and the quadrature engine of ``dirichlet`` take
-P + J exponentials per frequency where one per node would take P J.
-Integrands over many nodes, here and in the quadrature engine of
-``dirichlet``, go in blocks of ``_CHUNK_ENTRIES`` (~256K) entries, small
-enough that a block's temporaries stay in cache.  The quadrature route is
-deliberately independent so it can serve as an oracle for the closed
-forms, and vice versa; the smear oracles of ``modular`` are multipliers
+``hat_quadrature`` takes P + J exponentials per frequency where one per
+node would take P J.  Its integrands over many frequencies, and the pole
+tails over many poles, go in blocks of ``_CHUNK_ENTRIES`` (~256K)
+entries, small enough that a block's temporaries stay in cache.  The
+quadrature route is deliberately independent so it can serve as an
+oracle for the closed forms, and vice versa; the smear oracles of
+``modular`` and the quadrature engine of ``dirichlet`` are multipliers
 by ``hat_quadrature``.  The tail has one formula, :func:`_pole_tail`, read
 from the ``poles`` a kernel declares: (b, c) with f = (1/2 pi i) sum c / (t - i b).
 Its exponential integral is :func:`_exp1`, in numpy: the package needs no scipy.
@@ -46,8 +46,8 @@ PANEL_NODES = 64
 
 QUAD_REL_TARGET = 1e-9
 
-#: node-chunked integrands are sized to hold ~256K entries (4 MiB complex) at a time,
-#: a block that stays in cache
+#: chunked integrands and pole tails are sized to hold ~256K entries (4 MiB complex) at a
+#: time, a block that stays in cache
 _CHUNK_ENTRIES = 1 << 18
 
 
@@ -125,7 +125,9 @@ class KernelFunction:
         before the large ones.  The transform is even in kappa, so each
         distinct |kappa| is integrated once, in chunks whose four P x K
         temporaries hold ``_CHUNK_ENTRIES`` entries in all.  The panel
-        width is halved once as a convergence check.
+        width is halved once as a convergence check, the change measured
+        against the larger of the truncated integral and the returned
+        value: with a tail, the truncated part alone can nearly cancel.
         """
         kappa = np.asarray(kappa, dtype=float)
         T = self.quadrature_radius()
@@ -152,16 +154,15 @@ class KernelFunction:
 
         coarse = run(PANEL_WIDTH)
         fine = run(PANEL_WIDTH / 2)
-        scale = np.maximum(np.abs(fine), 1e-30)
+        tail = self.tail_hat(k, T)
+        whole = fine if tail is None else fine + tail
+        scale = np.maximum(np.maximum(np.abs(fine), np.abs(whole)), 1e-30)
         if np.max(np.abs(fine - coarse) / scale) > QUAD_REL_TARGET:
             raise QuadratureNotConverged(
                 f"panel refinement changed the {self.name} transform by more "
                 f"than {QUAD_REL_TARGET}"
             )
-        tail = self.tail_hat(k, T)
-        if tail is not None:
-            fine = fine + tail
-        out = fine[where].reshape(kappa.shape)
+        out = whole[where].reshape(kappa.shape)
         return out if out.ndim else float(out)
 
     def _grow_truncation(self):

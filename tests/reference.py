@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from mdf import dirichlet, semigroup
-from mdf.dirichlet import ENGINE_EXACT, _base_quadratic, _resolve_spec, dirichlet_operator
+from mdf import kernels, semigroup
+from mdf.dirichlet import ENGINE_EXACT, _gram_quadratic, _resolve_spec, dirichlet_operator
 from mdf.kernels import PANEL_NODES, PANEL_WIDTH, _panel_rule
 from mdf.linalg import check_square, dagger, hs_inner
 from mdf.lindblad import (
@@ -82,7 +82,7 @@ def form_eval(sf, spec, eta, xi, kernel=None, engine=ENGINE_EXACT, check_kernel=
     radius = spec.kernel.quadrature_radius()
     rule = _panel_rule(radius, PANEL_WIDTH, PANEL_NODES)
     fw = rule.w * spec.kernel.eval(rule.t)
-    block = max(1, dirichlet._CHUNK_ENTRIES // (8 * sf.dim**2))
+    block = max(1, kernels._CHUNK_ENTRIES // (8 * sf.dim**2))
     total = 0j
     for lo in range(0, fw.size, block):
         for y in (x, dagger(x)):
@@ -92,7 +92,7 @@ def form_eval(sf, spec, eta, xi, kernel=None, engine=ENGINE_EXACT, check_kernel=
             total += np.einsum("m,ijm,ijm->", fw[lo : lo + block], d_eta.conj(), d_xi)
     tail = spec.kernel.tail_hat(sf.superop_frequencies, radius)
     if tail is not None:
-        G0 = _base_quadratic(sf, x)
+        G0 = _gram_quadratic(sf, x)
         total += hs_inner(eta_eig, SuperOperator(G0.mat * tail, sf.dim).apply(xi_eig))
     return complex(total)
 

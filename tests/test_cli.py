@@ -591,18 +591,17 @@ def test_each_pole_tail_is_computed_once_per_scenario(monkeypatch):
 def test_a_defect_in_the_shared_adjoint_half_fails_the_run(tmp_path, monkeypatch, capsys):
     """Both engines expand d* d in one helper, so the engine cross-check cannot see a defect
     there.  Scaled by 1 + 1e-6 in every build, the sandwich half in the second index order,
-    -w (S(B, A*) + S(A, B*)) with x*'s S(B, A*), still fails the run: the
-    decomposition and H xi0 gates see it."""
+    -(S(B, A*) + S(A, B*)) with x*'s S(B, A*), still fails the run: the
+    decomposition and H xi0 gates see it.  Its entry (j, k), (p, q) has the frequency
+    kappa_jk - kappa_pq, so a quadrature build weights it by the table at those indices."""
     real = dirichlet._gram_quadratic
 
-    def skewed(sf, x, blocks):
-        w, phase = (np.concatenate(part) for part in zip(*blocks))
-        H = real(sf, x, [(w, phase.copy())])
-        A = phase * sf.to_eigenbasis(x) * np.exp(sf.kappa / 4)
-        B = A * np.exp(-sf.kappa / 2)
-        wA, wB = (w[:, None, None] * M for M in (A, B))
-        H.mat -= 1e-6 * (SuperOperator.sandwich(wB, dagger(A))
-                         + SuperOperator.sandwich(wA, dagger(B))).mat
+    def skewed(sf, x, weight=None):
+        H = real(sf, x, weight)
+        a = sf.to_eigenbasis(x) * np.exp(sf.kappa / 4)
+        b = a * np.exp(-sf.kappa / 2)
+        half = (SuperOperator.sandwich(b, dagger(a)) + SuperOperator.sandwich(a, dagger(b))).mat
+        H.mat -= 1e-6 * (half if weight is None else half * weight)
         return H
 
     monkeypatch.setattr(dirichlet, "_gram_quadratic", skewed)
@@ -632,12 +631,13 @@ def test_the_two_level_gibbs_state_at_beta_14_passes_every_suite(tmp_path):
 def test_the_engine_crosscheck_reads_the_scenario_bar(monkeypatch, tolerance, passed):
     """A 1e-5 engine gap is the residual either way: the pinned cross_engine bar (1e-7)
     fails it, patched to 1e-3 it passes."""
-    real = dirichlet._quadrature_operator
+    real = dirichlet._gram_quadratic
 
-    def skewed(sf, x, kernel, tail):
-        return (1 + 1e-5) * real(sf, x, kernel, tail)
+    def skewed(sf, x, weight=None):
+        # the quadrature engine's table, not the exact engine's G0
+        return real(sf, x, None if weight is None else (1 + 1e-5) * weight)
 
-    monkeypatch.setattr(dirichlet, "_quadrature_operator", skewed)  # a 1e-5 engine gap
+    monkeypatch.setattr(dirichlet, "_gram_quadratic", skewed)  # a 1e-5 engine gap
     if tolerance is not None:
         monkeypatch.setitem(cli.TOLERANCES, "cross_engine", tolerance)
     scenario = parse_scenario(_minimal(suites=["dirichlet"]))
@@ -645,6 +645,29 @@ def test_the_engine_crosscheck_reads_the_scenario_bar(monkeypatch, tolerance, pa
     assert suite["passed"] == passed
     assert suite["residuals"]["engine_crosscheck"] == pytest.approx(1e-5, rel=1e-3)
     assert suite["violations"] == []
+
+
+@pytest.mark.parametrize("method", ["hat", "hat_quadrature"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_frequency_layout_fault_in_either_engine_fails_the_crosscheck(monkeypatch, n, method):
+    """The exact engine reads f's ``hat`` at H's indices (j, k), (p, q); the quadrature
+    engine reads ``hat_quadrature`` at the Gram sum's (p, j), (q, k).  Either table read
+    with its first index pair swapped, (p, j) as (j, p), drives the cross-check over its
+    bar.  Grids other than the n^2 x n^2 one (the smear oracle's kappa) are left alone."""
+    real = getattr(kernels.F0Kernel, method)
+
+    def swapped(self, kappa):
+        grid = np.asarray(kappa, dtype=float)
+        if grid.shape == (n * n, n * n):
+            grid = grid.reshape(n, n, n, n).transpose(1, 0, 2, 3).reshape(n * n, n * n)
+        return real(self, grid)
+
+    monkeypatch.setattr(kernels.F0Kernel, method, swapped)
+    obj = generate_scenario(1, n, "balanced_pair")
+    obj["suites"] = ["dirichlet"]
+    suite = run_scenario_object(parse_scenario(obj))["suites"]["dirichlet"]
+    assert not suite["passed"]
+    assert suite["residuals"]["engine_crosscheck"] > 1e3 * cli.TOLERANCES["cross_engine"]
 
 
 def test_the_consistency_gate_reads_the_integral_bar(monkeypatch):

@@ -158,7 +158,7 @@ def test_base_quadratic_memory_stays_bounded(rng):
     x = ginibre(32, rng)
     tracemalloc.start()
     try:
-        dirichlet._base_quadratic(sf, x)
+        dirichlet._gram_quadratic(sf, x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,9 +1,10 @@
 """The t-quadrature oracles against their literal per-node forms.
 
 The quadrature engine of :func:`dirichlet_operator` reads d(t)* d(t)
-off one Gram sum of x's orbits over blocks of nodes instead of forming
-d(t) at every node, and ``hat_quadrature`` integrates each distinct
-|kappa| once, on the positive half of its rule.  The references below are the literal
+off one Gram sum of x's orbits, each entry weighted by ``hat_quadrature``
+at its frequency, instead of forming d(t) at every node, and
+``hat_quadrature`` integrates each distinct |kappa| once, on the
+positive half of its rule.  The references below are the literal
 routes: the dense n^2 x n^2 derivation D(t) = L(A) - R(B) at every
 node, the transform on the whole rule over [-T, T] for every grid
 entry, and one transform call per grid entry.  ``smear_quadrature`` and
@@ -15,7 +16,6 @@ and, where k |b| passes 700 and it switches to the scaled e^w E1(w),
 against the closed-form transforms.
 """
 
-import itertools
 import json
 import tracemalloc
 
@@ -35,7 +35,7 @@ from mdf import (
     smear_quadrature,
     tracial_state,
 )
-from mdf import dirichlet, kernels
+from mdf import kernels
 from mdf.cli import corpus_paths, generate_scenario, parse_scenario
 from mdf.dirichlet import ENGINE_QUADRATURE, coupling_quadratic
 from mdf.kernels import PANEL_NODES, PANEL_WIDTH, QUAD_REL_TARGET, _panel_rule
@@ -111,39 +111,30 @@ def test_quadrature_engine_matches_the_dense_reference(n, name):
     assert _rel_gap(H, dense_quadrature_reference(sf, x, kernel), x) <= 1e-13
 
 
-def test_quadrature_engine_does_not_depend_on_the_node_chunks(monkeypatch, sf3, rng):
-    # blocks of one node, of seven (below a panel, no divisor of a panel's 64 nodes), of 2.5
-    # panels (across panel edges) and the whole rule of 16,384 Cauchy nodes
-    x, kernel = ginibre(3, rng), CauchyKernel(scale=1.0)
-    builds = []
-    for nodes in (1, 7, 160, 16384):
-        monkeypatch.setattr(dirichlet, "_CHUNK_ENTRIES", 4 * 9 * nodes)
-        assert max(len(fw) for fw, _ in dirichlet._flow_phase_blocks(sf3, kernel)) == nodes
-        builds.append(dirichlet_operator(sf3, x, kernel, ENGINE_QUADRATURE))
-    for H, ref in itertools.combinations(builds, 2):
-        assert _rel_gap(H, ref, x) <= 1e-15
-
-
-def test_flow_phases_are_the_modular_exponents_far_out(monkeypatch):
-    # p_min = 1.2e-8 (the faithfulness floor is 1e-8): at |t| = 64, t log p is near 1200 rad;
-    # the phases are factored by panel, node by node, in blocks that cut panels (100 nodes)
+def test_flow_phases_are_the_modular_exponents_far_out():
+    # p_min = 1.2e-8 (the faithfulness floor is 1e-8): |nu| reaches 2 log(p_max / p_min), near
+    # 36.5, so at |t| = 64 t nu is near 2300 rad.  The table the engine reads, its phases
+    # factored by panel, matches one cosine per node entrywise, and the build matches the
+    # literal per-node orbits of the dense reference
     U = _state(3, seed=3).eigenvectors
     sf = build_standard_form(U @ np.diag([1.0 - 1e-3 - 1.2e-8, 1e-3, 1.2e-8]) @ dagger(U))
     assert sf.eigenvalues.min() == pytest.approx(1.2e-8, rel=1e-6)
     kernel = CauchyKernel(scale=1.0)
-    monkeypatch.setattr(dirichlet, "_CHUNK_ENTRIES", 4 * 9 * 100)
-    blocks = list(dirichlet._flow_phase_blocks(sf, kernel))
-    fw, phases = (np.concatenate(part) for part in zip(*blocks))
     rule = _panel_rule(kernel.quadrature_radius(), PANEL_WIDTH, PANEL_NODES)
     assert np.abs(rule.t).max() > 63.99
-    np.testing.assert_array_equal(fw, rule.w * kernel.eval(rule.t))
-    expected = np.exp(1j * np.multiply.outer(rule.t, sf.kappa))
-    np.testing.assert_allclose(phases, expected, rtol=0, atol=1e-12)
+    grid = sf.superop_frequencies
+    assert np.abs(grid).max() > 36.4
+    ref = cosine_hat_reference(kernel, grid)
+    np.testing.assert_allclose(kernel.hat_quadrature(grid), ref, rtol=0,
+                               atol=1e-14 * np.abs(ref).max())
+    x = ginibre(3, np.random.default_rng(23))
+    H = dirichlet_operator(sf, x, kernel, ENGINE_QUADRATURE)
+    assert _rel_gap(H, dense_quadrature_reference(sf, x, kernel), x) <= 1e-13
 
 
 def test_quadrature_engine_memory_stays_bounded():
-    # 16,384 Cauchy nodes at n = 8: the node blocks keep the live orbit
-    # stacks near 4 MiB in all (the dense route peaked at 259 MiB)
+    # 16,384 Cauchy nodes at n = 8: the transform table, integrated in column chunks,
+    # keeps the peak near 6 MiB (the dense route peaked at 259 MiB)
     sf = _state(8, seed=18)
     x = ginibre(8, np.random.default_rng(28))
     tracemalloc.start()
@@ -156,8 +147,8 @@ def test_quadrature_engine_memory_stays_bounded():
 
 
 def test_quadrature_engine_forms_its_superoperator_once():
-    # n = 16 Cauchy: one Gram sum over the node blocks, H written from it directly
-    # (a superoperator per block of nodes peaked at 66 MiB)
+    # n = 16 Cauchy: one Gram sum weighted by the transform table, H written from it
+    # directly (a superoperator per block of nodes peaked at 66 MiB)
     sf = _state(16, seed=16)
     x = ginibre(16, np.random.default_rng(26))
     tracemalloc.start()
@@ -190,7 +181,7 @@ def test_quadrature_form_value_matches_the_engine_in_any_chunks(monkeypatch, nam
     value = form_eval(sf, x, eta, xi, kernel, ENGINE_QUADRATURE, check_kernel=False)
     H = dirichlet_operator(sf, x, kernel, ENGINE_QUADRATURE, check_kernel=False)
     assert value == pytest.approx(complex(hs_inner(eta, H.apply(xi))), rel=1e-13)
-    monkeypatch.setattr(dirichlet, "_CHUNK_ENTRIES", 8 * 9 * 1000)  # 1000 nodes per chunk
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 8 * 9 * 1000)  # 1000 nodes per chunk
     chunked = form_eval(sf, x, eta, xi, kernel, ENGINE_QUADRATURE, check_kernel=False)
     assert chunked == pytest.approx(value, rel=1e-13)
 
@@ -294,6 +285,20 @@ def test_failed_refinement_still_raises(sf3, rng):
         w.hat_quadrature(np.array([0.0, 1.0, -1.0]))
     with pytest.raises(QuadratureNotConverged, match="panel refinement"):
         smear_quadrature(sf3, ginibre(3, rng), w)
+    with pytest.raises(QuadratureNotConverged, match="panel refinement"):
+        dirichlet_operator(sf3, ginibre(3, rng), w, ENGINE_QUADRATURE, check_kernel=False)
+
+
+def test_refinement_is_measured_against_the_returned_transform():
+    # a |nu| of the generated n = 32 balanced pair (seed 1): the Cauchy(1) integral over
+    # |t| <= 64 nearly cancels the tail past it, and halving the panels moves it by about
+    # 7e-16, 2.8e-8 of the truncated part but 1.2e-10 of the returned e^{-|nu|}
+    nu = 11.969433489496488
+    kernel = CauchyKernel(scale=1.0)
+    value = kernel.hat_quadrature(nu)
+    truncated = value - kernel.tail_hat(np.array([nu]), kernel.quadrature_radius())[0]
+    assert abs(truncated) < 1e-2 * value
+    assert value == pytest.approx(np.exp(-nu), rel=1e-10)
 
 
 def test_smear_quadrature_memory_stays_bounded():
