@@ -40,7 +40,6 @@ from .kernels import (
     CosineModulatedF0,
     F0Kernel,
     KernelFunction,
-    TabulatedKernel,
     check_admissible,
     kernel_from_descriptor,
 )
@@ -128,7 +127,6 @@ __all__ = [
     "CauchyKernel",
     "CosineModulatedF0",
     "BoundaryCombination",
-    "TabulatedKernel",
     "AdmissibilityCertificate",
     "check_admissible",
     "kernel_from_descriptor",

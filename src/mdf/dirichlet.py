@@ -93,7 +93,7 @@ class DirichletSpec:
     has certified already (the scenario runner certifies each kernel once,
     when it parses the scenario).
     A granted certificate includes strip decay; the quadrature engine
-    still refuses a weight that no radius up to 1024 truncates (see
+    still refuses a weight that declares no truncation radius (see
     :meth:`KernelFunction.quadrature_radius`).
     """
 

@@ -26,13 +26,15 @@ by ``hat_quadrature``.  The tail has one formula, :func:`_pole_tail`, read
 from the ``poles`` a kernel declares: (b, c) with f = (1/2 pi i) sum c / (t - i b).
 Its exponential integral is :func:`_exp1`, in numpy: the package needs no scipy.
 
-Certificates split the same way: ``F0Kernel`` and ``CauchyKernel`` derive
-theirs exactly from their parameters; every other kernel is certified by
-the sampled :func:`check_admissible`.
+Every kernel derives its certificate exactly from its parameters, and
+states its ``truncation_radius`` the same way; neither has a default.
+The sampled :func:`check_admissible` is a diagnostic that no kernel here
+calls: a user kernel with no closed form may return it from its
+``certificate()`` on purpose.
 """
 
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
@@ -79,7 +81,7 @@ class KernelFunction:
     """Base class; concrete kernels fill in eval/strip_eval and hat data."""
 
     name = "kernel"
-    #: truncation radius giving quadrature tail below ~1e-13 (None: grown from the decay)
+    #: truncation radius giving quadrature tail below ~1e-13; each kernel states its own
     truncation_radius = None
     #: partial-fraction poles [(b, c), ...] with f = (1/2 pi i) sum c / (t - i b), or None
     poles = None
@@ -103,12 +105,15 @@ class KernelFunction:
         return _pole_tail(k, radius, self.poles)[where].reshape(np.shape(kappa))
 
     def certificate(self):
-        """The :class:`AdmissibilityCertificate`; sampled unless a kernel has a closed form."""
-        return check_admissible(self)
+        """The :class:`AdmissibilityCertificate`, which each kernel states in closed form."""
+        raise NotImplementedError
 
     def quadrature_radius(self):
-        """Truncation radius of every panel rule: the declared one, else grown from the decay."""
-        return float(self.truncation_radius or self._grow_truncation())
+        """Truncation radius of every panel rule: the one the kernel declares."""
+        if not self.truncation_radius:
+            raise QuadratureNotConverged(
+                f"{self.name} kernel declares no truncation_radius for its panel rules")
+        return float(self.truncation_radius)
 
     def hat_quadrature(self, kappa):
         """Quadrature route for the Fourier transform (vectorized in kappa).
@@ -164,18 +169,6 @@ class KernelFunction:
             )
         out = whole[where].reshape(kappa.shape)
         return out if out.ndim else float(out)
-
-    def _grow_truncation(self):
-        T = 16.0
-        while T <= 1024.0:
-            edge = abs(float(np.max(np.abs(self.eval(np.array([-T, T]))))))
-            if edge < 1e-14:
-                return T
-            T *= 2
-        raise QuadratureNotConverged(
-            f"{self.name} kernel decays too slowly for plain truncation and "
-            "provides no analytic tail"
-        )
 
 
 class F0Kernel(KernelFunction):
@@ -317,9 +310,28 @@ class CosineModulatedF0(KernelFunction):
 
     def hat(self, kappa):
         kappa = np.asarray(kappa, dtype=float)
-        f0h = self._f0.hat
-        out = 0.5 * (f0h(kappa + self.alpha) + f0h(kappa - self.alpha))
-        return out if out.ndim else float(out)
+        # f0's hat is already a float at a scalar kappa
+        return 0.5 * (self._f0.hat(kappa + self.alpha) + self._f0.hat(kappa - self.alpha))
+
+    def certificate(self):
+        """Closed-form certificate; at alpha = 0 the kernel is f0 and has f0's.
+
+        (a) f(pi/|alpha|) = -f0(pi/|alpha|) < 0: positivity fails.
+        (b) f0(t +- i/4) = -+ i / sinh(2 pi t) and cos(alpha (t +- i/4)) =
+            cos(alpha t) cosh(alpha/4) -+ i sin(alpha t) sinh(alpha/4), so off t = 0
+            f(t + i/4) + f(t - i/4) = -2 sinh(|alpha|/4) sin(|alpha| |t|) / sinh(2 pi |t|),
+            negative on 0 < |t| < pi/|alpha|: the boundary combination fails.
+        (c) |cos(alpha (t + i s))| <= cosh(alpha s) <= cosh(|alpha|/4) on the strip, so
+            f0's bound times cosh(|alpha|/4) holds: ``decay_p`` is inf and
+            ``decay_log_M`` is f0's plus log cosh(|alpha|/4).
+        """
+        cert = replace(self._f0.certificate(), kernel=self.name)
+        if self.alpha == 0.0:
+            return cert
+        a = abs(self.alpha) / 4.0
+        log_cosh = float(np.logaddexp(a, -a) - np.log(2.0))  # cosh(a) overflows from a ~ 710
+        return replace(cert, positivity_ok=False, boundary_status="failed",
+                       decay_log_M=cert.decay_log_M + log_cosh)
 
 
 #: k |b| above which e^{-k b} over- or underflows in the pole tail
@@ -492,36 +504,6 @@ class BoundaryCombination(KernelFunction):
         e = np.exp(kappa / 4.0)
         out = (e + 1.0 / e) * self.base.hat(kappa)
         return out if out.ndim else float(out)
-
-
-class TabulatedKernel(KernelFunction):
-    """Kernel backed by user callables; the transform runs on quadrature.
-
-    Parameters
-    ----------
-    fn : callable
-        Vectorized real-axis values.
-    strip_fn : callable, optional
-        Vectorized (t, s) -> f(t + i s); required for admissibility checks.
-    name : str
-    truncation_radius : float, optional
-        Override the automatic truncation search.
-    """
-
-
-    def __init__(self, fn, strip_fn=None, name="tabulated", truncation_radius=None):
-        self._fn = fn
-        self._strip_fn = strip_fn
-        self.name = name
-        self.truncation_radius = truncation_radius
-
-    def eval(self, t):
-        return np.asarray(self._fn(np.asarray(t, dtype=float)))
-
-    def strip_eval(self, t, s):
-        if self._strip_fn is None:
-            raise NotAdmissible(f"kernel {self.name!r} has no strip extension")
-        return np.asarray(self._strip_fn(t, s))
 
 
 # ---------------------------------------------------------------------------

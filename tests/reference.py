@@ -7,8 +7,10 @@ cosine per node and frequency instead of phases factored by panel; the
 generator term by term instead of as a sandwich sum; and the checks of
 the tracial state, where the flow is trivial and the decomposition
 identities hold by pure algebra. It also holds the left multiplier
-X -> A X, which the package only forms as a sandwich, and the form probe
-with every sample projected to full tolerance.
+X -> A X, which the package only forms as a sandwich, the form probe
+with every sample projected to full tolerance, and a kernel of two
+callables with a sampled certificate, the one kernel here with no closed
+form.
 """
 
 from dataclasses import dataclass
@@ -18,7 +20,7 @@ import pytest
 
 from mdf import kernels, semigroup
 from mdf.dirichlet import ENGINE_EXACT, _gram_quadratic, _resolve_spec, dirichlet_operator
-from mdf.kernels import PANEL_NODES, PANEL_WIDTH, _panel_rule
+from mdf.kernels import PANEL_NODES, PANEL_WIDTH, KernelFunction, _panel_rule, check_admissible
 from mdf.linalg import check_square, dagger, hs_inner
 from mdf.lindblad import (
     LindbladSpec,
@@ -114,6 +116,30 @@ def cosine_hat_reference(kernel, kappa):
     out = np.concatenate([wf @ np.cos(np.outer(t, k[lo : lo + 64])) for lo in range(0, k.size, 64)])
     tail = kernel.tail_hat(k, T)
     return (out if tail is None else out + tail)[where].reshape(np.shape(kappa))
+
+
+class TabulatedKernel(KernelFunction):
+    """A kernel of user callables: its transform runs on quadrature, its certificate is sampled.
+
+    ``fn`` gives the real-axis values and ``strip_fn`` (t, s) -> f(t + i s),
+    which only the certificate reads; with no ``truncation_radius`` the
+    panel rules refuse the kernel.
+    """
+
+    def __init__(self, fn, strip_fn=None, name="tabulated", truncation_radius=None):
+        self._fn = fn
+        self._strip_fn = strip_fn
+        self.name = name
+        self.truncation_radius = truncation_radius
+
+    def eval(self, t):
+        return np.asarray(self._fn(np.asarray(t, dtype=float)))
+
+    def strip_eval(self, t, s):
+        return np.asarray(self._strip_fn(t, s))
+
+    def certificate(self):
+        return check_admissible(self)
 
 
 def lindblad_apply(spec, A):

@@ -167,6 +167,24 @@ def test_signed_kernel_requires_the_control_flag(tmp_path, capsys, monkeypatch):
     assert s.negative_control
 
 
+def test_parsing_never_samples_a_certificate(tmp_path, capsys, monkeypatch):
+    def sampled(f):
+        raise AssertionError(f"{f.name} was certified by sampling")
+
+    monkeypatch.setattr(kernels, "check_admissible", sampled)
+    p = tmp_path / "signed.json"
+    p.write_text(json.dumps(_minimal(kernel={"signed_f0": {"alpha": 6}})))
+    assert main(["run", str(p)]) == 2
+    assert capsys.readouterr().err == (
+        "error: signed.json: kernel: weight 'signed_f0' is not admissible: positivity, "
+        "boundary combination failed; signed weights require negative_control: true\n")
+    paths = corpus_paths()
+    assert len(paths) == 6
+    for path in paths:
+        with open(path) as fh:
+            parse_scenario(json.load(fh))
+
+
 def test_an_unknown_kernel_is_echoed_abridged(tmp_path, capsys):
     # as deep as a scenario file may nest, and 5,000 numbers wide at the bottom
     depth = MAX_JSON_DEPTH - 1

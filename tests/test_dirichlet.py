@@ -38,9 +38,8 @@ from mdf import (
 )
 from mdf import dirichlet
 from mdf.dirichlet import ENGINE_QUADRATURE, ENGINES
-from mdf.kernels import TabulatedKernel
 from mdf.linalg import dagger, ginibre, hs_inner, hs_norm, random_hermitian
-from reference import form_eval, left_mult
+from reference import TabulatedKernel, form_eval, left_mult
 
 
 def _e(i, j, n=2):
@@ -199,6 +198,21 @@ def test_each_build_transforms_back_once(monkeypatch, sf3, rng, engine, kernel):
     assert calls == [3]
 
 
+@pytest.mark.parametrize("kernel", [F0Kernel(), CauchyKernel(scale=1.0)], ids=["f0", "cauchy"])
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_a_coupling_and_its_adjoint_give_one_operator(n, engine, kernel):
+    # H sums the derivations of x and of x*, so H(x) and H(x*) are the same operator
+    rng = np.random.default_rng(70 + n)
+    g = ginibre(n, rng)
+    rho = g @ dagger(g) + 0.2 * np.eye(n)
+    sf = build_standard_form(rho / np.trace(rho).real)
+    x = ginibre(n, rng)
+    H = dirichlet_operator(sf, x, kernel, engine)
+    H_star = dirichlet_operator(sf, dagger(x), kernel, engine)
+    assert (H - H_star).hs_norm() <= 1e-14 * H.hs_norm()
+
+
 def test_central_coupling_gives_zero_operator(sf3):
     H = dirichlet_operator(sf3, np.eye(3))
     assert H.norm() < 1e-14
@@ -341,7 +355,7 @@ def test_admissibility_cache_holds_no_tabulated_kernel():
 
 def test_quadrature_routes_refuse_a_slow_kernel_without_a_radius(sf3, rng):
     # Cauchy values with no declared radius and no analytic tail: the sampled
-    # certificate grants them (p ~ 2), but no panel rule up to |t| = 1024 holds their mass
+    # certificate grants them (p ~ 2), but a kernel that states no radius gets no panel rule
     cauchy = CauchyKernel(scale=1.0)
     slow = TabulatedKernel(cauchy.eval, cauchy.strip_eval, name="tab_cauchy")
     assert slow.certificate().granted

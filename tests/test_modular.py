@@ -1,5 +1,7 @@
 """Kernels, Fourier identities, modular flow, and flow averages."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,6 @@ from mdf import (
     SchemaError,
     SuperOperator,
     T_MAP,
-    TabulatedKernel,
     apply_I0,
     build_standard_form,
     check_admissible,
@@ -36,7 +37,7 @@ from mdf import (
 )
 from mdf.kernels import CLOSED_FORM
 from mdf.linalg import dagger, ginibre, hs_norm
-from reference import left_mult
+from reference import TabulatedKernel, left_mult
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +110,7 @@ def test_tabulated_kernel_runs_on_quadrature():
 
 
 def test_slow_kernel_without_tail_fails_quadrature():
+    # no declared radius: the panel rules refuse the kernel before they sample it
     slow = TabulatedKernel(fn=lambda t: (1.0 + np.abs(t)) ** -1.2, name="slow")
     with pytest.raises(QuadratureNotConverged):
         slow.hat_quadrature(np.array([1.0]))
@@ -178,16 +180,55 @@ def test_gaussian_fails_boundary_condition():
 
 
 @pytest.mark.parametrize(
-    "f", [F0Kernel(), CauchyKernel(0.26), CauchyKernel(1.0), CauchyKernel(20.0)],
-    ids=["f0", "cauchy_0.26", "cauchy_1", "cauchy_20"],
+    "f", [F0Kernel(), CauchyKernel(0.26), CauchyKernel(1.0), CauchyKernel(20.0),
+          CosineModulatedF0(0.5), CosineModulatedF0(6.0), CosineModulatedF0(-3.0)],
+    ids=["f0", "cauchy_0.26", "cauchy_1", "cauchy_20", "signed_0.5", "signed_6", "signed_-3"],
 )
 def test_closed_form_certificate_agrees_with_the_sampled_check(f):
     closed, sampled = f.certificate(), check_admissible(f)
     assert closed.grid == CLOSED_FORM != sampled.grid
-    for field in ("positivity_ok", "boundary_status", "decay_ok", "granted"):
+    for field in ("positivity_ok", "boundary_status", "decay_ok", "granted", "failures"):
         assert getattr(closed, field) == getattr(sampled, field), field
-    assert closed.granted
+    assert closed.granted != isinstance(f, CosineModulatedF0)
     assert closed.decay_p >= 2.0 and sampled.decay_p > 1.0
+
+
+@pytest.mark.parametrize("alpha", [0.5, 6.0, -3.0])
+def test_the_controls_boundary_combination_is_its_closed_form(alpha):
+    f = CosineModulatedF0(alpha)
+    half = np.linspace(0.01, 5.0, 2000)
+    t = np.concatenate([-half[::-1], half])
+    a = abs(alpha)
+    closed = -2 * np.sinh(a / 4) * np.sin(a * np.abs(t)) / np.sinh(2 * np.pi * np.abs(t))
+    np.testing.assert_allclose(f.strip_eval(t, 0.25) + f.strip_eval(t, -0.25), closed,
+                               rtol=1e-10, atol=1e-14 * np.max(np.abs(closed)))
+    assert f.certificate().failures == ["positivity", "boundary combination"]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 6.0, -3.0])
+def test_the_controls_decay_bound_holds_on_the_strip(alpha):
+    # f0's bound |f0(t + i s)| <= M e^{-2 pi |t|} for |t| >= 1/2, times cosh(|alpha|/4)
+    f = CosineModulatedF0(alpha)
+    cert = f.certificate()
+    assert cert.decay_p == np.inf and cert.decay_ok and cert.kernel == "signed_f0"
+    half = np.linspace(0.5, 10.0, 4001)
+    t = np.concatenate([-half[::-1], half])
+    strip = np.abs(f.strip_eval(t, np.linspace(-0.25, 0.25, 41)[:, None]))
+    assert np.max(strip * np.exp(2 * np.pi * np.abs(t))) <= np.exp(cert.decay_log_M) * (1 + 1e-12)
+    if alpha == 0.0:
+        assert replace(cert, kernel="f0") == F0Kernel().certificate()
+
+
+@pytest.mark.parametrize(
+    "f", [F0Kernel(), CauchyKernel(2.0), CosineModulatedF0(6.0),
+          BoundaryCombination(CauchyKernel(1.0)),
+          TabulatedKernel(F0Kernel().eval, name="tab_f0", truncation_radius=5.0)],
+    ids=["f0", "cauchy", "signed", "boundary", "tabulated"],
+)
+def test_every_hat_takes_a_scalar(f):
+    value = f.hat(0.5)
+    assert isinstance(value, float)
+    assert value == pytest.approx(f.hat(np.array([0.5]))[0], rel=1e-14)
 
 
 @pytest.mark.parametrize("scale", [50.0, 200.0])

@@ -29,7 +29,6 @@ from mdf import (
     F0Kernel,
     QuadratureNotConverged,
     SuperOperator,
-    TabulatedKernel,
     build_standard_form,
     dirichlet_operator,
     smear_quadrature,
@@ -40,7 +39,7 @@ from mdf.cli import corpus_paths, generate_scenario, parse_scenario
 from mdf.dirichlet import ENGINE_QUADRATURE, coupling_quadratic
 from mdf.kernels import PANEL_NODES, PANEL_WIDTH, QUAD_REL_TARGET, _panel_rule
 from mdf.linalg import dagger, ginibre, hs_inner, hs_norm
-from reference import cosine_hat_reference, form_eval
+from reference import TabulatedKernel, cosine_hat_reference, form_eval
 
 
 def _dense_orbit(sf, y, ts, shift):
