@@ -75,7 +75,10 @@ def ensure_admissible(f):
     Raises
     ------
     NotAdmissible
-        Naming each of positivity, boundary combination, or strip decay that fails.
+        Naming each of positivity, boundary combination, or strip decay that
+        fails, or for a boundary combination, which is never certified.
+    NotImplementedError
+        For a kernel class that defines no ``certificate()``.
     """
     cert = f.certificate()
     if not cert.granted:

@@ -26,11 +26,13 @@ by ``hat_quadrature``.  The tail has one formula, :func:`_pole_tail`, read
 from the ``poles`` a kernel declares: (b, c) with f = (1/2 pi i) sum c / (t - i b).
 Its exponential integral is :func:`_exp1`, in numpy: the package needs no scipy.
 
-Every kernel derives its certificate exactly from its parameters, and
-states its ``truncation_radius`` the same way; neither has a default.
-The sampled :func:`check_admissible` is a diagnostic that no kernel here
-calls: a user kernel with no closed form may return it from its
-``certificate()`` on purpose.
+Every kernel a scenario can name (f0, Cauchy, the signed control)
+derives its certificate exactly from its parameters, and states its
+``truncation_radius`` the same way; neither has a default.  The
+boundary combination is a diagnostic of the contour shift and is
+refused a certificate.  The sampled :func:`check_admissible` is a
+diagnostic that no kernel here calls: a user kernel with no closed form
+may return it from its ``certificate()`` on purpose.
 """
 
 import reprlib
@@ -105,8 +107,9 @@ class KernelFunction:
         return _pole_tail(k, radius, self.poles)[where].reshape(np.shape(kappa))
 
     def certificate(self):
-        """The :class:`AdmissibilityCertificate`, which each kernel states in closed form."""
-        raise NotImplementedError
+        """The :class:`AdmissibilityCertificate`, which each kernel class states itself."""
+        raise NotImplementedError(
+            f"the {self.name} kernel states no certificate; its class must define certificate()")
 
     def quadrature_radius(self):
         """Truncation radius of every panel rule: the one the kernel declares."""
@@ -504,6 +507,11 @@ class BoundaryCombination(KernelFunction):
         e = np.exp(kappa / 4.0)
         out = (e + 1.0 / e) * self.base.hat(kappa)
         return out if out.ndim else float(out)
+
+    def certificate(self):
+        """Refused: the boundary weight checks the contour shift; nothing is smeared with it."""
+        raise NotAdmissible(
+            f"weight {self.name!r} is a diagnostic of the contour shift and is not certified")
 
 
 # ---------------------------------------------------------------------------

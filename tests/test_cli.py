@@ -271,11 +271,12 @@ def test_each_matrix_is_decoded_and_the_kernel_built_once(monkeypatch, tmp_path)
     assert built == [{"cauchy": {"scale": 1.0}}]
 
 
-def _count_certificates(monkeypatch, cls):
+def _count_certificates(monkeypatch, *classes):
     calls = []
-    certify = cls.certificate
-    monkeypatch.setattr(cls, "certificate",
-                        lambda self: (calls.append(self.name), certify(self))[1])
+    for cls in classes:
+        certify = cls.certificate
+        monkeypatch.setattr(cls, "certificate", lambda self, certify=certify: (
+            calls.append(self.name), certify(self))[1])
     return calls
 
 
@@ -290,7 +291,11 @@ def test_one_run_certifies_the_kernel_once(monkeypatch, tmp_path):
 
 
 def test_a_negative_control_run_certifies_nothing(monkeypatch, tmp_path):
-    calls = _count_certificates(monkeypatch, kernels.KernelFunction)
+    # each kernel class states its own certificate, so each is wrapped: the
+    # control's CosineModulatedF0 and the F0Kernel it modulates among them
+    calls = _count_certificates(
+        monkeypatch, kernels.F0Kernel, kernels.CauchyKernel,
+        kernels.CosineModulatedF0, kernels.BoundaryCombination)
     (path,) = [p for p in corpus_paths() if p.endswith("nonmarkovian_control.json")]
     report, code = run_scenario(path, out=str(tmp_path / "r.json"))
     assert code == 0 and report["scenario"]["negative_control"] is True

@@ -12,8 +12,10 @@ from mdf import (
     CauchyKernel,
     CosineModulatedF0,
     D_MINUS_QUARTER,
+    DirichletSpec,
     D_PLUS_QUARTER,
     F0Kernel,
+    KernelFunction,
     NotAdmissible,
     Overflow,
     QuadratureNotConverged,
@@ -99,6 +101,19 @@ def test_boundary_combination_transform_identity():
 def test_boundary_combination_rejects_distributional_base():
     with pytest.raises(NotAdmissible):
         BoundaryCombination(F0Kernel())
+
+
+def test_a_kernel_without_a_certificate_is_refused_by_name():
+    with pytest.raises(NotAdmissible, match=r"'boundary\(cauchy\)' is a diagnostic"):
+        ensure_admissible(BoundaryCombination(CauchyKernel(1.0)))
+    with pytest.raises(NotAdmissible, match="not certified"):
+        DirichletSpec(np.eye(2), BoundaryCombination(CauchyKernel(1.0)))
+
+    class Uncertified(KernelFunction):
+        name = "uncertified"
+
+    with pytest.raises(NotImplementedError, match="uncertified kernel states no certificate"):
+        ensure_admissible(Uncertified())
 
 
 def test_tabulated_kernel_runs_on_quadrature():
