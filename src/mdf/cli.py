@@ -68,7 +68,7 @@ from .errors import (
     SchemaError,
     finite_number,
 )
-from .kernels import CauchyKernel, F0Kernel, kernel_from_descriptor
+from .kernels import F0Kernel, kernel_from_descriptor
 from .linalg import (
     dagger,
     ginibre,
@@ -366,9 +366,9 @@ class ScenarioContext:
         """|| induced H - sum_k H_k ||_HS, the H_k the f0 Dirichlet operators of the couplings.
 
         Pinned to f0: only there does the plain generator shape match the
-        Dirichlet sum (the boundary combination degenerates to a delta).
+        Dirichlet sum (the boundary weight is the unit delta alone).
         """
-        if type(self.kernel) is F0Kernel:
+        if self.kernel.boundary_mass == 1.0 and not self.kernel.boundary_pointwise:
             return (self.induced - self.H).hs_norm()
         f0_parts = [dirichlet_operator(self.sf, x, F0Kernel()) for x in self.xs]
         return (self.induced - sum(f0_parts[1:], f0_parts[0])).hs_norm()
@@ -550,7 +550,7 @@ def _suite_dirichlet(ctx):
                      lambda: crosscheck_engines(sf, ctx.parts, xs, kernel), "cross_engine")
     else:
         notes.append("engine cross-check skipped (dim > 4: quadrature engine is priced out)")
-    if isinstance(kernel, CauchyKernel):
+    if kernel.boundary_mass == 0.0:
         _gate_oracle(rec, violations, "boundary_shift_identity", lambda: ctx.boundary_shift,
                      "integral")
     if ctx.negative_control:
@@ -592,7 +592,7 @@ def _suite_lindblad(ctx):
             "decomposition identities skipped: BalanceViolated "
             f"(condition residual {balance.condition_residual:.3e})"
         )
-    if isinstance(ctx.kernel, CauchyKernel):
+    if ctx.kernel.boundary_mass == 0.0:
         rec.gate("general_weight_embedding", ctx.general_weight_embedding, "<", "decomposition")
     return rec.report(notes)
 
@@ -646,7 +646,7 @@ def _suite_proof_regression(ctx):
         rec.gate("dirichlet_decomposition", ctx.decomposition, "<", "decomposition")
     else:
         notes.append("decomposition regression skipped (family unbalanced)")
-    if isinstance(ctx.kernel, CauchyKernel):
+    if ctx.kernel.boundary_mass == 0.0:
         _gate_oracle(rec, violations, "boundary_shift_identity", lambda: ctx.boundary_shift,
                      "integral")
         rec.gate("general_weight_embedding", ctx.general_weight_embedding, "<", "decomposition")

@@ -222,11 +222,12 @@ def verify_boundary_shift(sf, xs, f):
     """Worst residual over the couplings ``xs`` of the contour-shift identity for a weight f.
 
     The flow average of the coupling sandwich x ( . ) x* + x* ( . ) x
-    dressed by the T map must equal the direct flow average against the
-    boundary weight w(t) = f(t+i/4) + f(t-i/4).  In eigenbasis
-    coordinates both are multipliers of the sandwich on the frequency
-    grid: the left side by the T factors e^{nu/4} + e^{-nu/4} times the
-    closed-form transform of f, which is ``w.hat``, the right side by
+    dressed by the T map, less the boundary weight's delta part, must
+    equal the direct flow average against its pointwise part w(t), the
+    :class:`BoundaryCombination` of f.  In eigenbasis coordinates both
+    are multipliers of the sandwich on the frequency grid: the left side
+    by the T factors e^{nu/4} + e^{-nu/4} times the closed-form transform
+    of f, minus ``f.boundary_mass``, which is ``w.hat``, the right side by
     the pointwise quadrature ``w.hat_quadrature``.  Both tables are
     formed once for all the couplings; the spectral norm is the same in
     either basis, so no sandwich is transformed back.

@@ -28,9 +28,10 @@ Its exponential integral is :func:`_exp1`, in numpy: the package needs no scipy.
 
 Every kernel a scenario can name (f0, Cauchy, the signed control)
 derives its certificate exactly from its parameters, and states its
-``truncation_radius`` the same way; neither has a default.  The
-boundary combination is a diagnostic of the contour shift and is
-refused a certificate.  The sampled :func:`check_admissible` is a
+``truncation_radius`` the same way; neither has a default.  Each class
+declares its boundary weight's delta mass and whether it has a
+pointwise part, the boundary combination: a diagnostic of the contour
+shift, refused a certificate.  The sampled :func:`check_admissible` is a
 diagnostic that no kernel here calls: a user kernel with no closed form
 may return it from its ``certificate()`` on purpose.
 """
@@ -87,6 +88,10 @@ class KernelFunction:
     truncation_radius = None
     #: partial-fraction poles [(b, c), ...] with f = (1/2 pi i) sum c / (t - i b), or None
     poles = None
+    #: the boundary weight f(t + i/4) + f(t - i/4) is ``boundary_mass`` times the delta
+    #: plus, when ``boundary_pointwise``, a function of t
+    boundary_mass = 0.0
+    boundary_pointwise = True
 
     def eval(self, t):
         raise NotImplementedError
@@ -97,14 +102,6 @@ class KernelFunction:
     def hat(self, kappa):
         """Fourier transform at kappa; kernels with a closed form override this."""
         return self.hat_quadrature(kappa)
-
-    def tail_hat(self, kappa, radius):
-        """Analytic value of int_{|t| > radius} f(t) e^{i kappa t} dt; None without ``poles``."""
-        if self.poles is None:
-            return None
-        # even in kappa: one evaluation per distinct |kappa|
-        k, where = np.unique(np.abs(np.asarray(kappa, dtype=float)).reshape(-1), return_inverse=True)
-        return _pole_tail(k, radius, self.poles)[where].reshape(np.shape(kappa))
 
     def certificate(self):
         """The :class:`AdmissibilityCertificate`, which each kernel class states itself."""
@@ -162,8 +159,7 @@ class KernelFunction:
 
         coarse = run(PANEL_WIDTH)
         fine = run(PANEL_WIDTH / 2)
-        tail = self.tail_hat(k, T)
-        whole = fine if tail is None else fine + tail
+        whole = fine if self.poles is None else fine + _pole_tail(k, T, self.poles)
         scale = np.maximum(np.maximum(np.abs(fine), np.abs(whole)), 1e-30)
         if np.max(np.abs(fine - coarse) / scale) > QUAD_REL_TARGET:
             raise QuadratureNotConverged(
@@ -180,13 +176,14 @@ class F0Kernel(KernelFunction):
     Its transform is (e^{kappa/4} + e^{-kappa/4})^{-1} in closed form,
     and its boundary combination f(t + i/4) + f(t - i/4) is the Dirac
     delta in the distributional sense (the boundary lines carry simple
-    poles at t = 0).
+    poles at t = 0), with no pointwise part.
     """
 
     name = "f0"
     # (2/pi) e^{-2 pi T} < 1e-13 already at T = 5
     truncation_radius = 5.0
-    boundary_status = "distributional"
+    boundary_mass = 1.0
+    boundary_pointwise = False
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)
@@ -218,7 +215,7 @@ class F0Kernel(KernelFunction):
         """
         log_M = float(np.log(2.0 / (1.0 - np.exp(-2.0 * np.pi))))
         return AdmissibilityCertificate(
-            kernel=self.name, positivity_ok=True, boundary_status=self.boundary_status,
+            kernel=self.name, positivity_ok=True, boundary_status="distributional",
             decay_p=np.inf, decay_log_M=log_M, decay_ok=True, grid=CLOSED_FORM)
 
 
@@ -293,7 +290,9 @@ class CosineModulatedF0(KernelFunction):
     induced quadratic forms lose the Markov property.  It is shipped so
     the Markovianity checks have a counterexample they are known to
     catch.  The transform is the shifted average
-    (hat_f0(kappa + alpha) + hat_f0(kappa - alpha)) / 2.
+    (hat_f0(kappa + alpha) + hat_f0(kappa - alpha)) / 2.  Its boundary
+    weight is f0's delta times cosh(|alpha|/4) plus, if alpha != 0, the
+    function in (b) of :meth:`certificate`.
     """
 
     name = "signed_f0"
@@ -302,6 +301,9 @@ class CosineModulatedF0(KernelFunction):
     def __init__(self, alpha=6.0):
         self.alpha = float(alpha)
         self._f0 = F0Kernel()
+        with np.errstate(over="ignore"):  # inf from |alpha| ~ 2840
+            self.boundary_mass = float(np.cosh(self.alpha / 4.0))
+        self.boundary_pointwise = self.alpha != 0.0
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)
@@ -473,20 +475,20 @@ def _exp1_series(w, r):
 
 
 class BoundaryCombination(KernelFunction):
-    """The boundary weight w(t) = f(t + i/4) + f(t - i/4) of a base kernel.
+    """The pointwise part w(t) of a base kernel's boundary weight f(t + i/4) + f(t - i/4).
 
-    Used to verify the contour-shift identity: smearing with w equals
-    applying T after smearing with f.  Only meaningful for kernels that
-    are finite on the boundary lines (the f0 boundary combination is a
-    distribution and is rejected here).
+    The boundary weight is w plus ``base.boundary_mass`` times the delta,
+    and smearing with it equals applying T after smearing with f: the
+    contour-shift identity.  So the closed-form transform of w is
+    (e^{kappa/4} + e^{-kappa/4}) hat_f(kappa) minus the delta's mass, and
+    its quadrature samples w off t = 0.  A base with no pointwise part,
+    such as f0, is refused.
     """
 
-
     def __init__(self, base):
-        if getattr(base, "boundary_status", None) == "distributional":
+        if not base.boundary_pointwise:
             raise NotAdmissible(
-                "the f0 boundary combination is a delta; smear with it "
-                "is the identity and has no pointwise weight"
+                f"the {base.name} boundary weight is a delta alone; it has no pointwise part"
             )
         self.base = base
         self.name = f"boundary({base.name})"
@@ -505,7 +507,7 @@ class BoundaryCombination(KernelFunction):
     def hat(self, kappa):
         kappa = np.asarray(kappa, dtype=float)
         e = np.exp(kappa / 4.0)
-        out = (e + 1.0 / e) * self.base.hat(kappa)
+        out = (e + 1.0 / e) * self.base.hat(kappa) - self.base.boundary_mass
         return out if out.ndim else float(out)
 
     def certificate(self):
@@ -574,8 +576,8 @@ def check_admissible(f):
 
     (a) nonnegativity on the sample grid;
     (b) Re(f(t + i/4) + f(t - i/4)) >= -1e-12 with imaginary part below
-        1e-10 on the same grid (skipped for kernels whose boundary
-        combination is distributional);
+        1e-10 on the same grid (skipped for a kernel whose boundary
+        weight has no pointwise part);
     (c) a least-squares fit of log|f| against log(1 + |t|) over the
         decay window on nine strip lines must have slope <= -p with
         p > 1.
@@ -597,7 +599,7 @@ def check_admissible(f):
     vals = f.eval(t)
     positivity_ok = bool(np.min(vals) >= -1e-14)
 
-    if getattr(f, "boundary_status", None) == "distributional":
+    if not f.boundary_pointwise:
         boundary_status = "distributional"
     else:
         b = f.strip_eval(t, 0.25) + f.strip_eval(t, -0.25)

@@ -30,9 +30,9 @@ import numpy as np
 
 from .dirichlet import ensure_admissible, split_self_adjoint
 from .errors import BalanceViolated, NotSelfAdjoint
-from .kernels import BoundaryCombination, F0Kernel
+from .kernels import F0Kernel
 from .linalg import check_square, dagger, hermitian_defect
-from .modular import S_MAP, T_MAP, modular_map, sigma, smear, superop_smear
+from .modular import S_MAP, T_MAP, modular_map, sigma, smear, superop_modular_map, superop_smear
 from .standard_form import SuperOperator
 
 #: balance-condition residual above this blocks the decomposition paths
@@ -316,8 +316,9 @@ def general_f_generator(sf, x, f, check_kernel=True):
 
     with C1 the flow average of sigma_{i/4}(x*) sigma_{-i/4}(x) against
     the boundary weight f(t+i/4) + f(t-i/4), and L2 the same with x and
-    x* exchanged.  The boundary weight of f0 is a delta, so there the
-    flow averages are the identity.
+    x* exchanged.  By the contour shift that average is T applied after
+    the smear with f, whatever parts the weight has: for f0, whose
+    weight is the delta, it is T I0, the identity.
 
     Raises
     ------
@@ -330,20 +331,15 @@ def general_f_generator(sf, x, f, check_kernel=True):
         ensure_admissible(f)
     xd = dagger(x)
     eye = np.eye(sf.dim)
-    boundary = None if isinstance(f, F0Kernel) else BoundaryCombination(f)
     coefficients, sandwiches = [], []
     for a, b in ((xd, x), (x, xd)):
         # coefficient sigma_{i/4}(a) sigma_{-i/4}(b), flow-averaged
         # against the boundary weight
-        c = sigma(sf, a, 0.25j) @ sigma(sf, b, -0.25j)
-        if boundary is not None:
-            c = smear(sf, c, boundary)
+        c = modular_map(sf, smear(sf, sigma(sf, a, 0.25j) @ sigma(sf, b, -0.25j), f), T_MAP)
         q1 = build_Q(sf, [b], f)
         coefficients += [(0.5 * c + 0.5j * q1, eye), (eye, 0.5 * c - 0.5j * q1)]
         sandwiches.append((sigma(sf, a, 0.25j), sigma(sf, b, -0.25j)))
-    k = _sandwich_sum(sandwiches)
-    if boundary is not None:
-        k = superop_smear(sf, k, boundary)
+    k = superop_modular_map(sf, superop_smear(sf, _sandwich_sum(sandwiches), f), T_MAP)
     return _sandwich_sum(coefficients) - k
 
 

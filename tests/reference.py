@@ -92,11 +92,16 @@ def form_eval(sf, spec, eta, xi, kernel=None, engine=ENGINE_EXACT, check_kernel=
             d_eta = np.einsum("ilm,lj->ijm", A, eta_eig) - np.einsum("il,ljm->ijm", eta_eig, B)
             d_xi = np.einsum("ilm,lj->ijm", A, xi_eig) - np.einsum("il,ljm->ijm", xi_eig, B)
             total += np.einsum("m,ijm,ijm->", fw[lo : lo + block], d_eta.conj(), d_xi)
-    tail = spec.kernel.tail_hat(sf.superop_frequencies, radius)
+    tail = pole_tail(spec.kernel, sf.superop_frequencies, radius)
     if tail is not None:
         G0 = _gram_quadratic(sf, x)
         total += hs_inner(eta_eig, SuperOperator(G0.mat * tail, sf.dim).apply(xi_eig))
     return complex(total)
+
+
+def pole_tail(kernel, kappa, radius):
+    """The analytic tail past ``radius`` at each kappa from the kernel's ``poles``, or None."""
+    return None if kernel.poles is None else kernels._pole_tail(kappa, radius, kernel.poles)
 
 
 def cosine_hat_reference(kernel, kappa):
@@ -114,7 +119,7 @@ def cosine_hat_reference(kernel, kappa):
     t = rule.t[far_first]
     wf = 2 * rule.w[far_first] * kernel.eval(t)
     out = np.concatenate([wf @ np.cos(np.outer(t, k[lo : lo + 64])) for lo in range(0, k.size, 64)])
-    tail = kernel.tail_hat(k, T)
+    tail = pole_tail(kernel, k, T)
     return (out if tail is None else out + tail)[where].reshape(np.shape(kappa))
 
 

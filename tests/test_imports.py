@@ -1,7 +1,9 @@
 """Static checks: every module of the package and of the tests uses what it
 imports, every private module-level name of the package is read, every
-public module-level function or class of the package has a user, and no
-module of the package imports scipy (numpy is its one runtime dependency).
+public module-level function or class of the package has a user, no
+module of the package imports scipy (numpy is its one runtime dependency),
+and no module of the package but ``kernels`` branches on a kernel's class
+(a kernel declares what its callers need to know).
 
 ``mdf/__init__.py`` is left out of the import check: importing is how it
 re-exports the API.  No linter is a dependency, so the checks are walks
@@ -165,3 +167,44 @@ def test_the_scipy_check_flags_every_import_form():
     source = ("import scipy\nimport numpy, scipy.special as sp\nfrom scipy import linalg\n"
               "def f():\n    from scipy.special import exp1\nfrom .scipy import x\nimport scipyx\n")
     assert scipy_imports(source) == ["line 1", "line 2", "line 3", "line 5"]
+
+
+def kernel_class_branches(source, classes):
+    """'line k' for each ``isinstance`` against, or ``type(...)`` compared with, a class named
+    in ``classes``.
+
+    A class counts by its name, bare or as an attribute (``kernels.F0Kernel``).
+    """
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            operands = node.args[1:]
+        elif isinstance(node, ast.Compare) and any(
+                isinstance(o, ast.Call) and getattr(o.func, "id", None) == "type"
+                for o in [node.left, *node.comparators]):
+            operands = [node.left, *node.comparators]
+        else:
+            continue
+        names = {getattr(n, "id", None) or getattr(n, "attr", None)
+                 for operand in operands for n in ast.walk(operand)}
+        if names & classes:
+            lines.append(node.lineno)
+    return [f"line {k}" for k in sorted(lines)]
+
+
+KERNELS_TREE = ast.parse((ROOT / "src" / "mdf" / "kernels.py").read_text())
+KERNEL_CLASSES = {node.name for node in KERNELS_TREE.body if isinstance(node, ast.ClassDef)}
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "kernels.py"],
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_module_but_kernels_branches_on_a_kernel_class(path):
+    assert kernel_class_branches(path.read_text(), KERNEL_CLASSES) == []
+
+
+def test_the_kernel_class_check_flags_isinstance_and_type():
+    source = ("if isinstance(f, (int, kernels.CauchyKernel)):\n    pass\n"
+              "ok = type(f) is F0Kernel\nok = F0Kernel != type(f)\n"
+              "ok = isinstance(f, dict) or type(f) is int or f is F0Kernel\n")
+    assert kernel_class_branches(source, {"CauchyKernel", "F0Kernel"}) == [
+        "line 1", "line 3", "line 4"]

@@ -8,6 +8,7 @@ from mdf import (
     BoundaryCombination,
     build_standard_form,
     CauchyKernel,
+    CosineModulatedF0,
     F0Kernel,
     LindbladSpec,
     NotSelfAdjoint,
@@ -457,6 +458,22 @@ def test_embedding_residual_is_the_exact_hs_gap(n, name):
         if name != "hermitian":
             wrong = e0 @ _wrong_generator(sf, x, f).mat - dirichlet_operator(sf, x, f).mat @ e0
             assert np.linalg.norm(wrong) >= _sampled_norm(wrong, n, samples=50) > 1e-3
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_the_controls_generator_embeds_with_its_delta_part(n):
+    # the control's boundary weight is cosh(3/2) times the delta plus a signed function;
+    # the generator smears with both, so it embeds onto the control's own H
+    sf, xs = _family(n, "pair")
+    f = CosineModulatedF0(6.0)
+    r = _rho_power(sf, 0.25)
+    e0 = _kron_sandwich(r, r)
+    for x in xs:
+        L = general_f_generator(sf, x, f, check_kernel=False)
+        H = dirichlet_operator(sf, x, f, check_kernel=False)
+        exact = general_f_embedding_residual(sf, x, f, H)
+        assert abs(exact - np.linalg.norm(e0 @ L.mat - H.mat @ e0)) <= 1e-12 * H.hs_norm()
+        assert exact <= 1e-12 * H.hs_norm()
 
 
 # ---------------------------------------------------------------------------

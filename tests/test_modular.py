@@ -1,5 +1,6 @@
 """Kernels, Fourier identities, modular flow, and flow averages."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -99,8 +100,37 @@ def test_boundary_combination_transform_identity():
 
 
 def test_boundary_combination_rejects_distributional_base():
-    with pytest.raises(NotAdmissible):
-        BoundaryCombination(F0Kernel())
+    for base in (F0Kernel(), CosineModulatedF0(0.0)):
+        with pytest.raises(NotAdmissible, match="delta alone"):
+            BoundaryCombination(base)
+
+
+@pytest.mark.parametrize(
+    "base", [CauchyKernel(0.3), CauchyKernel(1.0), CauchyKernel(50.0), CosineModulatedF0(0.5),
+             CosineModulatedF0(6.0), CosineModulatedF0(-3.0), CosineModulatedF0(20.0)],
+    ids=["cauchy_0.3", "cauchy_1", "cauchy_50", "signed_0.5", "signed_6", "signed_-3",
+         "signed_20"],
+)
+def test_the_pointwise_part_is_t_times_the_transform_less_the_delta(base):
+    # the declared mass is the whole gap between T hat_f and the sampled pointwise part
+    w = BoundaryCombination(base)
+    kappa = np.linspace(-10.0, 10.0, 401)
+    np.testing.assert_allclose(w.hat(kappa), w.hat_quadrature(kappa), rtol=0, atol=1e-10)
+
+
+def test_the_f0_boundary_weight_is_the_declared_delta():
+    f = F0Kernel()
+    assert (f.boundary_mass, f.boundary_pointwise) == (1.0, False)
+    kappa = np.linspace(-40.0, 40.0, 8001)
+    t_hat = (np.exp(kappa / 4) + np.exp(-kappa / 4)) * f.hat(kappa)
+    np.testing.assert_allclose(t_hat - f.boundary_mass, 0.0, atol=1e-15)
+
+
+def test_a_wide_controls_delta_mass_may_be_infinite():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = CosineModulatedF0(1e4)
+    assert f.boundary_mass == np.inf and f.boundary_pointwise
 
 
 def test_a_kernel_without_a_certificate_is_refused_by_name():

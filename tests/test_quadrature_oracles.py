@@ -39,7 +39,7 @@ from mdf.cli import corpus_paths, generate_scenario, parse_scenario
 from mdf.dirichlet import ENGINE_QUADRATURE, coupling_quadratic
 from mdf.kernels import PANEL_NODES, PANEL_WIDTH, QUAD_REL_TARGET, _panel_rule
 from mdf.linalg import dagger, ginibre, hs_inner, hs_norm
-from reference import TabulatedKernel, cosine_hat_reference, form_eval
+from reference import TabulatedKernel, cosine_hat_reference, form_eval, pole_tail
 
 
 def _dense_orbit(sf, y, ts, shift):
@@ -70,7 +70,7 @@ def dense_quadrature_reference(sf, x, kernel):
             D -= np.einsum("ip,kqj->kijpq", eye, B).reshape(m, N, N)
             H += np.einsum("k,kab,kac->bc", wc, D.conj(), D, optimize=True)
     # the tail in the working basis, not the engine's eigenbasis tail
-    tail = kernel.tail_hat(sf.superop_frequencies, radius)
+    tail = pole_tail(kernel, sf.superop_frequencies, radius)
     if tail is not None:
         H += sf.superop_multiplier(coupling_quadratic(sf, x), tail).mat
     return SuperOperator(H, n)
@@ -219,7 +219,7 @@ def full_line_hat_reference(kernel, kappa):
 
     coarse, fine = run(PANEL_WIDTH), run(PANEL_WIDTH / 2)
     assert np.max(np.abs(fine - coarse) / np.maximum(np.abs(fine), 1e-30)) <= QUAD_REL_TARGET
-    tail = kernel.tail_hat(k, T)
+    tail = pole_tail(kernel, k, T)
     return (fine if tail is None else fine + tail).reshape(np.shape(kappa))
 
 
@@ -295,7 +295,7 @@ def test_refinement_is_measured_against_the_returned_transform():
     nu = 11.969433489496488
     kernel = CauchyKernel(scale=1.0)
     value = kernel.hat_quadrature(nu)
-    truncated = value - kernel.tail_hat(np.array([nu]), kernel.quadrature_radius())[0]
+    truncated = value - pole_tail(kernel, np.array([nu]), kernel.quadrature_radius())[0]
     assert abs(truncated) < 1e-2 * value
     assert value == pytest.approx(np.exp(-nu), rel=1e-10)
 
@@ -337,7 +337,7 @@ def test_pole_tail_at_kappa_zero_is_the_tail_mass(scale, radius):
     mass = (2.0 / np.pi) * np.arctan(scale / radius)
     boundary_mass = 4.0 * np.real(np.pi / 2 - np.arctan((radius + 0.25j) / scale)) / np.pi
     for kernel, expected, slope in ((cauchy, mass, -scale), (boundary, boundary_mass, -2 * scale)):
-        at0, near0 = kernel.tail_hat(np.array([0.0, 1e-9]), radius)
+        at0, near0 = pole_tail(kernel, np.array([0.0, 1e-9]), radius)
         assert at0 == pytest.approx(expected, rel=1e-12, abs=0)
         # continuous at 0: the step is the kink of the transform, d hat / d|kappa| at 0+
         assert (near0 - at0) / 1e-9 == pytest.approx(slope, rel=1e-5)
@@ -391,18 +391,6 @@ def test_pole_tail_does_not_depend_on_its_blocks(monkeypatch):
     whole = kernels._pole_tail(k, 64.0, poles)
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 1)  # one kappa, all poles, per block
     np.testing.assert_array_equal(kernels._pole_tail(k, 64.0, poles), whole)
-
-
-@pytest.mark.parametrize("kernel", [CauchyKernel(1.0), BoundaryCombination(CauchyKernel(1.0))],
-                         ids=["cauchy", "boundary"])
-def test_tail_on_a_grid_is_the_pole_tail_of_every_entry(kernel):
-    # n = 8: 4,096 grid entries, each distinct |nu| evaluated once
-    nu = _state(8, seed=18).superop_frequencies
-    assert np.unique(np.abs(nu)).size < nu.size / 2
-    T = kernel.quadrature_radius()
-    np.testing.assert_array_equal(
-        kernel.tail_hat(nu, T), kernels._pole_tail(nu.reshape(-1), T, kernel.poles).reshape(nu.shape)
-    )
 
 
 #: (w, E1(w)) at 40 digits (mpmath 1.3.0, rounded to double)
